@@ -18,6 +18,7 @@ from .errors import (
 )
 from .lpspace import (
     Enclosure,
+    EventuallyConstant,
     FiniteTable,
     IndicatorGE,
     IndicatorWindow,
@@ -46,6 +47,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Enclosure",
     "EmptyGridError",
+    "EventuallyConstant",
     "FiniteTable",
     "HeavyTailUnreliableError",
     "IndicatorGE",

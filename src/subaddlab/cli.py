@@ -3,9 +3,9 @@
 Every command validates its flags, computes rows, writes <command>.csv and
 <command>.json into --outdir, prints one [PASS]/[FAIL] line per verdict, and
 exits with the shared contract: 0 all verdicts pass, 1 verdict failure,
-2 usage error, 3 resource limit.  Outputs are deterministic for a fixed
-configuration (seed included); wallTimeSeconds in the JSON is the one field
-that varies between reruns.
+2 usage error (an unwritable --outdir included), 3 resource limit.  Outputs
+are deterministic for a fixed configuration (seed included); wallTimeSeconds
+in the JSON is the one field that varies between reruns.
 """
 
 from __future__ import annotations
@@ -27,6 +27,16 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
+def _rational(text: str) -> Fraction:
+    """A rational flag value such as 3/2 or 0.75 that converts to a finite float."""
+    try:
+        value = Fraction(text)
+        float(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise argparse.ArgumentTypeError(f"not a finite rational: {text!r}") from None
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subaddlab",
@@ -35,18 +45,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, run=None) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--outdir", default=".", help="directory for reports")
+        sp.set_defaults(run=run)
         return sp
 
-    sp = add("alpha", "tabulate convolution-power weights")
+    sp = add("alpha", "tabulate convolution-power weights", _run_alpha)
     sp.add_argument("--n", type=int, required=True, help="convolution power, >= 1")
     sp.add_argument("--jmax", type=int, default=16, help="row count (indices 0..jmax-1)")
     sp.add_argument("--backend", choices=("exact", "log", "auto"), default="auto")
-    sp.set_defaults(func=cmd_alpha)
 
-    sp = add("verify", "run the verification suites")
+    sp = add("verify", "run the verification suites", _run_verify)
     sp.add_argument("--suite", choices=("core", "all"), default="core")
     sp.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     sp.add_argument(
@@ -56,39 +66,39 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault injection: add this to every log-backend value "
         "before the agreement scan (a correct build passes only at 0)",
     )
-    sp.set_defaults(func=cmd_verify)
 
-    sp = add("growth", "norm growth of A^n on the moving-window witnesses")
+    sp = add("growth", "norm growth of A^n on the moving-window witnesses", _run_growth)
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--nmax", type=int, default=32)
     sp.add_argument("--fit-from", type=int, default=None)
-    sp.set_defaults(func=cmd_growth)
 
-    sp = add("blowup", "growth of E f(S_n) for the fractional-power witness")
+    sp = add("blowup", "growth of E f(S_n) for the fractional-power witness", _run_blowup)
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--beta", type=float, default=None, help="default 2/(5p)")
     sp.add_argument("--nmax", type=int, default=32)
     sp.add_argument("--trunc", type=int, default=1 << 20)
-    sp.set_defaults(func=cmd_blowup)
 
-    sp = add("maximal", "maximal-function to function norm ratios")
+    sp = add("maximal", "maximal-function to function norm ratios", _run_maximal)
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--mgrid", default="4,16,64,256", help="comma-separated window sizes")
-    sp.set_defaults(func=cmd_maximal)
 
-    sp = add("probe", "minimum of alpha^n_j/(n alpha_j) on the far grid")
-    sp.add_argument("--c0", default="1", help="grid constant (rational, e.g. 3/2)")
+    sp = add("probe", "minimum of alpha^n_j/(n alpha_j) on the far grid", _run_probe)
+    sp.add_argument(
+        "--c0", type=_rational, default="1", help="grid constant (rational, e.g. 3/2)"
+    )
     sp.add_argument("--nmax", type=int, default=12)
     sp.add_argument("--jmax", type=int, default=2000)
-    sp.set_defaults(func=cmd_probe)
 
-    sp = add("sato", "norm growth for the 2x2 unipotent family")
-    sp.add_argument("--a", default="1", help="off-diagonal entry (rational)")
+    sp = add("sato", "norm growth for the 2x2 unipotent family", _run_sato)
+    sp.add_argument(
+        "--a", type=_rational, default="1", help="off-diagonal entry (rational)"
+    )
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--nmax", type=int, default=32)
-    sp.set_defaults(func=cmd_sato)
 
-    sp = add("simulate", "Monte Carlo estimate of A^n(f)(k) vs the enclosure")
+    sp = add(
+        "simulate", "Monte Carlo estimate of A^n(f)(k) vs the enclosure", _run_simulate
+    )
     sp.add_argument("--fn", choices=("table", "indicator", "power"), default="table")
     sp.add_argument("--m", type=int, default=1, help="indicator threshold")
     sp.add_argument("--beta", type=float, default=0.2, help="power exponent")
@@ -97,47 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=10**5)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--trunc", type=int, default=1 << 20, help="enclosure truncation")
-    sp.set_defaults(func=cmd_simulate)
 
     sp = add("report", "run every command at desk defaults and aggregate")
     sp.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     sp.add_argument("--trials", type=int, default=10**5)
-    sp.set_defaults(func=cmd_report)
 
     return parser
-
-
-def _write_command(outdir, command, parameters, header, rows, verdicts, t0):
-    os.makedirs(outdir, exist_ok=True)
-    paths = []
-    if header is not None:
-        csv_path = os.path.join(outdir, f"{command}.csv")
-        write_csv(csv_path, header, rows)
-        paths.append(csv_path)
-    report = ExperimentReport(
-        command=command,
-        parameters=parameters,
-        rows=[list(r) for r in rows],
-        verdicts=verdicts,
-        wall_time_seconds=time.perf_counter() - t0,
-    )
-    json_path = os.path.join(outdir, f"{command}.json")
-    write_json(json_path, report)
-    paths.append(json_path)
-    return paths
-
-
-def _print_result(command, verdicts, paths) -> None:
-    for name, ok in verdicts.items():
-        print(f"[{'PASS' if ok else 'FAIL'}] {command}.{name}")
-    for p in paths:
-        print(f"wrote {p}")
-
-
-def _finish(args, command, parameters, header, rows, verdicts, t0) -> int:
-    paths = _write_command(args.outdir, command, parameters, header, rows, verdicts, t0)
-    _print_result(command, verdicts, paths)
-    return EXIT_OK if all(verdicts.values()) else EXIT_VERDICT
 
 
 def _run_alpha(args):
@@ -162,11 +137,6 @@ def _run_alpha(args):
     return parameters, ("n", "j", "weight", "backend"), rows, verdicts
 
 
-def cmd_alpha(args) -> int:
-    t0 = time.perf_counter()
-    return _finish(args, "alpha", *_run_alpha(args), t0)
-
-
 def _run_verify(args):
     if args.suite == "core":
         verdicts = verify.core_suite(bias=args.inject_float_bias)
@@ -180,62 +150,35 @@ def _run_verify(args):
     return parameters, None, [], verdicts
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    return _finish(args, "verify", *_run_verify(args), t0)
-
-
 def _run_growth(args):
     res = experiments.growth_curve(args.p, args.nmax, args.fit_from)
     rows = [
         [r.n, r.norm_fn, r.norm_anfn_lower, r.ratio, r.upper_bound] for r in res.rows
     ]
-    lo, hi = 0.85 / res.p, 1.15 / res.p
-    verdicts = {
-        "slope_in_window": bool(lo <= res.slope <= hi),
-        "ratio_below_norm_bound": all(
-            r.ratio <= r.upper_bound * (1 + 1e-12) for r in res.rows
-        ),
-    }
     parameters = {
         "p": res.p,
         "nMax": args.nmax,
         "fitFrom": res.fit_window[0],
         "slope": res.slope,
-        "slopeWindow": [lo, hi],
+        "slopeWindow": list(res.slope_window),
     }
     header = ("n", "norm_fn", "norm_Anfn_lower", "ratio", "upper_bound")
-    return parameters, header, rows, verdicts
-
-
-def cmd_growth(args) -> int:
-    t0 = time.perf_counter()
-    return _finish(args, "growth", *_run_growth(args), t0)
+    return parameters, header, rows, experiments.growth_verdicts(res)
 
 
 def _run_blowup(args):
     rows_b = experiments.blowup_curve(args.p, args.beta, args.nmax, args.trunc)
-    e = [r.e_lower for r in rows_b]
-    quarter = max(1, args.nmax // 4)
-    verdicts = {
-        "strictly_increasing": all(b > a for a, b in zip(e, e[1:])),
-        "surpasses_quarter": bool(e[-1] >= 1.3 * e[quarter]),
-    }
     beta = args.beta if args.beta is not None else 2.0 / (5.0 * args.p)
     parameters = {
         "p": args.p,
         "beta": beta,
         "nMax": args.nmax,
         "truncation": args.trunc,
-        "quarterIndex": quarter,
+        "quarterIndex": experiments.quarter_index(args.nmax),
     }
     rows = [[r.n, r.e_lower, r.norm_lower] for r in rows_b]
-    return parameters, ("n", "E_lower", "norm_lower"), rows, verdicts
-
-
-def cmd_blowup(args) -> int:
-    t0 = time.perf_counter()
-    return _finish(args, "blowup", *_run_blowup(args), t0)
+    header = ("n", "E_lower", "norm_lower")
+    return parameters, header, rows, experiments.blowup_verdicts(rows_b)
 
 
 def _run_maximal(args):
@@ -245,25 +188,16 @@ def _run_maximal(args):
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("--mgrid must be strictly increasing")
     ratios = [experiments.maximal_ratio_T(m, args.p) for m in grid]
-    verdicts = {
-        "strictly_increasing": all(b > a for a, b in zip(ratios, ratios[1:])),
-        "gain_ge_1_15": all(b >= 1.15 * a for a, b in zip(ratios, ratios[1:])),
-    }
     parameters = {"p": args.p, "mGrid": grid}
     rows = [[m, r] for m, r in zip(grid, ratios)]
-    return parameters, ("m", "ratio"), rows, verdicts
-
-
-def cmd_maximal(args) -> int:
-    t0 = time.perf_counter()
-    return _finish(args, "maximal", *_run_maximal(args), t0)
+    return parameters, ("m", "ratio"), rows, experiments.maximal_verdicts(ratios)
 
 
 def _run_probe(args):
-    rep = experiments.lower_bound_probe(Fraction(args.c0), args.nmax, args.jmax)
+    rep = experiments.lower_bound_probe(args.c0, args.nmax, args.jmax)
     verdicts = {"min_positive": rep.min_observed > 0}
     parameters = {
-        "c0": str(Fraction(args.c0)),
+        "c0": str(args.c0),
         "nMax": rep.n_max,
         "jMax": rep.j_max,
         "minObserved": rep.min_observed,
@@ -273,34 +207,13 @@ def _run_probe(args):
     return parameters, ("n", "j", "ratio"), rows, verdicts
 
 
-def cmd_probe(args) -> int:
-    t0 = time.perf_counter()
-    return _finish(args, "probe", *_run_probe(args), t0)
-
-
 def _run_sato(args):
-    a = Fraction(args.a)
     if args.nmax < 2:
         raise ValueError("need --nmax >= 2")
-    rows_s = experiments.sato_norm_growth(a, args.p, args.nmax)
-    closed_ok = all(
-        experiments.sato_power(n, a) == experiments.sato_matrix_product(n, a)
-        for n in range(args.nmax + 1)
-    )
-    vals = [v for _, v in rows_s]
-    verdicts = {
-        "closed_form_matches_product": closed_ok,
-        "norm_ge_n_a": all(v >= float(n * a) - 1e-12 for n, v in rows_s),
-        "strictly_increasing": all(b > a_ for a_, b in zip(vals, vals[1:])),
-    }
-    parameters = {"a": str(a), "p": args.p, "nMax": args.nmax}
+    rows_s = experiments.sato_norm_growth(args.a, args.p, args.nmax)
+    parameters = {"a": str(args.a), "p": args.p, "nMax": args.nmax}
     rows = [[n, v] for n, v in rows_s]
-    return parameters, ("n", "norm"), rows, verdicts
-
-
-def cmd_sato(args) -> int:
-    t0 = time.perf_counter()
-    return _finish(args, "sato", *_run_sato(args), t0)
+    return parameters, ("n", "norm"), rows, experiments.sato_verdicts(args.a, rows_s)
 
 
 def _make_fn(args):
@@ -332,24 +245,32 @@ def _run_simulate(args):
     return parameters, ("estimate", "half_width", "exact_mid", "ok"), rows, verdicts
 
 
-def cmd_simulate(args) -> int:
+def _execute(args) -> dict:
+    """Run one parsed command, write <command>.csv/.json, print its verdicts."""
     t0 = time.perf_counter()
-    return _finish(args, "simulate", *_run_simulate(args), t0)
+    parameters, header, rows, verdicts = args.run(args)
+    paths = []
+    if header is not None:
+        paths.append(os.path.join(args.outdir, f"{args.command}.csv"))
+        write_csv(paths[-1], header, rows)
+    report = ExperimentReport(
+        command=args.command,
+        parameters=parameters,
+        rows=[list(r) for r in rows],
+        verdicts=verdicts,
+        wall_time_seconds=time.perf_counter() - t0,
+    )
+    paths.append(os.path.join(args.outdir, f"{args.command}.json"))
+    write_json(paths[-1], report)
+    for name, ok in verdicts.items():
+        print(f"[{'PASS' if ok else 'FAIL'}] {args.command}.{name}")
+    for path in paths:
+        print(f"wrote {path}")
+    return verdicts
 
 
-_RUNNERS = {
-    "alpha": _run_alpha,
-    "verify": _run_verify,
-    "growth": _run_growth,
-    "blowup": _run_blowup,
-    "maximal": _run_maximal,
-    "probe": _run_probe,
-    "sato": _run_sato,
-    "simulate": _run_simulate,
-}
-
-
-def cmd_report(args) -> int:
+def _report(args) -> dict:
+    """Every command at desk defaults, then summary.json with all their verdicts."""
     t0 = time.perf_counter()
     parser = build_parser()
     plans = [
@@ -365,13 +286,7 @@ def cmd_report(args) -> int:
     summary = {}
     for argv in plans:
         sub_args = parser.parse_args(argv + ["--outdir", args.outdir])
-        t_cmd = time.perf_counter()
-        parameters, header, rows, verdicts = _RUNNERS[sub_args.command](sub_args)
-        paths = _write_command(
-            args.outdir, sub_args.command, parameters, header, rows, verdicts, t_cmd
-        )
-        _print_result(sub_args.command, verdicts, paths)
-        for name, ok in verdicts.items():
+        for name, ok in _execute(sub_args).items():
             summary[f"{sub_args.command}.{name}"] = ok
     report = ExperimentReport(
         command="report",
@@ -383,7 +298,7 @@ def cmd_report(args) -> int:
     summary_path = os.path.join(args.outdir, "summary.json")
     write_json(summary_path, report)
     print(f"wrote {summary_path}")
-    return EXIT_OK if all(summary.values()) else EXIT_VERDICT
+    return summary
 
 
 def main(argv=None) -> int:
@@ -394,13 +309,14 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         return EXIT_OK if code == 0 else EXIT_USAGE
     try:
-        return args.func(args)
+        verdicts = _report(args) if args.command == "report" else _execute(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (SubaddLabError, ValueError) as exc:
+    except (SubaddLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if all(verdicts.values()) else EXIT_VERDICT
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Desk-scale experiments that exercise the counterexample's moving parts.
 
 Each experiment returns plain rows (dataclasses or tuples) so the CLI can
-serialize them; verdict logic lives with the caller.  Exact arithmetic is
-used wherever the grid allows it, certified lower bounds elsewhere: a growth
+serialize them, and each has one *_verdicts function next to it that turns
+its rows into named booleans; the CLI and the verify suites both call these,
+so every verdict threshold is written once, here.  Exact arithmetic is used
+wherever the grid allows it, certified lower bounds elsewhere: a growth
 row's norm column is a lower bound obtained by truncation, never an estimate.
 """
 
@@ -18,10 +20,11 @@ import numpy as np
 from . import weights
 from .errors import EmptyGridError, NotInLpError
 from .limits import check_row_length, current_limits
-from .lpspace import IndicatorGE, PowerGrowth, SeqFunction, apply_A_pow, check_exponent
+from .lpspace import EventuallyConstant, IndicatorGE, PowerGrowth, SeqFunction
+from .lpspace import apply_A_pow, check_exponent
 
 
-def witness_fn(n: int) -> IndicatorGE:
+def witness_fn(n: int) -> EventuallyConstant:
     """The blow-up witness: the indicator of {k >= n^2}."""
     if n < 1:
         raise ValueError("need n >= 1")
@@ -43,6 +46,11 @@ class GrowthResult:
     slope: float
     fit_window: tuple
     p: float
+
+    @property
+    def slope_window(self) -> tuple:
+        """The slopes the growth_verdicts accept: 1/p within 15%."""
+        return 0.85 / self.p, 1.15 / self.p
 
 
 def _survival_lower(n: int, m: int) -> np.ndarray:
@@ -79,6 +87,10 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
     check_row_length(n_max * n_max)
     if fit_from is None:
         fit_from = max(2, n_max // 4)
+    if fit_from > n_max - 1:
+        raise ValueError(
+            f"need fit_from <= n_max - 1 = {n_max - 1} for a two-point fit, got {fit_from}"
+        )
     rows = []
     for n in range(1, n_max + 1):
         m = n * n
@@ -94,10 +106,26 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
         rows.append(
             GrowthRow(n, norm_fn, norm_lower, ratio, (n + 1) ** (1.0 / p))
         )
-    xs = [math.log(r.n) for r in rows if r.n >= fit_from]
-    ys = [math.log(r.ratio) for r in rows if r.n >= fit_from]
+    fit = [r for r in rows if r.n >= fit_from]
+    if any(r.ratio <= 0.0 for r in fit):
+        raise ValueError(
+            f"p = {p} is too large to fit: the norm lower bounds underflow to 0"
+        )
+    xs = [math.log(r.n) for r in fit]
+    ys = [math.log(r.ratio) for r in fit]
     slope = float(np.polyfit(xs, ys, 1)[0])
     return GrowthResult(tuple(rows), slope, (fit_from, n_max), p)
+
+
+def growth_verdicts(res: GrowthResult) -> dict:
+    """Slope inside res.slope_window, and every ratio below (n+1)^(1/p)."""
+    lo, hi = res.slope_window
+    return {
+        "slope_in_window": bool(lo <= res.slope <= hi),
+        "ratio_below_norm_bound": all(
+            r.ratio <= r.upper_bound * (1 + 1e-12) for r in res.rows
+        ),
+    }
 
 
 @dataclass(frozen=True)
@@ -110,22 +138,37 @@ class BlowupRow:
 def blowup_curve(p, beta: Optional[float] = None, n_max: int = 32, J: int = 1 << 20):
     """Lower bounds on E f(S_n) for f = k^beta, and the induced norm bound.
 
-    The norm bound is ||A^n f||_p >= alpha_0^(1/p) * E f(S_n).  A fixed
-    truncation J keeps the rows comparable across n, so the (strict) growth
-    of the underlying expectations survives the float slop.
+    The norm bound is ||A^n f||_p >= alpha_0^(1/p) * E f(S_n), applied to the
+    pointwise_divergence rows at k = 0.  A fixed truncation J keeps the rows
+    comparable across n, so the (strict) growth of the underlying
+    expectations survives the float slop.
     """
     p = check_exponent(p)
     if beta is None:
         beta = 2.0 / (5.0 * p)
     if not 0 < beta * p < 0.5:
         raise NotInLpError(f"needs 0 < beta*p < 1/2, got beta*p = {beta * p}")
-    f = PowerGrowth(beta)
+    if n_max < 1:
+        raise ValueError("need n_max >= 1")
     scale = 0.5 ** (1.0 / p)  # alpha_0^(1/p)
-    rows = [BlowupRow(0, 0.0, 0.0)]
-    for n in range(1, n_max + 1):
-        e_lower = float(apply_A_pow(f, n, 0, J=J).lower)
-        rows.append(BlowupRow(n, e_lower, scale * e_lower))
-    return tuple(rows)
+    return tuple(
+        BlowupRow(n, e, scale * e)
+        for n, e in pointwise_divergence(PowerGrowth(beta), 0, n_max, J)
+    )
+
+
+def quarter_index(n_max: int) -> int:
+    """The row a blow-up run's end is compared with."""
+    return max(1, n_max // 4)
+
+
+def blowup_verdicts(rows) -> dict:
+    """Strict growth of the lower bounds, and a 1.3 gain from the quarter row to the end."""
+    e = [r.e_lower for r in rows]
+    return {
+        "strictly_increasing": all(b > a for a, b in zip(e, e[1:])),
+        "surpasses_quarter": bool(e[-1] >= 1.3 * e[quarter_index(rows[-1].n)]),
+    }
 
 
 def pointwise_divergence(f: SeqFunction, k: int = 0, n_max: int = 32, J: int = 1 << 20):
@@ -190,10 +233,7 @@ def lower_bound_probe(c0=1, n_max: int = 12, j_max: int = 2000) -> ProbeReport:
     argmin = None
     for n in range(2, n_max + 1):
         nn = n * n
-        j_lo = nn if c0_exact == 1 else math.ceil(nn / c0_exact)
-        while c0_exact * j_lo < nn:  # guard ceil against any float-derived c0
-            j_lo += 1
-        for j in range(j_lo, j_max + 1):
+        for j in range(math.ceil(nn / c0_exact), j_max + 1):
             ratio = probe_ratio_exact(n, j)
             rows.append((n, j, ratio))
             if best is None or ratio < best:
@@ -246,6 +286,15 @@ def maximal_ratio_T(m: int, p, N: Optional[int] = None) -> float:
     return (num / den) ** (1.0 / p)
 
 
+def maximal_verdicts(ratios) -> dict:
+    """Maximal ratios over an increasing window grid: strict growth, each gain >= 1.15."""
+    pairs = list(zip(ratios, ratios[1:]))
+    return {
+        "strictly_increasing": all(b > a for a, b in pairs),
+        "gain_ge_1_15": all(b >= 1.15 * a for a, b in pairs),
+    }
+
+
 @dataclass(frozen=True)
 class SatoMatrix:
     """A 2x2 unipotent upper-triangular matrix; the family is closed under products."""
@@ -291,9 +340,27 @@ def sato_norm_growth(a, p, n_max: int):
     a = Fraction(a)
     if a <= 0:
         raise ValueError("need a > 0")
-    return tuple(
-        (n, (float(n * a) ** p + 1.0) ** (1.0 / p)) for n in range(n_max + 1)
-    )
+    try:
+        return tuple(
+            (n, (float(n * a) ** p + 1.0) ** (1.0 / p)) for n in range(n_max + 1)
+        )
+    except OverflowError:
+        raise ValueError(
+            f"(n a)^p overflows a double for n <= {n_max}, a = {a}, p = {p}"
+        ) from None
+
+
+def sato_verdicts(a, rows) -> dict:
+    """Closed form vs product for every n in rows, norms >= n a, strict growth."""
+    a = Fraction(a)
+    vals = [v for _, v in rows]
+    return {
+        "closed_form_matches_product": all(
+            sato_power(n, a) == sato_matrix_product(n, a) for n, _ in rows
+        ),
+        "norm_ge_n_a": all(v >= float(n * a) - 1e-12 for n, v in rows),
+        "strictly_increasing": all(x < y for x, y in zip(vals, vals[1:])),
+    }
 
 
 def normalized_decay_check(p, n_max: int):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ResourceLimitError
 
@@ -22,8 +23,7 @@ class Limits:
     exact_limit: int = 2_000
 
 
-def _read_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
+def _read_int(name: str, raw, default: int) -> int:
     if raw is None:
         return default
     try:
@@ -35,12 +35,21 @@ def _read_int(name: str, default: int) -> int:
     return value
 
 
-def current_limits() -> Limits:
-    """Ceilings in effect for this process (environment wins over defaults)."""
+@lru_cache(maxsize=8)
+def _parse_limits(raw_max_j, raw_exact) -> Limits:
     return Limits(
-        max_j=_read_int(_ENV_MAX_J, Limits.max_j),
-        exact_limit=_read_int(_ENV_EXACT, Limits.exact_limit),
+        max_j=_read_int(_ENV_MAX_J, raw_max_j, Limits.max_j),
+        exact_limit=_read_int(_ENV_EXACT, raw_exact, Limits.exact_limit),
     )
+
+
+def current_limits() -> Limits:
+    """Ceilings in effect for this process (environment wins over defaults).
+
+    The parse is memoized on the raw variable values, so a changed
+    environment takes effect at the next call.
+    """
+    return _parse_limits(os.environ.get(_ENV_MAX_J), os.environ.get(_ENV_EXACT))
 
 
 def check_row_length(requested: int) -> None:

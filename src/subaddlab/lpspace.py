@@ -4,14 +4,29 @@ A function f on N lives in the space when sum_k alpha_k |f(k)|^p is finite.
 The operator is A = sum_j alpha_j T^j (T the translation f -> f(.+1)), so
 A^n(f)(k) = sum_j alpha^n_j f(j+k) = E f(S_n + k) for the random walk S_n.
 
+Two function kinds cover every witness: PowerGrowth (k^beta) and
+EventuallyConstant, a table v_0..v_{L-1} followed by a constant c, which
+IndicatorGE, IndicatorWindow and FiniteTable build.  For the latter both key
+sums close with finitely many terms:
+
+    A^n f(k)  = sum_{j<L-k} alpha^n_j v_{j+k} + c (1 - sum_{j<L-k} alpha^n_j)
+    ||f||_p^p = sum_{k<L} alpha_k |v_k|^p + |c|^p T(L)
+
 Infinite sums are returned as Enclosure(lower, upper) pairs.  Exact rational
 partial sums are used whenever the function and the backend allow it; the
 float path carries a documented ~1e-12-level rounding allowance via
 weights.row_slop plus a certified tail bound.
+
+A truncated enclosure (apply_A_pow with J given) is the sum over j < J plus
+a bracket on the discarded remainder: the discarded mass times
+[min(0, inf), max(0, sup)] of the levels not yet summed.  For f >= 0 the
+lower end is the truncated sum itself; for signed f both ends move, so the
+enclosure contains the true value for any sign pattern.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,15 +54,8 @@ def check_exponent(p) -> float:
     return p
 
 
-class SeqFunction:
-    """A symbolic function on N.  Subclasses implement __call__."""
-
-    def __call__(self, k: int):
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class PowerGrowth(SeqFunction):
+class PowerGrowth:
     """k^beta, with the value at k = 0 defined as 0."""
 
     beta: float
@@ -63,60 +71,86 @@ class PowerGrowth(SeqFunction):
 
 
 @dataclass(frozen=True)
-class IndicatorGE(SeqFunction):
-    """1 on {k >= m}, else 0."""
+class EventuallyConstant:
+    """A finite table followed by a constant, stored as runs.
 
-    m: int
+    f(k) = levels[i] for starts[i] <= k < starts[i+1], and the last run never
+    ends: with L = starts[-1] and c = levels[-1], f(k) = c for every k >= L.
+    starts must begin at 0 and not decrease; construction drops empty runs
+    and merges equal neighbours, so each function has one representation
+    and == compares functions.  IndicatorGE, IndicatorWindow and FiniteTable
+    build the common cases.
+    """
 
-    def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("threshold must be >= 0")
-
-    def __call__(self, k: int):
-        if k < 0:
-            raise ValueError("index must be >= 0")
-        return 1 if k >= self.m else 0
-
-
-@dataclass(frozen=True)
-class IndicatorWindow(SeqFunction):
-    """1 on the half-open window [a, b), else 0."""
-
-    a: int
-    b: int
+    starts: tuple
+    levels: tuple
 
     def __post_init__(self):
-        if self.a < 0 or self.a > self.b:
-            raise ValueError("need 0 <= a <= b")
-
-    def __call__(self, k: int):
-        if k < 0:
-            raise ValueError("index must be >= 0")
-        return 1 if self.a <= k < self.b else 0
-
-
-@dataclass(frozen=True)
-class FiniteTable(SeqFunction):
-    """Finitely supported function given by a value table; 0 beyond it."""
-
-    values: tuple
-
-    def __init__(self, values: Sequence[Real]):
-        vals = tuple(values)
-        for v in vals:
+        if len(self.starts) != len(self.levels) or tuple(self.starts[:1]) != (0,):
+            raise ValueError("need one level per run start, and starts[0] == 0")
+        starts, levels = [], []
+        for s, v in zip(self.starts, self.levels):
             if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError("table entries must be finite")
-        object.__setattr__(self, "values", vals)
+                raise ValueError("levels must be finite")
+            if starts and s <= starts[-1]:
+                if s < starts[-1]:
+                    raise ValueError("run starts must not decrease")
+                starts.pop()
+                levels.pop()
+            if not levels or v != levels[-1]:
+                starts.append(s)
+                levels.append(v)
+        object.__setattr__(self, "starts", tuple(starts))
+        object.__setattr__(self, "levels", tuple(levels))
 
     def __call__(self, k: int):
         if k < 0:
             raise ValueError("index must be >= 0")
-        return self.values[k] if k < len(self.values) else 0
+        return self.levels[bisect.bisect_right(self.starts, k) - 1]
 
 
-def eval_fn(f: SeqFunction, k: int):
-    """Pointwise evaluation (same as calling f directly)."""
-    return f(k)
+# the two function kinds every operation dispatches on
+SeqFunction = Union[PowerGrowth, EventuallyConstant]
+
+
+def IndicatorGE(m: int) -> EventuallyConstant:
+    """1 on {k >= m}, else 0."""
+    if m < 0:
+        raise ValueError("threshold must be >= 0")
+    return EventuallyConstant((0, m), (0, 1))
+
+
+def IndicatorWindow(a: int, b: int) -> EventuallyConstant:
+    """1 on the half-open window [a, b), else 0."""
+    if a < 0 or a > b:
+        raise ValueError("need 0 <= a <= b")
+    return EventuallyConstant((0, a, b), (0, 1, 0))
+
+
+def FiniteTable(values: Sequence[Real]) -> EventuallyConstant:
+    """Finitely supported function given by a value table; 0 beyond it."""
+    vals = tuple(values)
+    return EventuallyConstant(tuple(range(len(vals) + 1)), vals + (0,))
+
+
+def _segments(f: EventuallyConstant, k: int, length: int):
+    """(lo, hi, level) for the runs of f on [k, k + length), as offsets from k."""
+    i = bisect.bisect_right(f.starts, k) - 1
+    ends = f.starts[i + 1:] + (math.inf,)
+    for s, e, v in zip(f.starts[i:], ends, f.levels[i:]):
+        lo, hi = max(s - k, 0), min(e - k, length)
+        if lo >= hi:
+            break
+        yield lo, hi, v
+
+
+def _level_array(f: EventuallyConstant, k: int, length: int) -> np.ndarray:
+    """f(k), ..., f(k + length - 1) as floats."""
+    segs = list(_segments(f, k, length))
+    return np.repeat(
+        np.array([float(v) for _, _, v in segs], dtype=np.float64),
+        [hi - lo for lo, hi, _ in segs],
+    )
 
 
 def _is_exact(v) -> bool:
@@ -129,6 +163,24 @@ def _pad_down(x: float) -> float:
 
 def _pad_up(x: float) -> float:
     return math.nextafter(x, math.inf)
+
+
+def _float_down(x: Real) -> float:
+    """The largest float <= x."""
+    f = float(x)
+    return f if f <= x else _pad_down(f)
+
+
+def _float_up(x: Real) -> float:
+    """The smallest float >= x."""
+    f = float(x)
+    return f if f >= x else _pad_up(f)
+
+
+def _abs_pow(v: Real, p: float) -> Real:
+    """|v|^p, exact when |v| is 0 or 1."""
+    a = abs(v)
+    return a if a in (0, 1) else float(a) ** p
 
 
 @dataclass(frozen=True)
@@ -202,25 +254,12 @@ def _adaptive_ladder(start=_ADAPTIVE_START):
 def p_norm(f: SeqFunction, p, K: Optional[int] = None) -> Enclosure:
     """Enclosure of (sum_k alpha_k |f(k)|^p)^(1/p).
 
-    Indicators close exactly through the tail identity; PowerGrowth uses an
-    integral-comparison tail and is rejected outright when beta*p >= 1/2
-    (the function is then outside the space).
+    An eventually-constant f sums run by run, sum_k alpha_k |v_k|^p +
+    |c|^p T(L), exactly when every level is 0 or +-1 (indicators).
+    PowerGrowth uses an integral-comparison tail and is rejected outright
+    when beta*p >= 1/2 (the function is then outside the space).
     """
     p = check_exponent(p)
-    if isinstance(f, IndicatorGE):
-        mass = weights.tail_exact(f.m)
-        return _root_enclosure(mass, mass, p)
-    if isinstance(f, IndicatorWindow):
-        mass = weights.tail_exact(f.a) - weights.tail_exact(f.b)
-        return _root_enclosure(mass, mass, p)
-    if isinstance(f, FiniteTable):
-        terms = [
-            float(weights.alpha_exact(k)) * abs(float(v)) ** p
-            for k, v in enumerate(f.values)
-        ]
-        s = math.fsum(terms)
-        slop = 1e-13 * (1 + len(terms))
-        return _root_enclosure(s * (1 - slop), s * (1 + slop), p)
     if isinstance(f, PowerGrowth):
         q = f.beta * p
         if q >= 0.5:
@@ -237,11 +276,19 @@ def p_norm(f: SeqFunction, p, K: Optional[int] = None) -> Enclosure:
             if capped or tail <= max(1e-14, 1e-10 * s):
                 slop = weights.row_slop(size)
                 return _root_enclosure(s * (1 - slop), (s + tail) * (1 + slop), p)
-    raise TypeError(f"unsupported function kind: {type(f).__name__}")
+    # run i carries mass T(starts[i]) - T(starts[i+1]), the last run T(L)
+    tails = [weights.tail_exact(s) for s in f.starts] + [Fraction(0)]
+    terms = [(t0 - t1) * _abs_pow(v, p) for t0, t1, v in zip(tails, tails[1:], f.levels)]
+    if all(isinstance(t, Fraction) for t in terms):
+        mass = sum(terms, Fraction(0))
+        return _root_enclosure(mass, mass, p)
+    s = math.fsum(terms)
+    slop = 1e-13 * (1 + f.starts[-1])
+    return _root_enclosure(s * (1 - slop), s * (1 + slop), p)
 
 
-def _exact_value(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+def _exact_value(v) -> Union[int, Fraction]:
+    return Fraction(v) if isinstance(v, float) else v
 
 
 def _prefix_enclosure(n: int, length: int, backend: str):
@@ -263,11 +310,11 @@ def apply_A_pow(
 ) -> Enclosure:
     """Enclosure of A^n(f)(k) = sum_j alpha^n_j f(j+k).
 
-    With J omitted, indicator and finite-table arguments resolve to the exact
-    value (degenerate enclosure) on the exact backend: for IndicatorGE the
-    series closes as 1 minus a finite prefix sum.  With J given, the lower
-    end is literally the truncated sum over j < J and the upper end adds a
-    certified bound on the discarded remainder.
+    With J omitted, an eventually-constant f resolves to the exact value
+    (degenerate enclosure) on the exact backend: past the table the series
+    closes as c times 1 minus a finite prefix mass.  With J given, the
+    enclosure is the truncated sum over j < J plus a certified bracket on
+    the discarded remainder (module docstring).
     """
     if n < 0 or k < 0:
         raise ValueError("need n >= 0 and k >= 0")
@@ -279,110 +326,72 @@ def apply_A_pow(
         v = f(k)
         return Enclosure.point(v)
 
-    if J is not None:
-        return _apply_truncated(f, n, k, J, backend)
-
-    if isinstance(f, IndicatorGE):
-        if k >= f.m:
-            return Enclosure.point(Fraction(1))
-        length = f.m - k
-        row, exact = _prefix_enclosure(n, length, backend)
-        if exact:
-            return Enclosure.point(1 - sum(row, Fraction(0)))
-        s = float(np.sum(row))
-        slop = weights.row_slop(length)
-        lo = max(0.0, 1.0 - s * (1 + slop))
-        hi = min(1.0, 1.0 - s * (1 - slop))
-        return Enclosure(lo, hi)
-    if isinstance(f, IndicatorWindow):
-        if k >= f.b:
-            return Enclosure.point(Fraction(0))
-        hi_len = f.b - k
-        lo_len = max(0, f.a - k)
-        row, exact = _prefix_enclosure(n, hi_len, backend)
-        if exact:
-            return Enclosure.point(sum(row[lo_len:hi_len], Fraction(0)))
-        s = float(np.sum(row[lo_len:hi_len]))
-        slop = weights.row_slop(hi_len)
-        return Enclosure(max(0.0, s * (1 - slop)), min(1.0, s * (1 + slop)))
-    if isinstance(f, FiniteTable):
-        L = len(f.values)
-        if k >= L:
-            return Enclosure.point(Fraction(0))
-        length = L - k
-        row, exact = _prefix_enclosure(n, length, backend)
-        if exact:
-            total = sum(
-                (row[j] * _exact_value(f.values[j + k]) for j in range(length)),
-                Fraction(0),
-            )
-            return Enclosure.point(total)
-        vals = np.array([float(f.values[j + k]) for j in range(length)])
-        s = float(np.dot(row, vals))
-        err = weights.row_slop(length) * float(np.dot(row, np.abs(vals)))
-        return Enclosure(s - err, s + err)
+    if J is not None and J < 0:
+        raise ValueError("truncation must be >= 0")
     if isinstance(f, PowerGrowth):
+        if J is not None:
+            return _apply_power(f, n, k, J)
         for size, capped in _adaptive_ladder():
-            enc = _apply_truncated(f, n, k, size, backend)
+            enc = _apply_power(f, n, k, size)
             w = float(enc.width)
             if capped or w <= max(1e-14, 1e-10 * max(float(enc.lower), 1e-300)):
                 return enc
-    raise TypeError(f"unsupported function kind: {type(f).__name__}")
+    if J is not None:
+        rest = f.levels[bisect.bisect_right(f.starts, k + J) - 1:]  # not yet summed
+        return _bounded_sum(f, n, k, J, backend, min(0, min(rest)), max(0, max(rest)))
+    L, c = f.starts[-1], f.levels[-1]
+    if k >= L:
+        return Enclosure.point(Fraction(c))
+    # every level past the table is c, so the remainder is c times its mass
+    return _bounded_sum(f, n, k, L - k, backend, c, c)
 
 
-def _apply_truncated(f: SeqFunction, n: int, k: int, J: int, backend: str) -> Enclosure:
-    """Lower = sum over j < J; upper adds the certified remainder bound."""
-    if J < 0:
-        raise ValueError("truncation must be >= 0")
-    if isinstance(f, PowerGrowth):
-        J_eff = max(J, 1)
-        logs = np.asarray(weights.log_row(n, J_eff))
-        j = np.arange(J_eff, dtype=np.float64) + float(k)
-        with np.errstate(divide="ignore"):
-            terms = np.where(j > 0, np.exp(logs + f.beta * np.log(np.maximum(j, 1e-300))), 0.0)
-        s = float(np.sum(terms))
-        slop = weights.row_slop(J_eff)
-        tail = (
-            n * (1.0 + k / J_eff) ** f.beta * weights.power_tail_bound(f.beta, J_eff)
-        )
-        return Enclosure(max(0.0, s * (1 - slop)), (s + tail) * (1 + slop))
+def _apply_power(f: PowerGrowth, n: int, k: int, J: int) -> Enclosure:
+    """Truncated sum over j < J plus the integral-comparison tail bound."""
+    J_eff = max(J, 1)
+    logs = np.asarray(weights.log_row(n, J_eff))
+    j = np.arange(J_eff, dtype=np.float64) + float(k)
+    with np.errstate(divide="ignore"):
+        terms = np.where(j > 0, np.exp(logs + f.beta * np.log(np.maximum(j, 1e-300))), 0.0)
+    s = float(np.sum(terms))
+    slop = weights.row_slop(J_eff)
+    tail = n * (1.0 + k / J_eff) ** f.beta * weights.power_tail_bound(f.beta, J_eff)
+    return Enclosure(max(0.0, s * (1 - slop)), (s + tail) * (1 + slop))
 
-    # bounded kinds: remainder <= sup|f| * (1 - prefix mass of alpha^n)
-    if isinstance(f, (IndicatorGE, IndicatorWindow)):
-        sup_rem = Fraction(1)
-        support_end = f.m if isinstance(f, IndicatorGE) else f.b
-        natural = max(0, support_end - k) if isinstance(f, IndicatorWindow) else None
-    elif isinstance(f, FiniteTable):
-        sup_rem = max(
-            (abs(_exact_value(v)) for v in f.values), default=Fraction(0)
-        )
-        natural = max(0, len(f.values) - k)
-    else:
-        raise TypeError(f"unsupported function kind: {type(f).__name__}")
 
+def _bounded_sum(
+    f: EventuallyConstant, n: int, k: int, J: int, backend: str, lo_level, hi_level
+) -> Enclosure:
+    """sum_{j<J} alpha^n_j f(j+k) plus a remainder with levels in [lo_level, hi_level].
+
+    The remainder has mass R = 1 - sum_{j<J} alpha^n_j, known exactly on the
+    exact backend and to a relative row_slop on the log backend.
+    """
     row, exact = _prefix_enclosure(n, J, backend)
     if exact:
-        partial = Fraction(0)
-        mass = Fraction(0)
-        for j in range(J):
-            v = _exact_value(f(j + k))
-            mass += row[j]
-            if v:
-                partial += row[j] * v
-        if natural is not None and J >= natural:
-            if isinstance(f, IndicatorWindow) or isinstance(f, FiniteTable):
-                return Enclosure(partial, partial)
-        rem = sup_rem * (1 - mass)
-        return Enclosure(partial, partial + max(Fraction(0), rem))
-    vals = np.array([float(f(j + k)) for j in range(J)])
-    s = float(np.dot(row, vals))
-    mass = float(np.sum(row))
+        segs = [(sum(row[lo + 1:hi], row[lo]), v) for lo, hi, v in _segments(f, k, J)]
+        partial = Fraction(sum(_exact_value(v) * s for s, v in segs if v))
+        if not (lo_level or hi_level):
+            return Enclosure.point(partial)
+        rem = 1 - sum(s for s, _ in segs)
+        lo = partial + _exact_value(lo_level) * rem
+        hi = lo if hi_level == lo_level else partial + _exact_value(hi_level) * rem
+        return Enclosure(lo, hi)
+    vals = _level_array(f, k, J)
     slop = weights.row_slop(J)
+    s = float(np.dot(row, vals))
     err = slop * float(np.dot(row, np.abs(vals)))
-    if natural is not None and J >= natural and not isinstance(f, IndicatorGE):
-        return Enclosure(s - err, s + err)
-    rem = float(sup_rem) * max(0.0, 1.0 - mass * (1 - slop))
-    return Enclosure(s - err, s + err + rem)
+    # R brackets the remainder mass; the slop covers the row's drift, but a
+    # rounding of 1 - mass or of the closing products is only covered by an
+    # outward step, so a side with a nonzero level rounds outward
+    mass = float(np.sum(row))
+    rems = (max(0.0, _pad_down(1.0 - mass * (1 + slop))), _pad_up(1.0 - mass * (1 - slop)))
+    lo, hi = s - err, s + err
+    if lo_level:
+        lo = _pad_down(lo + _pad_down(min(_float_down(lo_level) * r for r in rems)))
+    if hi_level:
+        hi = _pad_up(hi + _pad_up(max(_float_up(hi_level) * r for r in rems)))
+    return Enclosure(lo, hi)
 
 
 def cesaro_T(f: SeqFunction, n: int, k: int):
@@ -443,29 +452,6 @@ def image_p_norm(
         raise ValueError("need n >= 0")
     if n == 0:
         return p_norm(f, p, K)
-    if isinstance(f, (IndicatorGE, IndicatorWindow, FiniteTable)):
-        if isinstance(f, IndicatorGE):
-            support = f.m
-            closing = weights.tail_exact(f.m)  # image is exactly 1 for k >= m
-        elif isinstance(f, IndicatorWindow):
-            support = f.b
-            closing = Fraction(0)
-        else:
-            support = len(f.values)
-            closing = Fraction(0)
-        lo_terms, hi_terms = [], []
-        for k in range(support):
-            enc = apply_A_pow(f, n, k, J=J)
-            ak = float(weights.alpha_exact(k))
-            a, b = float(enc.lower), float(enc.upper)
-            abs_lo = 0.0 if a <= 0.0 <= b else min(abs(a), abs(b))
-            abs_hi = max(abs(a), abs(b))
-            lo_terms.append(ak * abs_lo**p)
-            hi_terms.append(ak * abs_hi**p)
-        lo = math.fsum(lo_terms) + float(closing)
-        hi = math.fsum(hi_terms) + float(closing)
-        slop = 1e-13 * (1 + support)
-        return _root_enclosure(lo * (1 - slop), hi * (1 + slop), p)
     if isinstance(f, PowerGrowth):
         if f.beta >= 0.5:
             raise NotSummableError("image diverges pointwise: needs beta < 1/2")
@@ -504,7 +490,21 @@ def image_p_norm(
         return _root_enclosure(
             lo_sum * (1 - slop), (hi_sum + outer_tail) * (1 + slop), p
         )
-    raise TypeError(f"unsupported function kind: {type(f).__name__}")
+    L, c = f.starts[-1], f.levels[-1]
+    closing = weights.tail_exact(L) * _abs_pow(c, p)  # the image is c for k >= L
+    lo_terms, hi_terms = [], []
+    for k in range(L):
+        enc = apply_A_pow(f, n, k, J=J)
+        ak = float(weights.alpha_exact(k))
+        a, b = float(enc.lower), float(enc.upper)
+        abs_lo = 0.0 if a <= 0.0 <= b else min(abs(a), abs(b))
+        abs_hi = max(abs(a), abs(b))
+        lo_terms.append(ak * abs_lo**p)
+        hi_terms.append(ak * abs_hi**p)
+    lo = math.fsum(lo_terms) + float(closing)
+    hi = math.fsum(hi_terms) + float(closing)
+    slop = 1e-13 * (1 + L)
+    return _root_enclosure(lo * (1 - slop), hi * (1 + slop), p)
 
 
 class BoundCheck(NamedTuple):
@@ -513,19 +513,23 @@ class BoundCheck(NamedTuple):
     ok: bool
 
 
-def contraction_bound_check(
-    f: SeqFunction, p, K: Optional[int] = None, J: Optional[int] = None
-) -> BoundCheck:
-    """Verify ||A f||_p <= 2^(1/p) ||f||_p up to enclosure resolution.
+def norm_bound_check(img: Enclosure, nf: Enclosure, factor: float) -> BoundCheck:
+    """Check ||A^n f||_p <= factor ||f||_p from enclosures of the two norms.
 
-    lhs is the upper end of the image norm; rhs is 2^(1/p) times the lower
+    lhs is the upper end of the image norm; rhs is factor times the lower
     end of ||f||_p; the tolerance absorbs both enclosure widths plus a 1e-9
     relative allowance.
     """
+    lhs = float(img.upper)
+    rhs = factor * float(nf.lower)
+    tol = 1e-9 * (1 + abs(rhs)) + factor * float(nf.width) + float(img.width)
+    return BoundCheck(lhs, rhs, lhs <= rhs + tol)
+
+
+def contraction_bound_check(
+    f: SeqFunction, p, K: Optional[int] = None, J: Optional[int] = None
+) -> BoundCheck:
+    """Verify ||A f||_p <= 2^(1/p) ||f||_p up to enclosure resolution."""
     p = check_exponent(p)
     nf = p_norm(f, p, K)
-    img = image_p_norm(f, 1, p, K=K, J=J)
-    lhs = float(img.upper)
-    rhs = 2.0 ** (1.0 / p) * float(nf.lower)
-    tol = 1e-9 * (1 + abs(rhs)) + 2.0 ** (1.0 / p) * float(nf.width) + float(img.width)
-    return BoundCheck(lhs, rhs, lhs <= rhs + tol)
+    return norm_bound_check(image_p_norm(f, 1, p, K=K, J=J), nf, 2.0 ** (1.0 / p))

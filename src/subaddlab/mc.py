@@ -25,13 +25,7 @@ import numpy as np
 
 from . import weights
 from .errors import HeavyTailUnreliableError
-from .lpspace import (
-    FiniteTable,
-    IndicatorGE,
-    IndicatorWindow,
-    PowerGrowth,
-    SeqFunction,
-)
+from .lpspace import PowerGrowth, SeqFunction
 
 _TABLE_SIZE = 1024
 # indices past this are clipped; reached with probability ~ T(2^62) ~ 8e-10
@@ -116,11 +110,6 @@ def _sample_array(gen: np.random.Generator, size: int) -> np.ndarray:
     return out
 
 
-def sample_alpha(gen: np.random.Generator) -> int:
-    """One draw from alpha."""
-    return int(_sample_array(gen, 1)[0])
-
-
 def walk(n: int, gen: np.random.Generator) -> int:
     """S_n, the sum of n independent draws; S_0 = 0."""
     if n < 0:
@@ -134,15 +123,10 @@ def _eval_on_indices(f: SeqFunction, idx: np.ndarray) -> np.ndarray:
     if isinstance(f, PowerGrowth):
         vals = np.power(idx.astype(np.float64), f.beta)
         return np.where(idx == 0, 0.0, vals)
-    if isinstance(f, IndicatorGE):
-        return (idx >= f.m).astype(np.float64)
-    if isinstance(f, IndicatorWindow):
-        return ((idx >= f.a) & (idx < f.b)).astype(np.float64)
-    if isinstance(f, FiniteTable):
-        L = len(f.values)
-        padded = np.array([float(v) for v in f.values] + [0.0])
-        return padded[np.minimum(idx, L)]
-    raise TypeError(f"unsupported function kind: {type(f).__name__}")
+    # runs starting past the index cap are never reached; clamp to fit int64
+    starts = np.array([min(s, _INDEX_CAP + 1) for s in f.starts], dtype=np.int64)
+    levels = np.array([float(v) for v in f.levels])
+    return levels[np.searchsorted(starts, idx, side="right") - 1]
 
 
 def mc_apply_A(
@@ -182,10 +166,5 @@ def mc_apply_A(
         half = 1.4826 * mad / math.sqrt(_MOM_BLOCKS)
         return McEstimate(center, half, trials, method)
     mean = float(values.mean())
-    if isinstance(f, (IndicatorGE, IndicatorWindow)):
-        half = math.sqrt(max(mean * (1.0 - mean), 0.0) / trials)
-    elif trials > 1:
-        half = float(values.std(ddof=1)) / math.sqrt(trials)
-    else:
-        half = 0.0
+    half = float(values.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
     return McEstimate(mean, half, trials, method)

@@ -51,9 +51,6 @@ class ExperimentReport:
     wall_time_seconds: float
     schema_version: int = SCHEMA_VERSION
 
-    def all_pass(self) -> bool:
-        return all(self.verdicts.values())
-
     def to_dict(self) -> dict:
         return {
             "schemaVersion": self.schema_version,

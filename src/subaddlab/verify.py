@@ -10,6 +10,7 @@ checks draw from fixed seeds, so a verdict flip always means a real change.
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from .lpspace import (
     cesaro_T,
     contraction_bound_check,
     image_p_norm,
+    norm_bound_check,
     p_norm,
 )
 
@@ -123,30 +125,23 @@ def check_cesaro_identities() -> bool:
 
 def check_sato_closed_form() -> bool:
     for a in (1, Fraction(3, 2)):
-        for n in range(101):
-            if experiments.sato_power(n, a) != experiments.sato_matrix_product(n, a):
-                return False
-    for n in range(51):
-        for m in range(51):
-            pn = experiments.sato_power(n, 1)
-            pm = experiments.sato_power(m, 1)
-            pnm = experiments.sato_power(n + m, 1)
-            if not (
-                pnm.a11 <= pn.a11 + pm.a11
-                and pnm.a12 <= pn.a12 + pm.a12
-                and pnm.a21 <= pn.a21 + pm.a21
-                and pnm.a22 <= pn.a22 + pm.a22
-            ):
-                return False
-    return True
+        rows = experiments.sato_norm_growth(a, 2, 100)
+        if not experiments.sato_verdicts(a, rows)["closed_form_matches_product"]:
+            return False
+    # entrywise subadditivity: (A^(n+m))_ij <= (A^n)_ij + (A^m)_ij
+    powers = [astuple(experiments.sato_power(n, 1)) for n in range(101)]
+    return all(
+        x <= y + z
+        for n in range(51)
+        for m in range(51)
+        for x, y, z in zip(powers[n + m], powers[n], powers[m])
+    )
 
 
 def check_sato_norms() -> bool:
     rows = experiments.sato_norm_growth(1, 2, 10)
-    vals = [v for _, v in rows]
-    ok = abs(rows[2][1] - math.sqrt(5.0)) <= 1e-12
-    ok &= all(b > a for a, b in zip(vals, vals[1:]))
-    ok &= all(v >= n - 1e-12 for n, v in rows)
+    ok = all(experiments.sato_verdicts(1, rows).values())
+    ok &= abs(rows[2][1] - math.sqrt(5.0)) <= 1e-12
     ok &= all(v <= n + 1 + 1e-12 for n, v in rows)
     return bool(ok)
 
@@ -187,7 +182,7 @@ def check_semigroup_identity() -> bool:
     f = FiniteTable(
         (Fraction(1), Fraction(-1, 2), Fraction(3), Fraction(0), Fraction(2, 3), Fraction(-4))
     )
-    L = len(f.values)
+    L = f.starts[-1]  # f vanishes from here on
     for m in (1, 2, 3):
         # A^m f vanishes past the support of f, so it is again a finite table
         g = FiniteTable(tuple(apply_A_pow(f, m, k, backend="exact").lower for k in range(L)))
@@ -225,14 +220,7 @@ def check_norm_upper_bound() -> bool:
             nf = p_norm(f, p)
             for n in range(1, 13):
                 img = image_p_norm(f, n, p)
-                bound = (n + 1) ** (1.0 / p)
-                rhs = bound * float(nf.lower)
-                tol = (
-                    1e-9 * (1 + abs(rhs))
-                    + bound * float(nf.width)
-                    + float(img.width)
-                )
-                if float(img.upper) > rhs + tol:
+                if not norm_bound_check(img, nf, (n + 1) ** (1.0 / p)).ok:
                     return False
     return True
 
@@ -247,21 +235,14 @@ def check_contraction_bound() -> bool:
 
 
 def check_growth_slopes() -> bool:
-    for p in (1.25, 2.0, 3.0):
-        res = experiments.growth_curve(p, 32)
-        if not 0.85 / p <= res.slope <= 1.15 / p:
-            return False
-        if not all(r.ratio <= r.upper_bound * (1 + 1e-12) for r in res.rows):
-            return False
-    return True
+    return all(
+        all(experiments.growth_verdicts(experiments.growth_curve(p, 32)).values())
+        for p in (1.25, 2.0, 3.0)
+    )
 
 
 def check_blowup_monotone() -> bool:
-    rows = experiments.blowup_curve(2.0)
-    e = [r.e_lower for r in rows]
-    ok = all(b > a for a, b in zip(e, e[1:]))
-    ok &= e[32] >= 1.3 * e[8]
-    return bool(ok)
+    return all(experiments.blowup_verdicts(experiments.blowup_curve(2.0)).values())
 
 
 def check_pointwise_divergence() -> bool:
@@ -287,9 +268,7 @@ def check_probe_positive() -> bool:
 def check_maximal_growth() -> bool:
     grid = (4, 16, 64, 256)
     ratios = [experiments.maximal_ratio_T(m, 2.0) for m in grid]
-    ok = all(b > a for a, b in zip(ratios, ratios[1:]))
-    ok &= ratios[2] >= 1.15 * ratios[1]
-    ok &= ratios[3] >= 1.15 * ratios[2]
+    ok = all(experiments.maximal_verdicts(ratios).values())
     # the profile sup is attained by n <= 2m, so a longer horizon changes nothing
     ok &= all(
         experiments.maximal_ratio_T(m, 2.0, N=4 * m)
@@ -310,26 +289,19 @@ def mc_within(est: mc.McEstimate, enc) -> bool:
 
 
 def check_mc_agreement(seed: int = DEFAULT_SEED) -> bool:
-    est0 = mc.mc_apply_A(
-        IndicatorWindow(0, 1), 2, 0, 10**4, mc.make_generator(seed, 0)
-    )
-    ok = abs(est0.mean - 0.25) <= 3.0 * est0.half_width + 1e-12
-
+    # (stream, f, n, trials, J) at k = 0: P(S_2 = 0) = 1/4, three cross-checks,
+    # and the deep tail P(S_1 >= 100) = T(100)
     cases = (
-        (IndicatorGE(1), 1, 0, 10**5, None),
-        (FiniteTable((1,)), 2, 0, 10**4, None),
-        (PowerGrowth(0.2), 4, 0, 10**4, 1 << 20),
+        (0, IndicatorWindow(0, 1), 2, 10**4, None),
+        (1, IndicatorGE(1), 1, 10**5, None),
+        (2, FiniteTable((1,)), 2, 10**4, None),
+        (3, PowerGrowth(0.2), 4, 10**4, 1 << 20),
+        (9, IndicatorGE(100), 1, 10**6, None),
     )
-    for stream, (f, n, k, trials, J) in enumerate(cases, start=1):
-        est = mc.mc_apply_A(f, n, k, trials, mc.make_generator(seed, stream))
-        enc = apply_A_pow(f, n, k, J=J)
-        ok &= mc_within(est, enc)
-
-    est_t = mc.mc_apply_A(
-        IndicatorGE(100), 1, 0, 10**6, mc.make_generator(seed, 9)
-    )
-    exact_t = float(weights.tail_exact(100))
-    ok &= abs(est_t.mean - exact_t) <= 3.0 * est_t.half_width + 1e-12
+    ok = True
+    for stream, f, n, trials, J in cases:
+        est = mc.mc_apply_A(f, n, 0, trials, mc.make_generator(seed, stream))
+        ok &= mc_within(est, apply_A_pow(f, n, 0, J=J))
 
     # frequency test: first 64 states exactly, everything else in one bucket
     from scipy import stats

@@ -318,21 +318,13 @@ def convolution_power(n: int, J: int) -> WeightTable:
     return acc
 
 
+@dataclass(frozen=True)
 class PgfCheck:
     """Point check of the generating function against its partial sums."""
 
-    __slots__ = ("partial_sum", "closed_form", "gap")
-
-    def __init__(self, partial_sum: float, closed_form: float, gap: float):
-        self.partial_sum = partial_sum
-        self.closed_form = closed_form
-        self.gap = gap
-
-    def __repr__(self):
-        return (
-            f"PgfCheck(partial_sum={self.partial_sum!r}, "
-            f"closed_form={self.closed_form!r}, gap={self.gap!r})"
-        )
+    partial_sum: float
+    closed_form: float
+    gap: float
 
 
 def pgf_check(x, J: int) -> PgfCheck:

@@ -5,10 +5,18 @@ Each command writes into a fresh tmp directory; CSV pins are byte-level
 by comparing whole files across reruns, JSON modulo the timing field.
 """
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subaddlab import cli
 
@@ -173,3 +181,86 @@ def test_report_aggregates_everything(tmp_path):
     assert summary["command"] == "report"
     assert len(summary["verdicts"]) >= 30
     assert all(summary["verdicts"].values())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["blowup", "--nmax", "0"],
+        ["growth", "--fit-from", "100"],
+        ["sato", "--p", "1e308", "--nmax", "3"],
+        ["growth", "--p", "1e300"],
+        ["probe", "--c0", "1/0"],
+        ["alpha", "--n", "1", "--outdir", os.devnull],
+    ],
+)
+def test_bad_input_is_a_usage_error(tmp_path, argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    if "--outdir" not in argv:
+        argv = [*argv, "--outdir", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "subaddlab", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr and "domain error" not in proc.stderr
+
+
+def test_far_indicator_threshold_hits_the_ceiling_fast(tmp_path):
+    # the indicator stays two runs, so nothing O(m) is built before the ceiling
+    argv = ("simulate", "--fn", "indicator", "--m", "3000000000", "--trials", "10")
+    assert run(tmp_path, *argv) == 3
+
+
+# every flag of each command, each from a small pool of valid, boundary and
+# malformed values; all pools keep a run cheap (verify and report are left out)
+FLAG_POOLS = {
+    "--n": ("-1", "0", "1", "2", "x"),
+    "--jmax": ("-1", "0", "1", "16", "3000"),
+    "--backend": ("exact", "log", "auto", "bogus"),
+    "--p": ("nan", "inf", "-1", "1", "1.5", "2", "1e300", "1e308"),
+    "--nmax": ("-1", "0", "1", "2", "3", "8"),
+    "--fit-from": ("-5", "0", "1", "7", "100"),
+    "--beta": ("nan", "-0.1", "0", "0.2", "0.3", "1e300"),
+    "--trunc": ("-1", "0", "1", "64"),
+    "--mgrid": ("4,16", "16,4", "", "x", "0", "4,4", "1,2,3"),
+    "--c0": ("1", "0", "-1", "3/2", "x", "1/0", "1e400"),
+    "--a": ("0", "-1", "1", "3/2", "nan", "1/0", "1e400", "1e-400"),
+    "--fn": ("table", "indicator", "power", "other"),
+    "--m": ("-1", "0", "3", "3000000000"),
+    "--k": ("-1", "0", "5"),
+    "--trials": ("-1", "0", "1", "10", "100"),
+    "--seed": ("-1", "0", "7", str(2**70)),
+}
+COMMAND_FLAGS = {
+    "alpha": ("--n", "--jmax", "--backend"),
+    "growth": ("--p", "--nmax", "--fit-from"),
+    "blowup": ("--p", "--beta", "--nmax", "--trunc"),
+    "maximal": ("--p", "--mgrid"),
+    "probe": ("--c0", "--nmax", "--jmax"),
+    "sato": ("--a", "--p", "--nmax"),
+    "simulate": ("--fn", "--m", "--beta", "--n", "--k", "--trials", "--seed", "--trunc"),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command]
+    for flag in COMMAND_FLAGS[command]:
+        argv += [flag, draw(st.sampled_from(FLAG_POOLS[flag]))]
+    return argv
+
+
+@given(argv=argvs())
+@settings(max_examples=150, deadline=None)
+def test_fuzz_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main([*argv, "--outdir", outdir])
+    assert rc in (0, 1, 2, 3), (argv, rc)
+    if rc == 1:
+        assert "[FAIL]" in out.getvalue(), argv

@@ -17,6 +17,7 @@ from subaddlab import weights
 from subaddlab.errors import NotInLpError, NotSummableError
 from subaddlab.lpspace import (
     Enclosure,
+    EventuallyConstant,
     FiniteTable,
     IndicatorGE,
     IndicatorWindow,
@@ -53,6 +54,25 @@ def test_function_validation():
         FiniteTable((1.0, math.inf))
     with pytest.raises(ValueError):
         IndicatorGE(1)(-1)
+
+
+def test_eventually_constant_runs():
+    # one representation per function: equal tables compare equal
+    assert FiniteTable((0, 0, 1)) == IndicatorWindow(2, 3)
+    assert FiniteTable((1, 1, 0, 0)) == IndicatorWindow(0, 2)
+    assert IndicatorWindow(3, 3) == FiniteTable(()) == EventuallyConstant((0,), (0,))
+    assert IndicatorGE(0) == EventuallyConstant((0, 0), (0, 1))
+    # an indicator is two runs however far its threshold
+    big = IndicatorGE(3_000_000_000)
+    assert big.starts == (0, 3_000_000_000) and big.levels == (0, 1)
+    assert big(2_999_999_999) == 0 and big(3_000_000_000) == 1
+    f = EventuallyConstant((0, 2, 5), (Fraction(1, 2), -3, 7))
+    assert [f(k) for k in (0, 1, 2, 4, 5, 10**9)] == [Fraction(1, 2)] * 2 + [-3, -3, 7, 7]
+    for starts, levels in (((1,), (0,)), ((0, 2, 1), (0, 1, 2)), ((0,), (0, 1))):
+        with pytest.raises(ValueError):
+            EventuallyConstant(starts, levels)
+    with pytest.raises(ValueError):
+        EventuallyConstant((0, 1), (0, math.nan))
 
 
 def test_check_exponent():
@@ -153,6 +173,45 @@ def test_truncated_enclosure_contains_exact_value():
     assert enc.lower == enc.upper == Fraction(3, 16)
     enc = apply_A_pow(FiniteTable((0, 1)), 1, 0, J=7)
     assert enc.lower == enc.upper == Fraction(1, 8)
+
+
+def test_truncated_enclosure_sound_for_signed_tables():
+    # A f(0) for f = (1, -5): 1/2 - 5/8 = -1/8; truncating at J = 1 leaves the
+    # -5 unsummed, so the remainder bracket must reach below the partial sum
+    f = FiniteTable((1, -5))
+    for backend in ("exact", "log"):
+        enc = apply_A_pow(f, 1, 0, J=1, backend=backend)
+        assert enc.lower <= Fraction(-1, 8) <= enc.upper
+    # image (-1/8, -5/2, 0, ...): norm^2 = (1/2)(1/64) + (1/8)(25/4) = 101/128
+    e = image_p_norm(f, 1, 2.0, J=1)
+    assert e.lower <= math.sqrt(101 / 128) <= e.upper
+
+
+levels = st.fractions(min_value=-5, max_value=5, max_denominator=8)
+
+
+@given(
+    table=st.lists(levels, max_size=8),
+    c=levels,
+    n=st.integers(min_value=0, max_value=12),
+    k=st.integers(min_value=0, max_value=20),
+    J=st.one_of(st.none(), st.integers(min_value=0, max_value=40)),
+    backend=st.sampled_from(("exact", "log")),
+)
+@settings(max_examples=300, deadline=None)
+def test_property_enclosure_soundness(table, c, n, k, J, backend):
+    f = EventuallyConstant(tuple(range(len(table) + 1)), (*table, c))
+    if n == 0:
+        truth = f(k)
+    else:
+        # brute force: the table part term by term, closed with c * (1 - mass)
+        w = [weights.alpha_pow_exact(n, j) for j in range(max(len(table) - k, 0))]
+        truth = sum((wj * table[j + k] for j, wj in enumerate(w)), Fraction(0))
+        truth += c * (1 - sum(w, Fraction(0)))
+    enc = apply_A_pow(f, n, k, J=J, backend=backend)
+    assert enc.lower <= truth <= enc.upper
+    if J is None and backend == "exact":
+        assert enc.lower == enc.upper == truth
 
 
 def test_log_backend_enclosure_contains_true_tail():

@@ -122,10 +122,11 @@ def test_method_selection_and_guards():
         mc.mc_apply_A(PowerGrowth(0.5), 1, 0, 100, mc.make_generator(5))
     with pytest.raises(ValueError):
         mc.mc_apply_A(IndicatorGE(1), 1, 0, 0, mc.make_generator(5))
-    # indicators report a binomial half-width
+    # every mean estimate reports the sample std (ddof=1) over sqrt(trials);
+    # on 0/1 values that is sqrt(mean (1 - mean) / (trials - 1))
     est = mc.mc_apply_A(IndicatorGE(1), 1, 0, 10_000, mc.make_generator(5))
-    expected_hw = math.sqrt(est.mean * (1 - est.mean) / 10_000)
-    assert est.half_width == expected_hw
+    expected_hw = math.sqrt(est.mean * (1 - est.mean) / (10_000 - 1))
+    assert est.half_width == pytest.approx(expected_hw, rel=1e-12)
 
 
 def test_single_seeded_cross_checks():
