@@ -11,6 +11,7 @@ in the JSON is the one field that varies between reruns.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -138,14 +139,16 @@ def _run_alpha(args):
 
 
 def _run_verify(args):
+    bias = args.inject_float_bias
     if args.suite == "core":
-        verdicts = verify.core_suite(bias=args.inject_float_bias)
+        verdicts = verify.core_suite(bias=bias)
     else:
-        verdicts = verify.full_suite(seed=args.seed, bias=args.inject_float_bias)
+        verdicts = verify.full_suite(seed=args.seed, bias=bias)
     parameters = {
         "suite": args.suite,
         "seed": args.seed,
-        "injectFloatBias": args.inject_float_bias,
+        # NaN and inf are not JSON numbers; record them by name
+        "injectFloatBias": bias if math.isfinite(bias) else str(bias),
     }
     return parameters, None, [], verdicts
 

@@ -57,13 +57,11 @@ def _survival_lower(n: int, m: int) -> np.ndarray:
     """Lower bounds on P(S_n >= m - k) for k = 0..m-1."""
     lim = current_limits()
     if (m - 1) + n <= lim.exact_limit:
-        row = weights.exact_row(n, m)
-        pref = [Fraction(0)]
-        for w in row:
-            pref.append(pref[-1] + w)
-        # P(S_n >= m - k) = 1 - prefix(m - k); exact, so conversion is the
-        # only rounding and a half-ulp never hurts a lower bound materially
-        return np.array([float(1 - pref[m - k]) for k in range(m)])
+        C, D = weights.exact_prefix(n, m)
+        # P(S_n >= m - k) = (D - C[m - k]) / D exactly; int true division
+        # rounds correctly, so it is the only rounding, and a half-ulp never
+        # hurts a lower bound materially
+        return np.array([(D - C[m - k]) / D for k in range(m)])
     logs = weights.log_row(n, m)
     cs = np.cumsum(np.exp(np.asarray(logs)))
     slop = weights.row_slop(m)
@@ -94,7 +92,9 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
     rows = []
     for n in range(1, n_max + 1):
         m = n * n
-        t_m = weights.tail_exact(m)
+        t_m = weights.run_mass(m)
+        if not isinstance(t_m, Fraction):
+            t_m = math.nextafter(t_m, math.inf)  # within an ulp; pad the denominator up
         norm_fn = float(t_m) ** (1.0 / p)
         surv = _survival_lower(n, m)
         base = np.exp(np.asarray(weights.log_row(1, m)))
@@ -282,7 +282,7 @@ def maximal_ratio_T(m: int, p, N: Optional[int] = None) -> float:
     num = math.fsum(
         float(weights.alpha_exact(k)) * float(s) ** p for k, s in enumerate(sup) if s
     )
-    den = float(weights.tail_exact(m) - weights.tail_exact(2 * m))
+    den = float(weights.run_mass(m, 2 * m))
     return (num / den) ** (1.0 / p)
 
 

@@ -277,8 +277,10 @@ def p_norm(f: SeqFunction, p, K: Optional[int] = None) -> Enclosure:
                 slop = weights.row_slop(size)
                 return _root_enclosure(s * (1 - slop), (s + tail) * (1 + slop), p)
     # run i carries mass T(starts[i]) - T(starts[i+1]), the last run T(L)
-    tails = [weights.tail_exact(s) for s in f.starts] + [Fraction(0)]
-    terms = [(t0 - t1) * _abs_pow(v, p) for t0, t1, v in zip(tails, tails[1:], f.levels)]
+    ends = f.starts[1:] + (None,)
+    terms = [
+        weights.run_mass(s, e) * _abs_pow(v, p) for s, e, v in zip(f.starts, ends, f.levels)
+    ]
     if all(isinstance(t, Fraction) for t in terms):
         mass = sum(terms, Fraction(0))
         return _root_enclosure(mass, mass, p)
@@ -289,16 +291,6 @@ def p_norm(f: SeqFunction, p, K: Optional[int] = None) -> Enclosure:
 
 def _exact_value(v) -> Union[int, Fraction]:
     return Fraction(v) if isinstance(v, float) else v
-
-
-def _prefix_enclosure(n: int, length: int, backend: str):
-    """(weights list, exact flag) for alpha^n_0..alpha^n_{length-1}."""
-    lim = current_limits()
-    if backend == "auto":
-        backend = "exact" if length == 0 or (length - 1) + n <= lim.exact_limit else "log"
-    if backend == "exact":
-        return weights.exact_row(n, length), True
-    return np.exp(np.asarray(weights.log_row(n, length))), False
 
 
 def apply_A_pow(
@@ -365,18 +357,24 @@ def _bounded_sum(
     """sum_{j<J} alpha^n_j f(j+k) plus a remainder with levels in [lo_level, hi_level].
 
     The remainder has mass R = 1 - sum_{j<J} alpha^n_j, known exactly on the
-    exact backend and to a relative row_slop on the log backend.
+    exact backend and to a relative row_slop on the log backend.  Exact
+    masses are integer prefix sums over one denominator (weights.exact_prefix).
     """
-    row, exact = _prefix_enclosure(n, J, backend)
+    if backend == "auto":
+        exact = J == 0 or (J - 1) + n <= current_limits().exact_limit
+    else:
+        exact = backend == "exact"
     if exact:
-        segs = [(sum(row[lo + 1:hi], row[lo]), v) for lo, hi, v in _segments(f, k, J)]
-        partial = Fraction(sum(_exact_value(v) * s for s, v in segs if v))
+        C, D = weights.exact_prefix(n, J)
+        segs = _segments(f, k, J)
+        partial = Fraction(sum(_exact_value(v) * (C[hi] - C[lo]) for lo, hi, v in segs if v), D)
         if not (lo_level or hi_level):
             return Enclosure.point(partial)
-        rem = 1 - sum(s for s, _ in segs)
+        rem = Fraction(D - C[J], D)
         lo = partial + _exact_value(lo_level) * rem
         hi = lo if hi_level == lo_level else partial + _exact_value(hi_level) * rem
         return Enclosure(lo, hi)
+    row = np.exp(np.asarray(weights.log_row(n, J)))
     vals = _level_array(f, k, J)
     slop = weights.row_slop(J)
     s = float(np.dot(row, vals))
@@ -491,7 +489,7 @@ def image_p_norm(
             lo_sum * (1 - slop), (hi_sum + outer_tail) * (1 + slop), p
         )
     L, c = f.starts[-1], f.levels[-1]
-    closing = weights.tail_exact(L) * _abs_pow(c, p)  # the image is c for k >= L
+    closing = weights.run_mass(L) * _abs_pow(c, p)  # the image is c for k >= L
     lo_terms, hi_terms = [], []
     for k in range(L):
         enc = apply_A_pow(f, n, k, J=J)

@@ -9,12 +9,23 @@ power has the closed form
 
 The base tail is exactly T(J) = sum_{j>=J} alpha_j = binom(2J, J) * 4^(-J).
 
-Two backends.  "exact" works in Fraction arithmetic and is the authority for
-every certified statement; "log" carries log-domain float64 weights for index
-ranges where rationals get too wide.  Binomials are never formed from
-factorial tables: exact rows use multiplicative running products, the log
-backend uses log-gamma.  All public functions are pure, and cached rows fill
-idempotently, so concurrent callers see behavior as if nothing were cached.
+Two backends.  "exact" is the authority for every certified statement.
+Every exact weight is dyadic, alpha^n_j = N^n_j / 2^(2j+n) with the integer
+(ballot) numerator N^n_j = n/(j+n) * binom(2j+n-1, j), so an exact row is a
+tuple of Python ints with an implicit denominator 2^(2j+n), built by the
+exact integer recurrence N_{j+1} = N_j (2j+n)(2j+n+1) / ((j+1)(j+n+1)).
+The exact checks run on these integers: convolution is a plain integer
+convolution, subadditivity and monotonicity are integer comparisons, and
+prefix masses (exact_prefix) are integer prefix sums over the one
+denominator 2^(2J+n).  Fractions are built only at the API boundary
+(exact_row, WeightTable.weights, alpha_pow_exact, tail_exact).
+
+"log" carries log-domain float64 weights for index ranges where exact
+integers get too wide, and the 40-digit log-gamma values (alpha_pow_log,
+run_mass) stand in for exact binomials past the exact limit.  Binomials are
+never formed from factorial tables.  All public functions are pure, and
+cached rows fill idempotently, so concurrent callers see behavior as if
+nothing were cached.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Optional, Union
 
 import mpmath
 import numpy as np
@@ -88,15 +99,55 @@ def alpha_pow_log(n: int, j: int) -> float:
 
 @lru_cache(maxsize=128)
 def _row_exact(n: int, J: int) -> tuple:
-    # alpha^n_{j+1} / alpha^n_j = (2j+n)(2j+n+1) / (4(j+1)(j+n+1))
+    """Numerators N^n_0 .. N^n_{J-1}: alpha^n_j = N^n_j / 2^(2j+n)."""
     if J <= 0:
         return ()
-    out = [Fraction(1, 1 << n)]
-    w = out[0]
+    out = [1]
+    N = 1
     for j in range(J - 1):
-        w = w * Fraction((2 * j + n) * (2 * j + n + 1), 4 * (j + 1) * (j + n + 1))
-        out.append(w)
+        # alpha^n_{j+1} / alpha^n_j = (2j+n)(2j+n+1) / (4(j+1)(j+n+1)); the
+        # factor 4 is the denominator's step, and the division is exact
+        N = N * (2 * j + n) * (2 * j + n + 1) // ((j + 1) * (j + n + 1))
+        out.append(N)
     return tuple(out)
+
+
+@lru_cache(maxsize=128)
+def _prefix_exact(n: int, J: int) -> tuple:
+    """(C, D): sum_{j<i} alpha^n_j = C[i] / D for i = 0..J, with D = 2^(2J+n)."""
+    out = [0]
+    for j, N in enumerate(_row_exact(n, J)):
+        out.append(out[-1] + (N << 2 * (J - j)))
+    return tuple(out), 1 << (2 * J + n)
+
+
+def _dyadic(num: int, e: int) -> Fraction:
+    """num / 2^e as a reduced Fraction, by stripping common factors of two."""
+    z = min((num & -num).bit_length() - 1, e) if num else e
+    return Fraction(num >> z, 1 << (e - z))
+
+
+def _fractions(nums, n: int) -> tuple:
+    """The alpha^n row with numerators nums, as reduced Fractions."""
+    return tuple(_dyadic(N, 2 * j + n) for j, N in enumerate(nums))
+
+
+def _numerators(t: WeightTable) -> list:
+    """N_j = w_j 2^(2j+n) for an exact table; every alpha^n row is dyadic."""
+    out = [w * (1 << (2 * j + t.n)) for j, w in enumerate(t.weights)]
+    if any(N.denominator != 1 for N in out):
+        raise ValueError("exact weights must be multiples of 2^-(2j+n)")
+    return [N.numerator for N in out]
+
+
+def _convolve_numerators(a, b) -> list:
+    """Integer convolution on the common prefix.
+
+    Numerators over 2^(2i+n) and 2^(2(j-i)+m) share the denominator
+    2^(2j+n+m) for every i, so the product row needs no rational arithmetic.
+    """
+    J = min(len(a), len(b))
+    return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(J)]
 
 
 def _build_log_row(n: int, J: int) -> np.ndarray:
@@ -123,8 +174,7 @@ _LOG_CACHE_MAX_J = 1 << 16
 _row_log = lru_cache(maxsize=64)(_build_log_row)
 
 
-def exact_row(n: int, J: int) -> tuple:
-    """Weights alpha^n_0 .. alpha^n_{J-1} as Fractions."""
+def _check_exact(n: int, J: int) -> None:
     if n < 1 or J < 0:
         raise ValueError("need n >= 1 and J >= 0")
     check_row_length(J)
@@ -134,7 +184,22 @@ def exact_row(n: int, J: int) -> tuple:
             f"exact backend limited to j + n <= {lim.exact_limit}; "
             f"requested j + n = {(J - 1) + n}"
         )
-    return _row_exact(n, J)
+
+
+def exact_row(n: int, J: int) -> tuple:
+    """Weights alpha^n_0 .. alpha^n_{J-1} as reduced Fractions."""
+    _check_exact(n, J)
+    return _fractions(_row_exact(n, J), n)
+
+
+def exact_prefix(n: int, J: int) -> tuple:
+    """Prefix masses of alpha^n over one denominator, as integers.
+
+    Returns (C, D) with sum_{j<i} alpha^n_j = C[i] / D for i = 0..J, where
+    D = 2^(2J+n) and C[i+1] = C[i] + N^n_i 4^(J-i).
+    """
+    _check_exact(n, J)
+    return _prefix_exact(n, J)
 
 
 def log_row(n: int, J: int) -> np.ndarray:
@@ -152,6 +217,33 @@ def tail_exact(J: int) -> Fraction:
     if J < 0:
         raise ValueError("index must be >= 0")
     return Fraction(math.comb(2 * J, J), 1 << (2 * J))
+
+
+def run_mass(a: int, b: Optional[int] = None) -> Weight:
+    """T(a) - T(b) = sum_{a<=j<b} alpha_j, or T(a) when b is None.
+
+    Exact when the tail index (b, or a when b is None) is within exact_limit.
+    Past it the binomial alone costs seconds (4.9 s for binom(6e5, 3e5)), so
+    both tails come from log-gamma values, as in alpha_pow_log, at 40 + 2d
+    digits for a d-digit tail index, and the difference is rounded once to a
+    float within one ulp of the true mass: the log tails carry an absolute
+    error near 2b ln(2b) 10^-(40+2d), which the difference, at least
+    alpha_a = T(a)/(2(a+1)), magnifies at most 2(a+1)-fold, leaving a
+    relative working error below 1e-35.
+    """
+    if a < 0 or (b is not None and b < a):
+        raise ValueError("need 0 <= a <= b")
+    last = a if b is None else b
+    if last <= current_limits().exact_limit:
+        t = tail_exact(a)
+        return t if b is None else t - tail_exact(b)
+    with mpmath.workdps(40 + 2 * len(str(last))):
+
+        def tail(J):
+            log_t = mpmath.loggamma(2 * J + 1) - 2 * mpmath.loggamma(J + 1)
+            return mpmath.exp(log_t - 2 * J * mpmath.log(2))
+
+        return float(tail(a) if b is None else tail(a) - tail(b))
 
 
 def tail_pow_bound(n: int, J: int) -> Fraction:
@@ -285,16 +377,12 @@ def convolve(u: WeightTable, v: WeightTable) -> WeightTable:
     J = min(len(u), len(v))
     exact = u.backend == "exact" and v.backend == "exact"
     if exact:
-        a = u.weights
-        b = v.weights
-        prefix = [
-            sum((a[i] * b[j - i] for i in range(j + 1)), Fraction(0))
-            for j in range(J)
-        ]
+        n = u.n + v.n
+        prefix = _fractions(_convolve_numerators(_numerators(u), _numerators(v)), n)
         mass = sum(prefix, Fraction(0))
         tail = (u.prefix_mass() + u.tail_bound) * (v.prefix_mass() + v.tail_bound) - mass
         tail = min(Fraction(1), max(Fraction(0), tail))
-        return WeightTable(u.n + v.n, tuple(prefix), tail, "exact")
+        return WeightTable(n, prefix, tail, "exact")
     a = np.asarray(u.linear(), dtype=np.float64)[:J]
     b = np.asarray(v.linear(), dtype=np.float64)[:J]
     prefix = np.convolve(a, b)[:J]
@@ -311,7 +399,7 @@ def convolution_power(n: int, J: int) -> WeightTable:
     """n-fold convolution of the base row, the oracle for the closed form."""
     if n < 1 or J < 1:
         raise ValueError("need n >= 1 and J >= 1")
-    base = WeightTable(1, _row_exact(1, J), tail_exact(J))
+    base = WeightTable(1, _fractions(_row_exact(1, J), 1), tail_exact(J))
     acc = base
     for _ in range(n - 1):
         acc = convolve(acc, base)
@@ -333,6 +421,11 @@ def pgf_check(x, J: int) -> PgfCheck:
     The true gap is the (positive) discarded tail, at most T(J); the returned
     float gap carries working-precision rounding of order 1e-30, so it can dip
     that far below zero when the true gap is smaller still.
+
+    The sum stops at the first term that leaves the 40-digit total unchanged:
+    the terms decrease (ratio x(2j+1)/(2j+4) < 1) and rounding is monotone,
+    so no later term could change it either, and the result is the same to
+    the bit as summing all J terms.
     """
     if not 0 <= x < 1:
         raise ValueError("x must lie in [0, 1)")
@@ -347,6 +440,8 @@ def pgf_check(x, J: int) -> PgfCheck:
         term = mpmath.mpf(1) / 2
         total = mpmath.mpf(0)
         for j in range(J):
+            if total + term == total:
+                break
             total += term
             # alpha_{j+1}/alpha_j = (2j+1)/(2(j+2)); one extra factor of x per step
             term = term * xm * (2 * j + 1) / (2 * (j + 2))
@@ -365,22 +460,28 @@ class ScanResult:
 
 
 def scan_subadditivity(nm_max: int = 24, j_max: int = 400) -> ScanResult:
-    """Exact check of alpha^{n+m}_j <= alpha^n_j + alpha^m_j on a full grid."""
-    rows = {n: _row_exact(n, j_max + 1) for n in range(1, nm_max)}
+    """Exact check of alpha^{n+m}_j <= alpha^n_j + alpha^m_j on a full grid.
+
+    Over the denominator 2^(2j+n+m) this is N^{n+m}_j <= 2^m N^n_j + 2^n N^m_j.
+    """
+    rows = {n: _row_exact(n, j_max + 1) for n in range(1, nm_max + 1)}
     checked = 0
     bad = []
     for n in range(1, nm_max):
         for m in range(n, nm_max - n + 1):
-            rn, rm, rnm = rows[n], rows[m], rows[n + m] if n + m < nm_max else _row_exact(n + m, j_max + 1)
+            rn, rm, rnm = rows[n], rows[m], rows[n + m]
             for j in range(j_max + 1):
                 checked += 1
-                if rnm[j] > rn[j] + rm[j]:
+                if rnm[j] > (rn[j] << m) + (rm[j] << n):
                     bad.append((n, m, j))
     return ScanResult(checked, tuple(bad))
 
 
 def scan_normalized_monotonicity(n_max: int = 20, j_max: int = 200) -> ScanResult:
-    """Exact check that alpha^{n+1}_j/(n+1) <= alpha^n_j/n."""
+    """Exact check that alpha^{n+1}_j/(n+1) <= alpha^n_j/n.
+
+    Over the denominator 2^(2j+n+1) this is n N^{n+1}_j <= 2(n+1) N^n_j.
+    """
     rows = {n: _row_exact(n, j_max + 1) for n in range(1, n_max + 2)}
     checked = 0
     bad = []
@@ -388,7 +489,7 @@ def scan_normalized_monotonicity(n_max: int = 20, j_max: int = 200) -> ScanResul
         rn, rn1 = rows[n], rows[n + 1]
         for j in range(j_max + 1):
             checked += 1
-            if rn1[j] * n > rn[j] * (n + 1):
+            if rn1[j] * n > rn[j] * 2 * (n + 1):
                 bad.append((n, j))
     return ScanResult(checked, tuple(bad))
 
@@ -398,31 +499,37 @@ def scan_convolution_agreement(n_max: int = 6, j_max: int = 200) -> ScanResult:
     J = j_max + 1
     checked = 0
     bad = []
-    acc = WeightTable(1, _row_exact(1, J), tail_exact(J))
-    base = acc
+    base = _row_exact(1, J)
+    acc = base
     for n in range(1, n_max + 1):
         if n > 1:
-            acc = convolve(acc, base)
+            acc = _convolve_numerators(acc, base)
         closed = _row_exact(n, J)
         for j in range(J):
             checked += 1
-            if closed[j] != acc.weights[j]:
+            if closed[j] != acc[j]:
                 bad.append((n, j))
     return ScanResult(checked, tuple(bad))
 
 
 def scan_tail_identity(j_max: int = 300) -> ScanResult:
-    """Prefix + closed-form tail == 1, and T(J) - T(J+1) == alpha_J, exact."""
+    """Prefix + closed-form tail == 1, and T(J) - T(J+1) == alpha_J, exact.
+
+    With P = 4^J sum_{j<J} alpha_j = sum_{j<J} 2 N^1_j 4^(J-1-j), the first
+    is P + binom(2J, J) == 4^J, and over 4^(J+1) the second is
+    4 binom(2J, J) - binom(2J+2, J+1) == 2 N^1_J.
+    """
     checked = 0
     bad = []
-    prefix = Fraction(0)
-    for J in range(j_max + 1):
+    prefix = 0
+    for J, N in enumerate(_row_exact(1, j_max + 1)):
         checked += 1
-        if prefix + tail_exact(J) != 1:
+        c, c_next = math.comb(2 * J, J), math.comb(2 * J + 2, J + 1)
+        if prefix + c != 1 << (2 * J):
             bad.append(("prefix", J))
-        if tail_exact(J) - tail_exact(J + 1) != alpha_exact(J):
+        if 4 * c - c_next != 2 * N:
             bad.append(("difference", J))
-        prefix += alpha_exact(J)
+        prefix = 4 * prefix + 2 * N
     return ScanResult(checked, tuple(bad))
 
 
@@ -456,7 +563,11 @@ def scan_backend_agreement(bias: float = 0.0, tolerance: float = 1e-9) -> Agreem
             continue
         seen.add((n, j))
         exact = alpha_pow_exact(n, j)
-        approx = math.exp(alpha_pow_log(n, j) + bias)
+        try:
+            approx = math.exp(alpha_pow_log(n, j) + bias)
+        except OverflowError:
+            approx = math.inf
         rel = abs(approx / float(exact) - 1.0)
-        worst = max(worst, rel)
+        # max() would keep the old value past a NaN; any non-finite value fails
+        worst = max(worst, rel) if math.isfinite(rel) else math.inf
     return AgreementResult(len(seen), worst, tolerance)

@@ -83,6 +83,20 @@ def test_verify_core_and_fault_injection(tmp_path, capsys):
     assert rep["verdicts"]["backend_agreement"] is False
 
 
+@pytest.mark.parametrize("bias", ["nan", "inf"])
+def test_verify_non_finite_bias_fails(tmp_path, capsys, bias):
+    assert run(tmp_path, "verify", "--suite", "core", "--inject-float-bias", bias) == 1
+    assert "[FAIL] verify.backend_agreement" in capsys.readouterr().out
+    text = (Path(tmp_path) / "verify.json").read_text()
+
+    def reject(name):
+        raise AssertionError(f"verify.json holds the non-JSON constant {name}")
+
+    rep = json.loads(text, parse_constant=reject)
+    assert rep["parameters"]["injectFloatBias"] == bias
+    assert rep["verdicts"]["backend_agreement"] is False
+
+
 def test_growth_command(tmp_path):
     assert run(tmp_path, "growth", "--p", "2", "--nmax", "16", "--fit-from", "4") == 0
     lines = read_csv(tmp_path, "growth.csv").splitlines()

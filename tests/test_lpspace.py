@@ -7,8 +7,10 @@ the comments next to each assertion.
 """
 
 import math
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,6 +110,25 @@ def test_p_norm_indicators_close_exactly():
     # window [1, 3) carries mass alpha_1 + alpha_2 = 3/16
     e = p_norm(IndicatorWindow(1, 3), 2)
     assert e.lower <= math.sqrt(3 / 16) <= e.upper and e.width < 1e-14
+
+
+def test_p_norm_far_indicator_is_fast_and_sound():
+    # binom(2m, m) at m = 10^6 took tens of seconds; past the exact limit the
+    # tail comes from 40-digit log-gamma values instead
+    m = 10**6
+    t0 = time.perf_counter()
+    e = p_norm(IndicatorGE(m), 2)
+    assert time.perf_counter() - t0 < 1.0
+    with mpmath.workdps(50):
+        ref = mpmath.sqrt(mpmath.binomial(2 * m, m) / mpmath.mpf(4) ** m)
+    assert e.lower <= ref <= e.upper
+    assert e.width < 1e-6 * float(ref)
+    # a window ending past the limit mixes an exact run with a 40-digit one
+    w = p_norm(IndicatorWindow(5, m), 1.5)
+    with mpmath.workdps(50):
+        mass = mpmath.binomial(10, 5) / mpmath.mpf(4) ** 5 - ref**2
+        wref = mass ** (1 / mpmath.mpf(1.5))
+    assert w.lower <= wref <= w.upper
 
 
 def test_p_norm_finite_table():

@@ -9,6 +9,7 @@ multiplication over Fractions.  Pinned rationals are frozen literals.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,29 @@ def oracle_power_row(n, J):
             for j in range(J)
         ]
     return row
+
+
+def running_product_row(n, J):
+    """alpha^n_0..alpha^n_{J-1} by a Fraction running product of the weight ratio."""
+    out = []
+    w = Fraction(1, 1 << n)
+    for j in range(J):
+        out.append(w)
+        w *= Fraction((2 * j + n) * (2 * j + n + 1), 4 * (j + 1) * (j + n + 1))
+    return out
+
+
+def full_loop_pgf(x, J):
+    """The generating-function check summing all J terms, with no early stop."""
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mpmath.mpf(x)
+        closed = mpmath.mpf(1) / 2 if xm == 0 else (1 - mpmath.sqrt(1 - xm)) / xm
+        term = mpmath.mpf(1) / 2
+        total = mpmath.mpf(0)
+        for j in range(J):
+            total += term
+            term = term * xm * (2 * j + 1) / (2 * (j + 2))
+        return float(total), float(closed), float(closed - total)
 
 
 def test_catalan_oracle_sanity():
@@ -99,6 +123,58 @@ def test_exact_row_matches_pointwise():
     assert weights.exact_row(2, 0) == ()
 
 
+def test_exact_row_matches_running_product():
+    for n in (1, 2, 5, 17, 48):
+        row = weights.exact_row(n, 401)
+        ref = running_product_row(n, 401)
+        assert row == tuple(ref)
+        assert [(w.numerator, w.denominator) for w in row] == [
+            (w.numerator, w.denominator) for w in ref
+        ]
+        assert all(type(w) is Fraction for w in row)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=63),
+    j=st.integers(min_value=0, max_value=500),
+)
+@settings(max_examples=150, deadline=None)
+def test_property_numerators_match_binomial_route(n, j):
+    # alpha_pow_exact goes through math.comb, independent of the recurrence
+    N = weights._row_exact(n, j + 1)[j]
+    assert isinstance(N, int)
+    assert Fraction(N, 1 << (2 * j + n)) == weights.alpha_pow_exact(n, j)
+
+
+def test_prefix_row_gives_prefix_masses():
+    for n in (1, 3, 10):
+        C, D = weights.exact_prefix(n, 60)
+        row = weights.exact_row(n, 60)
+        assert D == 1 << (120 + n) and len(C) == 61
+        for i in range(61):
+            assert Fraction(C[i], D) == sum(row[:i], Fraction(0))
+
+
+def test_run_mass_exact_within_limit_and_one_ulp_beyond(monkeypatch):
+    assert weights.run_mass(5) == weights.tail_exact(5)
+    assert weights.run_mass(3, 9) == weights.tail_exact(3) - weights.tail_exact(9)
+    assert weights.run_mass(4, 4) == 0
+    with pytest.raises(ValueError):
+        weights.run_mass(5, 4)
+    monkeypatch.setenv("SUBADDLAB_EXACT_LIMIT", "50")
+    for a, b in ((51, None), (10, 51), (60, 61), (200, 900), (900, None)):
+        v = weights.run_mass(a, b)
+        assert isinstance(v, float)
+        true = weights.tail_exact(a) - (0 if b is None else weights.tail_exact(b))
+        assert math.nextafter(v, 0.0) <= true <= math.nextafter(v, math.inf)
+
+
+def test_convolve_rejects_non_dyadic_weights():
+    third = weights.WeightTable(1, (Fraction(1, 3),), Fraction(0))
+    with pytest.raises(ValueError):
+        weights.convolve(third, weights.build_table(1, 1))
+
+
 def test_tail_identity_and_difference():
     prefix = Fraction(0)
     for J in range(200):
@@ -158,6 +234,9 @@ def test_backend_agreement_scan_and_fault_injection():
     assert clean.ok and clean.checked > 20
     biased = weights.scan_backend_agreement(bias=1e-9)
     assert not biased.ok
+    # a non-finite or overflowing bias must fail too, not slip past max()
+    for bias in (math.nan, math.inf, -math.inf, 1e6):
+        assert not weights.scan_backend_agreement(bias=bias).ok
 
 
 def test_asymptotic_constant_from_below():
@@ -276,6 +355,11 @@ def test_pgf_point_values():
     assert c.partial_sum < c.closed_form
     with pytest.raises(ValueError):
         weights.pgf_check(1.0, 10)
+    # the early stop returns the full loop's floats to the bit
+    for x in (0, Fraction(1, 2), Fraction(3, 4), 0.95):
+        for J in (0, 1, 7, 300, 5000):
+            c = weights.pgf_check(x, J)
+            assert (c.partial_sum, c.closed_form, c.gap) == full_loop_pgf(x, J)
     with pytest.raises(ValueError):
         weights.pgf_check(-0.1, 10)
 
