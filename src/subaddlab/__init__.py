@@ -31,16 +31,7 @@ from .lpspace import (
     image_p_norm,
     p_norm,
 )
-from .weights import (
-    WeightTable,
-    alpha_exact,
-    alpha_pow_exact,
-    alpha_pow_log,
-    build_table,
-    convolution_power,
-    convolve,
-    tail_exact,
-)
+from .weights import alpha_exact, alpha_pow_exact, alpha_pow_log, tail_exact
 
 __version__ = "0.1.0"
 
@@ -57,18 +48,14 @@ __all__ = [
     "PowerGrowth",
     "ResourceLimitError",
     "SubaddLabError",
-    "WeightTable",
     "alpha_exact",
     "alpha_pow_exact",
     "alpha_pow_log",
     "apply_A_pow",
     "barycenter_residual",
-    "build_table",
     "cesaro_A",
     "cesaro_T",
     "contraction_bound_check",
-    "convolution_power",
-    "convolve",
     "image_p_norm",
     "p_norm",
     "tail_exact",

@@ -121,20 +121,26 @@ def _run_alpha(args):
         raise ValueError("need --n >= 1")
     if args.jmax < 1:
         raise ValueError("need --jmax >= 1")
-    table = weights.build_table(args.n, args.jmax, args.backend)
-    rows = [[args.n, j, table.weight(j), table.backend] for j in range(len(table))]
-    prefix = table.prefix_mass()
-    slop = 0 if table.backend == "exact" else weights.row_slop(len(table)) + 1e-12
+    n, J = args.n, args.jmax
+    backend = args.backend
+    if backend == "auto":
+        backend = "exact" if weights.exact_ok(n, J) else "log"
+    if backend == "exact":
+        row = weights.exact_row(n, J)
+        tail, slop = weights.tail_pow_bound(n, J), 0
+    else:
+        # math.exp per element: np.exp can differ by an ulp, and the CSV
+        # prints every bit
+        row = [math.exp(v) for v in weights.log_row(n, J)]
+        tail = min(1.0, n * weights.tail_float_bounds(J)[1])
+        slop = weights.row_slop(J) + 1e-12
+    prefix = sum(row)
     verdicts = {
         "prefix_mass_le_one": bool(prefix <= 1 + slop),
-        "prefix_plus_tail_covers_one": bool(prefix + table.tail_bound >= 1 - slop),
+        "prefix_plus_tail_covers_one": bool(prefix + tail >= 1 - slop),
     }
-    parameters = {
-        "n": args.n,
-        "jMax": args.jmax,
-        "backend": table.backend,
-        "tailBound": table.tail_bound,
-    }
+    parameters = {"n": n, "jMax": J, "backend": backend, "tailBound": tail}
+    rows = [[n, j, w, backend] for j, w in enumerate(row)]
     return parameters, ("n", "j", "weight", "backend"), rows, verdicts
 
 

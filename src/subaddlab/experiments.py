@@ -19,7 +19,7 @@ import numpy as np
 
 from . import weights
 from .errors import EmptyGridError, NotInLpError
-from .limits import check_row_length, current_limits
+from .limits import check_row_length
 from .lpspace import EventuallyConstant, IndicatorGE, PowerGrowth, SeqFunction
 from .lpspace import apply_A_pow, check_exponent
 
@@ -55,8 +55,7 @@ class GrowthResult:
 
 def _survival_lower(n: int, m: int) -> np.ndarray:
     """Lower bounds on P(S_n >= m - k) for k = 0..m-1."""
-    lim = current_limits()
-    if (m - 1) + n <= lim.exact_limit:
+    if weights.exact_ok(n, m):
         C, D = weights.exact_prefix(n, m)
         # P(S_n >= m - k) = (D - C[m - k]) / D exactly; int true division
         # rounds correctly, so it is the only rounding, and a half-ulp never

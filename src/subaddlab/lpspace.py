@@ -15,7 +15,8 @@ sums close with finitely many terms:
 Infinite sums are returned as Enclosure(lower, upper) pairs.  Exact rational
 partial sums are used whenever the function and the backend allow it; the
 float path carries a documented ~1e-12-level rounding allowance via
-weights.row_slop plus a certified tail bound.
+weights.row_slop plus a certified tail bound, and a float norm sum the
+derived allowance of _norm_sum_enclosure.
 
 A truncated enclosure (apply_A_pow with J given) is the sum over j < J plus
 a bracket on the discarded remainder: the discarded mass times
@@ -242,6 +243,30 @@ def _root_enclosure(lo, hi, p: float) -> Enclosure:
     return Enclosure(max(0.0, r_lo), r_hi)
 
 
+# the rounding budget of a float norm sum, in units of u = 2^-53 beside the
+# p u that the power adds; derived in _norm_sum_enclosure
+_NORM_SUM_ULPS = 10
+
+
+def _norm_sum_enclosure(lo_terms, hi_terms, p: float) -> Enclosure:
+    """Root enclosure of fsums of nonnegative float terms mass * |v|^p.
+
+    Each term's relative error, in units of u = 2^-53 (half an ulp): the
+    mass, a run_mass float within one ulp (2) or an exact mass or alpha_k
+    rounded on use (1); |v|^p, where float(|v|) rounds once (1) and the power
+    multiplies that p-fold, and pow is within one ulp (2); the product (1).
+    So a term is within (p + 5) u; fsum rounds the nonnegative sum once (1)
+    and padding its ends rounds twice more (2), (p + 8) u in all, which
+    _NORM_SUM_ULPS = 10 covers with room for the second-order terms.  A term
+    that underflows loses at most 2^-1074 absolutely instead, so both ends
+    also move by that much per term.
+    """
+    pad = (p + _NORM_SUM_ULPS) * 2.0**-53
+    tiny = math.ulp(0.0) * (len(hi_terms) + 1)
+    lo = math.fsum(lo_terms) * (1 - pad) - tiny
+    return _root_enclosure(lo, math.fsum(hi_terms) * (1 + pad) + tiny, p)
+
+
 def _adaptive_ladder(start=_ADAPTIVE_START):
     """Yield (size, capped) truncation steps; the consumer breaks when satisfied."""
     cap = min(current_limits().max_j, _ADAPTIVE_CAP)
@@ -284,9 +309,7 @@ def p_norm(f: SeqFunction, p, K: Optional[int] = None) -> Enclosure:
     if all(isinstance(t, Fraction) for t in terms):
         mass = sum(terms, Fraction(0))
         return _root_enclosure(mass, mass, p)
-    s = math.fsum(terms)
-    slop = 1e-13 * (1 + f.starts[-1])
-    return _root_enclosure(s * (1 - slop), s * (1 + slop), p)
+    return _norm_sum_enclosure(terms, terms, p)
 
 
 def _exact_value(v) -> Union[int, Fraction]:
@@ -360,10 +383,7 @@ def _bounded_sum(
     exact backend and to a relative row_slop on the log backend.  Exact
     masses are integer prefix sums over one denominator (weights.exact_prefix).
     """
-    if backend == "auto":
-        exact = J == 0 or (J - 1) + n <= current_limits().exact_limit
-    else:
-        exact = backend == "exact"
+    exact = weights.exact_ok(n, J) if backend == "auto" else backend == "exact"
     if exact:
         C, D = weights.exact_prefix(n, J)
         segs = _segments(f, k, J)
@@ -490,7 +510,7 @@ def image_p_norm(
         )
     L, c = f.starts[-1], f.levels[-1]
     closing = weights.run_mass(L) * _abs_pow(c, p)  # the image is c for k >= L
-    lo_terms, hi_terms = [], []
+    lo_terms, hi_terms = [closing], [closing]
     for k in range(L):
         enc = apply_A_pow(f, n, k, J=J)
         ak = float(weights.alpha_exact(k))
@@ -499,10 +519,7 @@ def image_p_norm(
         abs_hi = max(abs(a), abs(b))
         lo_terms.append(ak * abs_lo**p)
         hi_terms.append(ak * abs_hi**p)
-    lo = math.fsum(lo_terms) + float(closing)
-    hi = math.fsum(hi_terms) + float(closing)
-    slop = 1e-13 * (1 + L)
-    return _root_enclosure(lo * (1 - slop), hi * (1 + slop), p)
+    return _norm_sum_enclosure(lo_terms, hi_terms, p)
 
 
 class BoundCheck(NamedTuple):

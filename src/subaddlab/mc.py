@@ -1,6 +1,6 @@
 """Monte Carlo corroboration of the exact machinery.
 
-Sampling is inverse-CDF: an exact rational cumulative table decides indices
+Sampling is inverse-CDF: an exact integer cumulative table decides indices
 below 1024, and beyond it the draw is resolved in the log domain through the
 closed tail T(J) = binom(2J,J) 4^(-J).  Path simulation of the first-passage
 construction would have infinite expected cost per sample; inversion is
@@ -18,7 +18,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -50,17 +49,17 @@ def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
 
 @lru_cache(maxsize=1)
 def _exact_cdf() -> tuple:
-    cdf = []
-    acc = Fraction(0)
-    for j in range(_TABLE_SIZE):
-        acc += weights.alpha_exact(j)
-        cdf.append(acc)
-    return tuple(cdf)
+    """(C, D) with P(X <= j) = C[j + 1] / D for j < _TABLE_SIZE, as integers.
+
+    The table is fixed and small, so it is exact whatever the exact limit.
+    """
+    return weights._prefix_exact(1, _TABLE_SIZE)
 
 
 @lru_cache(maxsize=1)
 def _float_cdf() -> np.ndarray:
-    arr = np.array([float(v) for v in _exact_cdf()])
+    C, D = _exact_cdf()
+    arr = np.array([c / D for c in C[1:]])  # int division rounds correctly
     arr.flags.writeable = False
     return arr
 
@@ -95,14 +94,16 @@ def _sample_array(gen: np.random.Generator, size: int) -> np.ndarray:
     u = gen.random(size)
     F = _float_cdf()
     idx = np.searchsorted(F, u, side="right")
-    # draws within an ulp of a table edge are re-decided with exact rationals
+    # draws within an ulp of a table edge are re-decided exactly
     lo = np.clip(idx - 1, 0, _TABLE_SIZE - 1)
     hi = np.clip(idx, 0, _TABLE_SIZE - 1)
     near = (np.abs(u - F[lo]) < 1e-15) | (np.abs(u - F[hi]) < 1e-15)
     if np.any(near):
-        cdf = _exact_cdf()
+        C, D = _exact_cdf()
         for i in np.nonzero(near)[0]:
-            idx[i] = bisect.bisect_right(cdf, Fraction(float(u[i])))
+            # u D is an integer: u is a multiple of 2^-1074 and D = 2^2049
+            num, den = float(u[i]).as_integer_ratio()
+            idx[i] = bisect.bisect_right(C, num * D // den) - 1
     out = idx.astype(np.int64)
     in_tail = np.nonzero(idx >= _TABLE_SIZE)[0]
     for i in in_tail:

@@ -53,12 +53,12 @@ def check_exact_table() -> bool:
     ok &= all(
         weights.alpha_exact(j) == weights.alpha_pow_exact(1, j) for j in range(64)
     )
-    # independent route: iterated convolution of the base row
-    conv2 = weights.convolution_power(2, 8)
-    conv3 = weights.convolution_power(3, 8)
-    ok &= conv2.weights[0] == Fraction(1, 4)
-    ok &= conv2.weights[2] == Fraction(5, 64)
-    ok &= conv3.weights[2] == Fraction(9, 128)
+    # independent route: iterated convolution of the base numerators, over
+    # 2^(2j+n): 1/4 = 1/2^2, 5/64 = 5/2^6 (n = 2) and 9/128 = 9/2^7 (n = 3)
+    base = weights._row_exact(1, 8)
+    conv2 = weights._convolve_numerators(base, base)
+    conv3 = weights._convolve_numerators(conv2, base)
+    ok &= conv2[0] == 1 and conv2[2] == 5 and conv3[2] == 9
     return bool(ok)
 
 

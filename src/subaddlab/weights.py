@@ -18,7 +18,8 @@ The exact checks run on these integers: convolution is a plain integer
 convolution, subadditivity and monotonicity are integer comparisons, and
 prefix masses (exact_prefix) are integer prefix sums over the one
 denominator 2^(2J+n).  Fractions are built only at the API boundary
-(exact_row, WeightTable.weights, alpha_pow_exact, tail_exact).
+(exact_row, alpha_pow_exact, tail_exact).  exact_ok is the one rule for
+which rows the exact backend takes.
 
 "log" carries log-domain float64 weights for index ranges where exact
 integers get too wide, and the 40-digit log-gamma values (alpha_pow_log,
@@ -127,19 +128,6 @@ def _dyadic(num: int, e: int) -> Fraction:
     return Fraction(num >> z, 1 << (e - z))
 
 
-def _fractions(nums, n: int) -> tuple:
-    """The alpha^n row with numerators nums, as reduced Fractions."""
-    return tuple(_dyadic(N, 2 * j + n) for j, N in enumerate(nums))
-
-
-def _numerators(t: WeightTable) -> list:
-    """N_j = w_j 2^(2j+n) for an exact table; every alpha^n row is dyadic."""
-    out = [w * (1 << (2 * j + t.n)) for j, w in enumerate(t.weights)]
-    if any(N.denominator != 1 for N in out):
-        raise ValueError("exact weights must be multiples of 2^-(2j+n)")
-    return [N.numerator for N in out]
-
-
 def _convolve_numerators(a, b) -> list:
     """Integer convolution on the common prefix.
 
@@ -174,14 +162,21 @@ _LOG_CACHE_MAX_J = 1 << 16
 _row_log = lru_cache(maxsize=64)(_build_log_row)
 
 
+def exact_ok(n: int, J: int) -> bool:
+    """Whether the exact backend takes the row alpha^n_0 .. alpha^n_{J-1}.
+
+    It does when the largest j + n, (J - 1) + n, is within exact_limit.
+    """
+    return J == 0 or (J - 1) + n <= current_limits().exact_limit
+
+
 def _check_exact(n: int, J: int) -> None:
     if n < 1 or J < 0:
         raise ValueError("need n >= 1 and J >= 0")
     check_row_length(J)
-    lim = current_limits()
-    if J > 0 and (J - 1) + n > lim.exact_limit:
+    if not exact_ok(n, J):
         raise ResourceLimitError(
-            f"exact backend limited to j + n <= {lim.exact_limit}; "
+            f"exact backend limited to j + n <= {current_limits().exact_limit}; "
             f"requested j + n = {(J - 1) + n}"
         )
 
@@ -189,7 +184,7 @@ def _check_exact(n: int, J: int) -> None:
 def exact_row(n: int, J: int) -> tuple:
     """Weights alpha^n_0 .. alpha^n_{J-1} as reduced Fractions."""
     _check_exact(n, J)
-    return _fractions(_row_exact(n, J), n)
+    return tuple(_dyadic(N, 2 * j + n) for j, N in enumerate(_row_exact(n, J)))
 
 
 def exact_prefix(n: int, J: int) -> tuple:
@@ -222,7 +217,8 @@ def tail_exact(J: int) -> Fraction:
 def run_mass(a: int, b: Optional[int] = None) -> Weight:
     """T(a) - T(b) = sum_{a<=j<b} alpha_j, or T(a) when b is None.
 
-    Exact when the tail index (b, or a when b is None) is within exact_limit.
+    Exact when the tail index (b, or a when b is None) is within exact_limit,
+    that is when exact_ok(1, index) holds.
     Past it the binomial alone costs seconds (4.9 s for binom(6e5, 3e5)), so
     both tails come from log-gamma values, as in alpha_pow_log, at 40 + 2d
     digits for a d-digit tail index, and the difference is rounded once to a
@@ -234,7 +230,7 @@ def run_mass(a: int, b: Optional[int] = None) -> Weight:
     if a < 0 or (b is not None and b < a):
         raise ValueError("need 0 <= a <= b")
     last = a if b is None else b
-    if last <= current_limits().exact_limit:
+    if exact_ok(1, last):
         t = tail_exact(a)
         return t if b is None else t - tail_exact(b)
     with mpmath.workdps(40 + 2 * len(str(last))):
@@ -288,122 +284,6 @@ def power_tail_bound(q: float, K: int) -> float:
         raise NotSummableError("tail sum diverges for exponent q >= 1/2")
     bound = ASYMPTOTIC_CONSTANT * (K ** (q - 1.5) + K ** (q - 0.5) / (0.5 - q))
     return bound * (1.0 + 1e-12)
-
-
-@dataclass(frozen=True)
-class WeightTable:
-    """A truncated weight row: alpha^n_j for j < len(weights), plus a tail bound.
-
-    weights holds Fractions when backend == "exact" and log-domain floats when
-    backend == "log".  n == 0 is allowed and means the convolution unit
-    (point mass at 0), which convolve needs as its identity element.
-    """
-
-    n: int
-    weights: tuple
-    tail_bound: Weight
-    backend: str = "exact"
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("power must be >= 0")
-        if self.backend not in ("exact", "log"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.tail_bound < 0:
-            raise ValueError("tail bound must be >= 0")
-        if self.backend == "exact" and any(w < 0 for w in self.weights):
-            raise ValueError("weights must be >= 0")
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def linear(self):
-        """Weights in the linear domain: Fractions (exact) or a float array (log)."""
-        if self.backend == "exact":
-            return self.weights
-        return np.exp(np.asarray(self.weights, dtype=np.float64))
-
-    def weight(self, j: int):
-        if not 0 <= j < len(self.weights):
-            raise IndexError(j)
-        w = self.weights[j]
-        return w if self.backend == "exact" else math.exp(w)
-
-    def prefix_mass(self):
-        """Sum of the stored weights (exact Fraction, or float for the log backend)."""
-        if self.backend == "exact":
-            return sum(self.weights, Fraction(0))
-        return float(np.sum(self.linear()))
-
-
-def delta_table(J: int = 1) -> WeightTable:
-    """The convolution unit: point mass at 0, truncated at J."""
-    if J < 1:
-        raise ValueError("need J >= 1")
-    return WeightTable(0, (Fraction(1),) + (Fraction(0),) * (J - 1), Fraction(0))
-
-
-def build_table(n: int, J: int, backend: str = "auto") -> WeightTable:
-    """Weight row for alpha^n truncated at J with a certified tail bound."""
-    if n < 1:
-        raise ValueError("power must be >= 1")
-    if J < 0:
-        raise ValueError("truncation must be >= 0")
-    check_row_length(J)
-    lim = current_limits()
-    if backend == "auto":
-        backend = "exact" if (J == 0 or (J - 1) + n <= lim.exact_limit) else "log"
-    if backend == "exact":
-        weights = exact_row(n, J)
-        tail = tail_pow_bound(n, J)
-        return WeightTable(n, weights, tail, "exact")
-    if backend == "log":
-        weights = tuple(float(v) for v in log_row(n, J))
-        if J == 0:
-            tail = 1.0
-        else:
-            tail = min(1.0, n * tail_float_bounds(J)[1])
-        return WeightTable(n, weights, tail, "log")
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def convolve(u: WeightTable, v: WeightTable) -> WeightTable:
-    """Brute-force convolution on the common prefix.
-
-    The tail bound propagates through the total-mass identity: mass of u*v
-    beyond the prefix is at most (Pu + tu)(Pv + tv) - sum(prefix), i.e.
-    u.tail + v.tail + cross terms.
-    """
-    J = min(len(u), len(v))
-    exact = u.backend == "exact" and v.backend == "exact"
-    if exact:
-        n = u.n + v.n
-        prefix = _fractions(_convolve_numerators(_numerators(u), _numerators(v)), n)
-        mass = sum(prefix, Fraction(0))
-        tail = (u.prefix_mass() + u.tail_bound) * (v.prefix_mass() + v.tail_bound) - mass
-        tail = min(Fraction(1), max(Fraction(0), tail))
-        return WeightTable(n, prefix, tail, "exact")
-    a = np.asarray(u.linear(), dtype=np.float64)[:J]
-    b = np.asarray(v.linear(), dtype=np.float64)[:J]
-    prefix = np.convolve(a, b)[:J]
-    mass = float(np.sum(prefix))
-    tail = (float(np.sum(a)) + float(u.tail_bound)) * (
-        float(np.sum(b)) + float(v.tail_bound)
-    ) - mass
-    tail = min(1.0, max(0.0, tail * (1 + 1e-12) + 1e-15))
-    logw = tuple(math.log(x) if x > 0 else -math.inf for x in prefix)
-    return WeightTable(u.n + v.n, logw, tail, "log")
-
-
-def convolution_power(n: int, J: int) -> WeightTable:
-    """n-fold convolution of the base row, the oracle for the closed form."""
-    if n < 1 or J < 1:
-        raise ValueError("need n >= 1 and J >= 1")
-    base = WeightTable(1, _fractions(_row_exact(1, J), 1), tail_exact(J))
-    acc = base
-    for _ in range(n - 1):
-        acc = convolve(acc, base)
-    return acc
 
 
 @dataclass(frozen=True)

@@ -8,17 +8,19 @@ by comparing whole files across reruns, JSON modulo the timing field.
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subaddlab import cli
+from subaddlab import cli, weights
 
 
 def run(tmp_path, *argv):
@@ -50,6 +52,16 @@ def test_alpha_exact_rows(tmp_path):
     assert rep["command"] == "alpha"
     assert all(rep["verdicts"].values())
     assert isinstance(rep["wallTimeSeconds"], float)
+    # exact tail bound n T(J)
+    assert Fraction(rep["parameters"]["tailBound"]) == weights.tail_exact(4)
+    assert run(tmp_path, "alpha", "--n", "2", "--jmax", "3", "--backend", "exact") == 0
+    assert read_csv(tmp_path, "alpha.csv").splitlines()[1:] == [
+        "2,0,1/4,exact",
+        "2,1,1/8,exact",
+        "2,2,5/64,exact",
+    ]
+    rep = read_json(tmp_path, "alpha.json")
+    assert Fraction(rep["parameters"]["tailBound"]) == 2 * weights.tail_exact(3)
 
 
 def test_alpha_single_row_and_log_backend(tmp_path):
@@ -58,6 +70,23 @@ def test_alpha_single_row_and_log_backend(tmp_path):
     assert run(tmp_path, "alpha", "--n", "1", "--jmax", "8", "--backend", "log") == 0
     lines = read_csv(tmp_path, "alpha.csv").splitlines()
     assert lines[1].startswith("1,0,0.5") and lines[1].endswith(",log")
+    # log rows are math.exp of the log row, to the bit
+    for n, jmax in ((1, 8), (3, 2500)):
+        argv = ("alpha", "--n", str(n), "--jmax", str(jmax), "--backend", "log")
+        assert run(tmp_path, *argv) == 0
+        rows = [line.split(",") for line in read_csv(tmp_path, "alpha.csv").splitlines()[1:]]
+        assert [float(r[2]) for r in rows] == [math.exp(v) for v in weights.log_row(n, jmax)]
+        rep = read_json(tmp_path, "alpha.json")
+        assert rep["parameters"]["tailBound"] == min(
+            1.0, n * weights.tail_float_bounds(jmax)[1]
+        )
+        assert all(rep["verdicts"].values())
+    # auto is exact up to j + n = 2000 (j = jmax - 1) and log past it
+    cases = ((1, 2000, "exact"), (1, 2001, "log"), (5, 1996, "exact"), (5, 1997, "log"))
+    for n, jmax, backend in cases:
+        assert run(tmp_path, "alpha", "--n", str(n), "--jmax", str(jmax)) == 0
+        assert read_json(tmp_path, "alpha.json")["parameters"]["backend"] == backend
+        assert read_csv(tmp_path, "alpha.csv").endswith(f",{backend}\n")
 
 
 def test_alpha_usage_and_resource_errors(tmp_path):

@@ -112,6 +112,32 @@ def test_p_norm_indicators_close_exactly():
     assert e.lower <= math.sqrt(3 / 16) <= e.upper and e.width < 1e-14
 
 
+def mpmath_norm(f, n, p):
+    """||A^n f||_p at 50 digits: image values and run masses are exact rationals."""
+    starts, levels = f.starts, f.levels
+    L, c = starts[-1], levels[-1]
+    if n == 0:
+        runs = [(s, e, Fraction(v)) for s, e, v in zip(starts, starts[1:], levels)]
+    else:
+        runs = []
+        for k in range(L):
+            w = [weights.alpha_pow_exact(n, j) for j in range(L - k)]
+            v = sum((wj * Fraction(f(j + k)) for j, wj in enumerate(w)), Fraction(0))
+            runs.append((k, k + 1, v + c * (1 - sum(w, Fraction(0)))))
+    with mpmath.workdps(50):
+
+        def tail(m):
+            return mpmath.binomial(2 * m, m) / mpmath.mpf(4) ** m
+
+        def power(v):
+            return abs(mpmath.mpf(v.numerator) / v.denominator) ** p
+
+        total = tail(L) * power(Fraction(c))
+        for s, e, v in runs:
+            total += (tail(s) - tail(e)) * power(v)
+        return total ** (1 / mpmath.mpf(p))
+
+
 def test_p_norm_far_indicator_is_fast_and_sound():
     # binom(2m, m) at m = 10^6 took tens of seconds; past the exact limit the
     # tail comes from 40-digit log-gamma values instead
@@ -129,6 +155,33 @@ def test_p_norm_far_indicator_is_fast_and_sound():
         mass = mpmath.binomial(10, 5) / mpmath.mpf(4) ** 5 - ref**2
         wref = mass ** (1 / mpmath.mpf(1.5))
     assert w.lower <= wref <= w.upper
+    # the float padding does not grow with the last run start
+    m = 3 * 10**9
+    e = p_norm(IndicatorGE(m), 2)
+    with mpmath.workdps(50):
+        ref = mpmath.sqrt(mpmath.binomial(2 * m, m) / mpmath.mpf(4) ** m)
+    assert e.lower <= ref <= e.upper
+    assert e.width <= 1e-14 * float(ref)
+    # signed, non-dyadic levels take the float path of both norms
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    cases = (
+        (EventuallyConstant((0, 2, 5), (-third, Fraction(7, 5), Fraction(-2, 3))), (1, 3)),
+        (FiniteTable((Fraction(-9, 7), 0, third, -1, half)), (1, 4)),
+        (EventuallyConstant((0, 5, 2500), (third, Fraction(-7, 5), -third)), ()),
+    )
+    for f, image_ns in cases:
+        for p in (1.1, 2.0, 3.0, 7.5):
+            ref = mpmath_norm(f, 0, p)
+            e = p_norm(f, p)
+            assert e.lower <= ref <= e.upper and e.width <= 1e-14 * float(ref)
+            for n in image_ns:
+                ref = mpmath_norm(f, n, p)
+                e = image_p_norm(f, n, p)
+                assert e.lower <= ref <= e.upper and e.width <= 1e-14 * float(ref)
+    # (1/3)^1000 underflows to 0; the norm (1/2)^(1/1000) / 3 must stay enclosed
+    e = p_norm(FiniteTable((third,)), 1000)
+    assert e.lower <= 0.5 ** (1 / 1000) / 3 <= e.upper
+
 
 
 def test_p_norm_finite_table():

@@ -7,6 +7,7 @@ All seeded runs are deterministic, so observed statistics are reproducible
 pins rather than flaky draws.
 """
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -26,11 +27,52 @@ from subaddlab.lpspace import (
 from subaddlab.verify import mc_within
 
 
+def fraction_cdf():
+    """P(X <= j) for j < _TABLE_SIZE as Fraction prefix sums."""
+    acc, out = Fraction(0), []
+    for j in range(mc._TABLE_SIZE):
+        acc += weights.alpha_exact(j)
+        out.append(acc)
+    return out
+
+
 def test_cdf_table_pins():
+    C, D = mc._exact_cdf()
+    assert len(C) == mc._TABLE_SIZE + 1 and C[0] == 0
     assert mc._float_cdf()[0] == 0.5
-    assert mc._exact_cdf()[0] == Fraction(1, 2)
-    assert mc._exact_cdf()[1] == Fraction(5, 8)
-    assert mc._exact_cdf()[-1] == 1 - weights.tail_exact(mc._TABLE_SIZE)
+    assert Fraction(C[1], D) == Fraction(1, 2)
+    assert Fraction(C[2], D) == Fraction(5, 8)
+    assert Fraction(C[-1], D) == 1 - weights.tail_exact(mc._TABLE_SIZE)
+    # the integer table is the Fraction running sum, and the float table its
+    # correctly rounded image
+    cdf = fraction_cdf()
+    assert [Fraction(c, D) for c in C[1:]] == cdf
+    assert mc._float_cdf().tolist() == [float(v) for v in cdf]
+
+
+class FixedUniforms:
+    """A generator stand-in whose random() returns preset uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u
+
+
+def test_near_edge_draws_match_fraction_bisect():
+    # uniforms on, and one ulp either side of, every float CDF edge all take
+    # the exact re-decision path
+    edges = mc._float_cdf().tolist()
+    u = sorted({x for e in edges for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0))})
+    out = mc._sample_array(FixedUniforms(u), len(u))
+    cdf = fraction_cdf()
+    for ui, drawn in zip(u, out):
+        want = bisect.bisect_right(cdf, Fraction(ui))
+        if want == mc._TABLE_SIZE:
+            want = mc._invert_tail(ui)
+        assert drawn == want, ui
 
 
 def test_bitwise_determinism():

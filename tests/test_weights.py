@@ -169,12 +169,6 @@ def test_run_mass_exact_within_limit_and_one_ulp_beyond(monkeypatch):
         assert math.nextafter(v, 0.0) <= true <= math.nextafter(v, math.inf)
 
 
-def test_convolve_rejects_non_dyadic_weights():
-    third = weights.WeightTable(1, (Fraction(1, 3),), Fraction(0))
-    with pytest.raises(ValueError):
-        weights.convolve(third, weights.build_table(1, 1))
-
-
 def test_tail_identity_and_difference():
     prefix = Fraction(0)
     for J in range(200):
@@ -272,35 +266,6 @@ def test_power_tail_bound_rejects_divergent_exponent():
         weights.power_tail_bound(0.2, 0)
 
 
-def test_build_table_exact_examples():
-    t = weights.build_table(2, 3, "exact")
-    assert t.weights == (Fraction(1, 4), Fraction(1, 8), Fraction(5, 64))
-    assert t.tail_bound == 2 * weights.tail_exact(3)
-    assert t.prefix_mass() + (1 - t.prefix_mass()) == 1
-    empty = weights.build_table(1, 0, "exact")
-    assert len(empty) == 0 and empty.tail_bound == 1
-
-
-def test_build_table_auto_backend_switch():
-    assert weights.build_table(1, 2000, "auto").backend == "exact"
-    assert weights.build_table(1, 2002, "auto").backend == "log"
-    t = weights.build_table(3, 2500, "log")
-    assert t.backend == "log"
-    assert 0.99 <= t.prefix_mass() + t.tail_bound
-    assert t.prefix_mass() <= 1 + 1e-9
-
-
-def test_weight_table_validation():
-    with pytest.raises(ValueError):
-        weights.WeightTable(-1, (Fraction(1),), Fraction(0))
-    with pytest.raises(ValueError):
-        weights.WeightTable(1, (Fraction(1, 2),), Fraction(-1, 8))
-    with pytest.raises(ValueError):
-        weights.WeightTable(1, (Fraction(-1, 2),), Fraction(0))
-    with pytest.raises(ValueError):
-        weights.WeightTable(1, (Fraction(1, 2),), Fraction(0), "decimal")
-
-
 def test_exact_row_resource_limit(monkeypatch):
     with pytest.raises(ResourceLimitError):
         weights.exact_row(1, 2002)
@@ -316,25 +281,27 @@ def test_exact_row_resource_limit(monkeypatch):
 
 
 def test_convolve_examples():
-    base = weights.build_table(1, 8)
-    sq = weights.convolve(base, base)
-    assert sq.n == 2
-    assert sq.weights[2] == Fraction(5, 64)
-    cube = weights.convolve(sq, base)
-    assert cube.weights[1] == Fraction(3, 32)
-    # the point mass at 0 is the unit
-    unit = weights.delta_table(8)
-    assert weights.convolve(unit, base).weights == base.weights
-    # tail bound covers the true discarded mass
-    true_tail = 1 - sum(sq.weights, Fraction(0))
-    assert sq.tail_bound >= true_tail
+    # numerators over 2^(2j+n): 5/64 = 5/2^6 (n = 2, j = 2) and 3/32 = 3/2^5
+    # (n = 3, j = 1)
+    base = weights._row_exact(1, 8)
+    sq = weights._convolve_numerators(base, base)
+    assert sq[2] == 5
+    assert weights._convolve_numerators(sq, base)[1] == 3
+    # the point mass at 0 (numerators of alpha^0) is the unit
+    unit = (1,) + (0,) * 7
+    assert weights._convolve_numerators(unit, base) == list(base)
+    # the result is cut to the common prefix
+    assert len(weights._convolve_numerators(base[:3], base)) == 3
 
 
 def test_convolution_power_matches_closed_form():
-    for n in (1, 2, 4):
-        table = weights.convolution_power(n, 40)
+    base = weights._row_exact(1, 40)
+    acc = base
+    for n in range(1, 5):
+        if n > 1:
+            acc = weights._convolve_numerators(acc, base)
         for j in range(40):
-            assert table.weights[j] == weights.alpha_pow_exact(n, j)
+            assert Fraction(acc[j], 1 << (2 * j + n)) == weights.alpha_pow_exact(n, j)
 
 
 def test_scans_clean_on_small_grids():
