@@ -19,7 +19,7 @@ import numpy as np
 
 from . import weights
 from .errors import EmptyGridError, NotInLpError
-from .limits import check_row_length
+from .limits import Limits, current_limits
 from .lpspace import EventuallyConstant, IndicatorGE, PowerGrowth, SeqFunction
 from .lpspace import apply_A_pow, check_exponent
 
@@ -53,10 +53,10 @@ class GrowthResult:
         return 0.85 / self.p, 1.15 / self.p
 
 
-def _survival_lower(n: int, m: int) -> np.ndarray:
+def _survival_lower(n: int, m: int, lim: Limits) -> np.ndarray:
     """Lower bounds on P(S_n >= m - k) for k = 0..m-1."""
-    if weights.exact_ok(n, m):
-        C, D = weights.exact_prefix(n, m)
+    if weights._exact_ok(n, m, lim):
+        C, D = weights._exact_prefix(n, m, lim)
         # P(S_n >= m - k) = (D - C[m - k]) / D exactly; int true division
         # rounds correctly, so it is the only rounding, and a half-ulp never
         # hurts a lower bound materially
@@ -81,7 +81,8 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
     p = check_exponent(p)
     if n_max < 8:
         raise ValueError("need n_max >= 8 for a meaningful fit")
-    check_row_length(n_max * n_max)
+    lim = current_limits()
+    lim.check_row_length(n_max * n_max)
     if fit_from is None:
         fit_from = max(2, n_max // 4)
     if fit_from > n_max - 1:
@@ -91,11 +92,11 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
     rows = []
     for n in range(1, n_max + 1):
         m = n * n
-        t_m = weights.run_mass(m)
+        t_m = weights._run_mass(m, None, lim)
         if not isinstance(t_m, Fraction):
             t_m = math.nextafter(t_m, math.inf)  # within an ulp; pad the denominator up
         norm_fn = float(t_m) ** (1.0 / p)
-        surv = _survival_lower(n, m)
+        surv = _survival_lower(n, m, lim)
         base = np.exp(np.asarray(weights.log_row(1, m)))
         q_sum = float(np.sum(base * surv**p))
         # base and survival carry at most one row_slop of relative drift each

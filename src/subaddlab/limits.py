@@ -22,6 +22,13 @@ class Limits:
     max_j: int = 2_000_000
     exact_limit: int = 2_000
 
+    def check_row_length(self, requested: int) -> None:
+        if requested > self.max_j:
+            raise ResourceLimitError(
+                f"row length {requested} exceeds the ceiling {self.max_j} "
+                f"(raise {_ENV_MAX_J} to allow it)"
+            )
+
 
 def _read_int(name: str, raw, default: int) -> int:
     if raw is None:
@@ -47,15 +54,7 @@ def current_limits() -> Limits:
     """Ceilings in effect for this process (environment wins over defaults).
 
     The parse is memoized on the raw variable values, so a changed
-    environment takes effect at the next call.
+    environment takes effect at the next call.  Each public entry point
+    reads the limits once and passes them down to its inner loops.
     """
     return _parse_limits(os.environ.get(_ENV_MAX_J), os.environ.get(_ENV_EXACT))
-
-
-def check_row_length(requested: int) -> None:
-    lim = current_limits()
-    if requested > lim.max_j:
-        raise ResourceLimitError(
-            f"row length {requested} exceeds the ceiling {lim.max_j} "
-            f"(raise {_ENV_MAX_J} to allow it)"
-        )

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import weights
 from .errors import NotInLpError, NotSummableError
-from .limits import current_limits
+from .limits import Limits, current_limits
 
 Real = Union[int, float, Fraction]
 
@@ -244,32 +244,60 @@ def _root_enclosure(lo, hi, p: float) -> Enclosure:
 
 
 # the rounding budget of a float norm sum, in units of u = 2^-53 beside the
-# p u that the power adds; derived in _norm_sum_enclosure
+# p u that each rounding of a power's base adds; derived in _norm_sum_enclosure
 _NORM_SUM_ULPS = 10
 
 
-def _norm_sum_enclosure(lo_terms, hi_terms, p: float) -> Enclosure:
-    """Root enclosure of fsums of nonnegative float terms mass * |v|^p.
+def _norm_sum_enclosure(masses, lo_abs, hi_abs, p: float) -> Enclosure:
+    """Root enclosure of (sum_i masses[i] |v_i|^p)^(1/p) for |v_i| in [lo_abs[i], hi_abs[i]].
 
-    Each term's relative error, in units of u = 2^-53 (half an ulp): the
-    mass, a run_mass float within one ulp (2) or an exact mass or alpha_k
-    rounded on use (1); |v|^p, where float(|v|) rounds once (1) and the power
+    The sums are fsums of nonnegative float terms mass * |v|^p.  Each term's
+    relative error, in units of u = 2^-53 (half an ulp): the mass, a
+    run_mass float within one ulp (2) or an exact mass or alpha_k rounded on
+    use (1); |v|^p, where float(|v|) rounds once (1) and the power
     multiplies that p-fold, and pow is within one ulp (2); the product (1).
     So a term is within (p + 5) u; fsum rounds the nonnegative sum once (1)
     and padding its ends rounds twice more (2), (p + 8) u in all, which
     _NORM_SUM_ULPS = 10 covers with room for the second-order terms.  A term
     that underflows loses at most 2^-1074 absolutely instead, so both ends
     also move by that much per term.
+
+    When a power or a padded sum leaves the float range, the sums are taken
+    of mass * (|v|/M)^p with M = max hi_abs, and the root is scaled back by
+    M: sum mass |v|^p = M^p sum mass (|v|/M)^p for any M > 0.  The quotient
+    adds one more rounding to the base of the power, another p u, so the
+    budget becomes (2p + _NORM_SUM_ULPS) u, and the product M * root rounds
+    once more, which one outward step at each end covers.
     """
-    pad = (p + _NORM_SUM_ULPS) * 2.0**-53
+    try:
+        return _root_of_sums(masses, lo_abs, hi_abs, p, None)
+    except OverflowError:
+        M = max(float(a) for a in hi_abs)
+        enc = _root_of_sums(masses, lo_abs, hi_abs, p, M)
+        return Enclosure(max(0.0, _pad_down(M * enc.lower)), _pad_up(M * enc.upper))
+
+
+def _root_of_sums(masses, lo_abs, hi_abs, p: float, M) -> Enclosure:
+    """_norm_sum_enclosure with the bases |v| (M None) or |v|/M; see there."""
+    if M is None:
+        ulps, power = p + _NORM_SUM_ULPS, lambda a: _abs_pow(a, p)
+    else:
+        ulps, power = 2 * p + _NORM_SUM_ULPS, lambda a: (float(a) / M) ** p
+    lo_terms = [m * power(a) for m, a in zip(masses, lo_abs)]
+    # p_norm passes one list for both ends
+    hi_terms = lo_terms if hi_abs is lo_abs else [m * power(a) for m, a in zip(masses, hi_abs)]
+    pad = ulps * 2.0**-53
     tiny = math.ulp(0.0) * (len(hi_terms) + 1)
     lo = math.fsum(lo_terms) * (1 - pad) - tiny
-    return _root_enclosure(lo, math.fsum(hi_terms) * (1 + pad) + tiny, p)
+    hi = math.fsum(hi_terms) * (1 + pad) + tiny
+    if hi == math.inf:
+        raise OverflowError("padded norm sum leaves the float range")
+    return _root_enclosure(lo, hi, p)
 
 
-def _adaptive_ladder(start=_ADAPTIVE_START):
+def _adaptive_ladder(lim: Limits, start=_ADAPTIVE_START):
     """Yield (size, capped) truncation steps; the consumer breaks when satisfied."""
-    cap = min(current_limits().max_j, _ADAPTIVE_CAP)
+    cap = min(lim.max_j, _ADAPTIVE_CAP)
     K = min(start, cap)
     while True:
         yield K, K >= cap
@@ -285,13 +313,14 @@ def p_norm(f: SeqFunction, p, K: Optional[int] = None) -> Enclosure:
     when beta*p >= 1/2 (the function is then outside the space).
     """
     p = check_exponent(p)
+    lim = current_limits()
     if isinstance(f, PowerGrowth):
         q = f.beta * p
         if q >= 0.5:
             raise NotInLpError(
                 f"k^{f.beta} is outside l^{p}(N, alpha): needs beta*p < 1/2, got {q}"
             )
-        for size, capped in _adaptive_ladder(start=K or _ADAPTIVE_START):
+        for size, capped in _adaptive_ladder(lim, start=K or _ADAPTIVE_START):
             if K is not None:
                 size, capped = K, True
             logs = weights.log_row(1, size)
@@ -303,13 +332,14 @@ def p_norm(f: SeqFunction, p, K: Optional[int] = None) -> Enclosure:
                 return _root_enclosure(s * (1 - slop), (s + tail) * (1 + slop), p)
     # run i carries mass T(starts[i]) - T(starts[i+1]), the last run T(L)
     ends = f.starts[1:] + (None,)
-    terms = [
-        weights.run_mass(s, e) * _abs_pow(v, p) for s, e, v in zip(f.starts, ends, f.levels)
-    ]
-    if all(isinstance(t, Fraction) for t in terms):
-        mass = sum(terms, Fraction(0))
+    masses = [weights._run_mass(s, e, lim) for s, e in zip(f.starts, ends)]
+    levels = [abs(v) for v in f.levels]
+    if all(isinstance(m, Fraction) for m in masses) and all(
+        _is_exact(a) and a in (0, 1) for a in levels
+    ):
+        mass = sum((m for m, a in zip(masses, levels) if a), Fraction(0))
         return _root_enclosure(mass, mass, p)
-    return _norm_sum_enclosure(terms, terms, p)
+    return _norm_sum_enclosure(masses, levels, levels, p)
 
 
 def _exact_value(v) -> Union[int, Fraction]:
@@ -340,25 +370,31 @@ def apply_A_pow(
     if n == 0:
         v = f(k)
         return Enclosure.point(v)
+    return _apply_A_pow(f, n, k, J, backend, current_limits())
 
+
+def _apply_A_pow(
+    f: SeqFunction, n: int, k: int, J: Optional[int], backend: str, lim: Limits
+) -> Enclosure:
+    """apply_A_pow for n >= 1 and k >= 0, under the limits lim."""
     if J is not None and J < 0:
         raise ValueError("truncation must be >= 0")
     if isinstance(f, PowerGrowth):
         if J is not None:
             return _apply_power(f, n, k, J)
-        for size, capped in _adaptive_ladder():
+        for size, capped in _adaptive_ladder(lim):
             enc = _apply_power(f, n, k, size)
             w = float(enc.width)
             if capped or w <= max(1e-14, 1e-10 * max(float(enc.lower), 1e-300)):
                 return enc
     if J is not None:
         rest = f.levels[bisect.bisect_right(f.starts, k + J) - 1:]  # not yet summed
-        return _bounded_sum(f, n, k, J, backend, min(0, min(rest)), max(0, max(rest)))
+        return _bounded_sum(f, n, k, J, backend, min(0, min(rest)), max(0, max(rest)), lim)
     L, c = f.starts[-1], f.levels[-1]
     if k >= L:
         return Enclosure.point(Fraction(c))
     # every level past the table is c, so the remainder is c times its mass
-    return _bounded_sum(f, n, k, L - k, backend, c, c)
+    return _bounded_sum(f, n, k, L - k, backend, c, c, lim)
 
 
 def _apply_power(f: PowerGrowth, n: int, k: int, J: int) -> Enclosure:
@@ -375,7 +411,7 @@ def _apply_power(f: PowerGrowth, n: int, k: int, J: int) -> Enclosure:
 
 
 def _bounded_sum(
-    f: EventuallyConstant, n: int, k: int, J: int, backend: str, lo_level, hi_level
+    f: EventuallyConstant, n: int, k: int, J: int, backend: str, lo_level, hi_level, lim: Limits
 ) -> Enclosure:
     """sum_{j<J} alpha^n_j f(j+k) plus a remainder with levels in [lo_level, hi_level].
 
@@ -383,9 +419,9 @@ def _bounded_sum(
     exact backend and to a relative row_slop on the log backend.  Exact
     masses are integer prefix sums over one denominator (weights.exact_prefix).
     """
-    exact = weights.exact_ok(n, J) if backend == "auto" else backend == "exact"
+    exact = weights._exact_ok(n, J, lim) if backend == "auto" else backend == "exact"
     if exact:
-        C, D = weights.exact_prefix(n, J)
+        C, D = weights._exact_prefix(n, J, lim)
         segs = _segments(f, k, J)
         partial = Fraction(sum(_exact_value(v) * (C[hi] - C[lo]) for lo, hi, v in segs if v), D)
         if not (lo_level or hi_level):
@@ -470,6 +506,7 @@ def image_p_norm(
         raise ValueError("need n >= 0")
     if n == 0:
         return p_norm(f, p, K)
+    lim = current_limits()
     if isinstance(f, PowerGrowth):
         if f.beta >= 0.5:
             raise NotSummableError("image diverges pointwise: needs beta < 1/2")
@@ -502,24 +539,22 @@ def image_p_norm(
             lo_sum += float(np.sum(ak * np.maximum(inner * (1 - slop), 0.0) ** p))
             hi_sum += float(np.sum(ak * ((inner + inner_tail) * (1 + slop)) ** p))
         # k-tail: A^n f(k) <= C_n k^beta for k >= 1 since (j+k)^beta <= ((1+j)k)^beta
-        c_n = float(apply_A_pow(f, n, 1, J=J_eff).upper)
+        c_n = float(_apply_A_pow(f, n, 1, J_eff, "auto", lim).upper)
         outer_tail = c_n**p * weights.power_tail_bound(q, K_eff)
         slop = weights.row_slop(K_eff)
         return _root_enclosure(
             lo_sum * (1 - slop), (hi_sum + outer_tail) * (1 + slop), p
         )
     L, c = f.starts[-1], f.levels[-1]
-    closing = weights.run_mass(L) * _abs_pow(c, p)  # the image is c for k >= L
-    lo_terms, hi_terms = [closing], [closing]
+    # the image is c for k >= L, on the mass T(L)
+    masses, lo_abs, hi_abs = [weights._run_mass(L, None, lim)], [abs(c)], [abs(c)]
     for k in range(L):
-        enc = apply_A_pow(f, n, k, J=J)
-        ak = float(weights.alpha_exact(k))
+        enc = _apply_A_pow(f, n, k, J, "auto", lim)
         a, b = float(enc.lower), float(enc.upper)
-        abs_lo = 0.0 if a <= 0.0 <= b else min(abs(a), abs(b))
-        abs_hi = max(abs(a), abs(b))
-        lo_terms.append(ak * abs_lo**p)
-        hi_terms.append(ak * abs_hi**p)
-    return _norm_sum_enclosure(lo_terms, hi_terms, p)
+        masses.append(float(weights.alpha_exact(k)))
+        lo_abs.append(0.0 if a <= 0.0 <= b else min(abs(a), abs(b)))
+        hi_abs.append(max(abs(a), abs(b)))
+    return _norm_sum_enclosure(masses, lo_abs, hi_abs, p)
 
 
 class BoundCheck(NamedTuple):

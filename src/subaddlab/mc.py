@@ -6,6 +6,15 @@ closed tail T(J) = binom(2J,J) 4^(-J).  Path simulation of the first-passage
 construction would have infinite expected cost per sample; inversion is
 O(log of the sampled index).
 
+The tail draws of one call are inverted together: a vectorized bisection
+replays the scalar search (_invert_tail) step for step on int64 arrays, and
+decides each step with a Stirling series for log T that is cheap in numpy.
+Where the series lies within a derived tie band of log(1 - u), the step is
+decided by the scalar double log-gamma expression itself, so the integers
+are those of the scalar search even where that expression is not monotone.
+Draws whose search would leave int64 (1 - u below about 1e-9) take the
+scalar search.
+
 The law has infinite mean, so nothing here normalizes sums; only
 expectations E f(S_n + k) with summable f are estimated.  Variance may still
 be infinite for power growth with beta >= 1/4, where estimation switches to
@@ -89,6 +98,107 @@ def _invert_tail(u: float) -> int:
     return min(lo, _INDEX_CAP)
 
 
+# the vectorized search seeds hi = 4 int(1/(pi v^2)) below 2^60 and grows it
+# to at most 2^62, so lo + hi stays inside int64; other draws go scalar
+_VEC_SEED_MAX = 2.0**58
+_VEC_GROW_MAX = 1 << 60
+_LOG_PI = math.log(math.pi)
+
+
+def _log_tail_series(x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
+    """log T(m) at float m = x > 1024, given log_x = log(x).
+
+    The Stirling series -log(pi m)/2 - 1/(8m) + 1/(192 m^3) of
+    log binom(2m, m) - 2m log 2 = lgamma(2m+1) - 2 lgamma(m+1) - 2m log 2.
+    Each lgamma remainder is bounded by its first omitted term, so the
+    truncation error is at most 1/(1260 (2m)^5) + 2/(1260 m^5) < 1e-17.
+    """
+    r = 1.0 / x
+    return -0.5 * (log_x + _LOG_PI) - r * (0.125 - r * r / 192.0)
+
+
+def _tie_band(x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
+    """Bound on |_log_tail(m) - _log_tail_series(m)| at float m = x > 1024.
+
+    In units of u = 2^-53, with S = (2m+1) log(2m+1) and CPython's lgamma
+    taken to be within 4 ulps (8u relative) of the true value, the scalar
+    _log_tail errs by at most: lgamma(2m+1), of size <= S, 8u S, plus u S
+    for rounding 2m+1 to a float (lgamma' = digamma < log(2m+1));
+    2 lgamma(m+1) <= S likewise, 9u S; their difference rounds once, u S;
+    2m log 2 <= S carries the rounding of LN2 and of the product, 2u S; the
+    last subtraction rounds once, u S.  That is 21u S, and 24u S leaves
+    room for second-order terms.
+
+    The series in float, for log m <= 44: np.log within 2 ulps (128u),
+    halved, 64u; adding log pi and halving, 16u; the closing subtraction,
+    8u; rounding m to a float moves log m by u; truncation, under 1e-17.
+    That is under 90u, and 128u covers it.  The margins also absorb the
+    rounding of this band and of the difference compared with it.
+
+    The band is evaluated with log(2m+1) <= log(m) + 0.6936, which holds
+    for m > 1024, so it only widens.  A sweep in tests/test_mc.py checks it
+    against the scalar expression.
+    """
+    return 2.0**-53 * ((48.0 * x + 24.0) * (log_x + 0.6936) + 128.0)
+
+
+def _tail_below(m: np.ndarray, logv: np.ndarray) -> np.ndarray:
+    """_log_tail(m + 1) < logv elementwise, decided as the scalar decides it.
+
+    Outside the tie band the series and the scalar expression lie on the
+    same side of logv; inside it the scalar expression is evaluated.
+    """
+    x = (m + 1).astype(np.float64)
+    log_x = np.log(x)
+    d = _log_tail_series(x, log_x) - logv
+    below = d < 0.0
+    for i in np.nonzero(np.abs(d) <= _tie_band(x, log_x))[0]:
+        below[i] = _log_tail(int(m[i]) + 1) < logv[i]
+    return below
+
+
+def _invert_tails(u: np.ndarray) -> np.ndarray:
+    """[_invert_tail(x) for x in u], by one bisection over the whole array.
+
+    Each draw takes the scalar search's steps: the same hi seed (the same
+    float operations, truncated the same way), the same hi *= 4 growth and
+    the same mids, each decided by _tail_below.  Draws whose hi would pass
+    the int64-safe range take _invert_tail itself.
+    """
+    out = np.empty(u.shape, dtype=np.int64)
+    v = 1.0 - u
+    with np.errstate(divide="ignore", over="ignore"):
+        seed = 1.0 / (np.pi * v * v)
+    vec = (v > 0.0) & (seed < _VEC_SEED_MAX)
+    pos = np.nonzero(vec)[0]
+    logv = np.array([math.log(t) for t in v[pos].tolist()])
+    hi = np.maximum(2 * _TABLE_SIZE, 4 * seed[pos].astype(np.int64))
+    grow = ~_tail_below(hi, logv)
+    while np.any(grow):
+        stuck = grow & (hi > _VEC_GROW_MAX)
+        vec[pos[stuck]] = False
+        grow &= ~stuck
+        hi[grow] *= 4
+        g = np.nonzero(grow)[0]
+        grow[g] = ~_tail_below(hi[g], logv[g])
+    keep = vec[pos]
+    pos, logv, hi = pos[keep], logv[keep], hi[keep]
+    lo = np.full_like(hi, _TABLE_SIZE)  # < hi, as hi >= 2 _TABLE_SIZE
+    while pos.size:
+        mid = (lo + hi) >> 1
+        below = _tail_below(mid, logv)
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid + 1)
+        done = lo >= hi
+        if done.any():
+            out[pos[done]] = lo[done]  # lo <= hi <= 2^62 = _INDEX_CAP
+            live = ~done
+            pos, logv, lo, hi = pos[live], logv[live], lo[live], hi[live]
+    for i in np.nonzero(~vec)[0]:
+        out[i] = _invert_tail(float(u[i]))
+    return out
+
+
 def _sample_array(gen: np.random.Generator, size: int) -> np.ndarray:
     """size iid draws from alpha, as int64; one uniform consumed per draw."""
     u = gen.random(size)
@@ -105,9 +215,9 @@ def _sample_array(gen: np.random.Generator, size: int) -> np.ndarray:
             num, den = float(u[i]).as_integer_ratio()
             idx[i] = bisect.bisect_right(C, num * D // den) - 1
     out = idx.astype(np.int64)
-    in_tail = np.nonzero(idx >= _TABLE_SIZE)[0]
-    for i in in_tail:
-        out[i] = _invert_tail(float(u[i]))
+    in_tail = idx >= _TABLE_SIZE
+    if np.any(in_tail):
+        out[in_tail] = _invert_tails(u[in_tail])
     return out
 
 

@@ -19,7 +19,9 @@ convolution, subadditivity and monotonicity are integer comparisons, and
 prefix masses (exact_prefix) are integer prefix sums over the one
 denominator 2^(2J+n).  Fractions are built only at the API boundary
 (exact_row, alpha_pow_exact, tail_exact).  exact_ok is the one rule for
-which rows the exact backend takes.
+which rows the exact backend takes.  exact_ok, exact_prefix and run_mass
+read the resource limits; each has a private twin that takes them, for
+callers that read the limits once per public call.
 
 "log" carries log-domain float64 weights for index ranges where exact
 integers get too wide, and the 40-digit log-gamma values (alpha_pow_log,
@@ -41,7 +43,7 @@ import mpmath
 import numpy as np
 
 from .errors import NotSummableError, ResourceLimitError
-from .limits import check_row_length, current_limits
+from .limits import Limits, current_limits
 
 Weight = Union[Fraction, float]
 
@@ -167,23 +169,27 @@ def exact_ok(n: int, J: int) -> bool:
 
     It does when the largest j + n, (J - 1) + n, is within exact_limit.
     """
-    return J == 0 or (J - 1) + n <= current_limits().exact_limit
+    return _exact_ok(n, J, current_limits())
 
 
-def _check_exact(n: int, J: int) -> None:
+def _exact_ok(n: int, J: int, lim: Limits) -> bool:
+    return J == 0 or (J - 1) + n <= lim.exact_limit
+
+
+def _check_exact(n: int, J: int, lim: Limits) -> None:
     if n < 1 or J < 0:
         raise ValueError("need n >= 1 and J >= 0")
-    check_row_length(J)
-    if not exact_ok(n, J):
+    lim.check_row_length(J)
+    if not _exact_ok(n, J, lim):
         raise ResourceLimitError(
-            f"exact backend limited to j + n <= {current_limits().exact_limit}; "
+            f"exact backend limited to j + n <= {lim.exact_limit}; "
             f"requested j + n = {(J - 1) + n}"
         )
 
 
 def exact_row(n: int, J: int) -> tuple:
     """Weights alpha^n_0 .. alpha^n_{J-1} as reduced Fractions."""
-    _check_exact(n, J)
+    _check_exact(n, J, current_limits())
     return tuple(_dyadic(N, 2 * j + n) for j, N in enumerate(_row_exact(n, J)))
 
 
@@ -193,7 +199,11 @@ def exact_prefix(n: int, J: int) -> tuple:
     Returns (C, D) with sum_{j<i} alpha^n_j = C[i] / D for i = 0..J, where
     D = 2^(2J+n) and C[i+1] = C[i] + N^n_i 4^(J-i).
     """
-    _check_exact(n, J)
+    return _exact_prefix(n, J, current_limits())
+
+
+def _exact_prefix(n: int, J: int, lim: Limits) -> tuple:
+    _check_exact(n, J, lim)
     return _prefix_exact(n, J)
 
 
@@ -201,7 +211,7 @@ def log_row(n: int, J: int) -> np.ndarray:
     """log alpha^n_j for j = 0..J-1 (read-only array)."""
     if n < 1 or J < 0:
         raise ValueError("need n >= 1 and J >= 0")
-    check_row_length(J)
+    current_limits().check_row_length(J)
     if J > _LOG_CACHE_MAX_J:
         return _build_log_row(n, J)
     return _row_log(n, J)[:J]
@@ -227,10 +237,14 @@ def run_mass(a: int, b: Optional[int] = None) -> Weight:
     alpha_a = T(a)/(2(a+1)), magnifies at most 2(a+1)-fold, leaving a
     relative working error below 1e-35.
     """
+    return _run_mass(a, b, current_limits())
+
+
+def _run_mass(a: int, b: Optional[int], lim: Limits) -> Weight:
     if a < 0 or (b is not None and b < a):
         raise ValueError("need 0 <= a <= b")
     last = a if b is None else b
-    if exact_ok(1, last):
+    if _exact_ok(1, last, lim):
         t = tail_exact(a)
         return t if b is None else t - tail_exact(b)
     with mpmath.workdps(40 + 2 * len(str(last))):

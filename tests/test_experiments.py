@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from subaddlab import experiments, weights
+from subaddlab.limits import current_limits
 from subaddlab.errors import EmptyGridError, NotInLpError
 from subaddlab.lpspace import IndicatorGE, PowerGrowth
 
@@ -27,11 +28,11 @@ def test_witness_fn():
 
 def test_survival_lower_by_hand():
     # prefix sums of (1/4, 1/8, 5/64, 7/128): survival at k is 1 - prefix(4-k)
-    surv = experiments._survival_lower(2, 4)
+    surv = experiments._survival_lower(2, 4, current_limits())
     expected = [Fraction(63, 128), Fraction(35, 64), Fraction(5, 8), Fraction(3, 4)]
     assert np.allclose(surv, [float(v) for v in expected], rtol=0, atol=1e-15)
     # the log route must stay below the true survival (lower bounds)
-    lo = experiments._survival_lower(2, 2100)
+    lo = experiments._survival_lower(2, 2100, current_limits())
     exactish = 1.0 - float(sum(weights.exact_row(2, 1998), Fraction(0)))
     assert 0.0 <= lo[2100 - 1998] <= exactish + 1e-12
 

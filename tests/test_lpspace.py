@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subaddlab import weights
-from subaddlab.errors import NotInLpError, NotSummableError
+from subaddlab.errors import NotInLpError, NotSummableError, ResourceLimitError
 from subaddlab.lpspace import (
     Enclosure,
     EventuallyConstant,
@@ -182,6 +182,36 @@ def test_p_norm_far_indicator_is_fast_and_sound():
     e = p_norm(FiniteTable((third,)), 1000)
     assert e.lower <= 0.5 ** (1 / 1000) / 3 <= e.upper
 
+
+
+def test_norms_past_the_float_range():
+    # 10^400 overflows a double; the norm sums are then scaled by max |v|
+    for values in ((10,), (10, -3, Fraction(1, 3))):
+        f = FiniteTable(values)
+        for p in (400, 1000):
+            for n in (0, 1, 2):
+                ref = mpmath_norm(f, n, p)
+                e = p_norm(f, p) if n == 0 else image_p_norm(f, n, p)
+                assert e.lower <= ref <= e.upper, (values, p, n)
+                assert e.width <= 1e-13 * float(ref)
+    e = p_norm(FiniteTable((10,)), 400)
+    assert e.lower <= 10 * 2 ** (-1 / 400) <= e.upper
+
+
+def test_limits_take_effect_at_the_next_call(monkeypatch):
+    # each public call reads the limits once and hands them to its inner loops
+    f = IndicatorGE(60)
+    assert isinstance(apply_A_pow(f, 1, 0).lower, Fraction)
+    monkeypatch.setenv("SUBADDLAB_EXACT_LIMIT", "50")
+    enc = apply_A_pow(f, 1, 0)
+    assert isinstance(enc.lower, float)
+    assert enc.lower <= weights.tail_exact(60) <= enc.upper
+    monkeypatch.delenv("SUBADDLAB_EXACT_LIMIT")
+    monkeypatch.setenv("SUBADDLAB_MAX_J", "40")
+    with pytest.raises(ResourceLimitError):
+        image_p_norm(f, 1, 2.0)
+    monkeypatch.delenv("SUBADDLAB_MAX_J")
+    assert image_p_norm(f, 1, 2.0).upper > 0
 
 
 def test_p_norm_finite_table():

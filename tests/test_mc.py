@@ -4,10 +4,13 @@ Distribution oracles are the exact weights: CDF pins are rational identities,
 the chi-squared reference counts come from alpha_0..alpha_63 plus one exact
 tail bucket, and the deep-tail check compares against T(100) in closed form.
 All seeded runs are deterministic, so observed statistics are reproducible
-pins rather than flaky draws.
+pins rather than flaky draws.  The vectorized tail inversion is checked
+against the scalar search it replays, draw for draw, and the seeded draws
+are pinned by digest.
 """
 
 import bisect
+import hashlib
 import math
 from fractions import Fraction
 
@@ -140,6 +143,92 @@ def test_invert_tail_deep_clamp():
     lo, hi = weights.tail_float_bounds(j)
     assert j >= mc._TABLE_SIZE
     assert lo * 0.99 <= 1e-4 <= weights.tail_float_bounds(max(j - 1, 1))[1] * 1.01
+
+
+def tail_uniforms(seed, size=1 << 18):
+    """The seeded uniforms of one draw that fall in the tail (u >= P(X < 1024))."""
+    u = mc.make_generator(seed).random(size)
+    return u[u >= mc._float_cdf()[-1]]
+
+
+def scalar_tails(u):
+    return np.array([mc._invert_tail(x) for x in np.asarray(u).tolist()], dtype=np.int64)
+
+
+@pytest.mark.parametrize("seed", [2, 8, 13, 21])
+def test_vectorized_tail_inversion_matches_scalar(seed):
+    u = tail_uniforms(seed)
+    assert len(u) > 4000
+    assert np.array_equal(mc._invert_tails(u), scalar_tails(u))
+
+
+def adversarial_uniforms():
+    """Uniforms at the extremes of the tail search."""
+    edge = float(mc._float_cdf()[-1])
+    u = [1.0 - 2.0**-e for e in range(2, 54)]
+    u += [math.nextafter(1.0, 0.0), 1.0]
+    u += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)]
+    # v = 1 - u where the search seed 1/(pi v^2) crosses the int64 cut, whose
+    # larger side goes to the scalar search: eight uniforms either side
+    v_cut = 1.0 / math.sqrt(math.pi * mc._VEC_SEED_MAX)
+    x = 1.0 - v_cut
+    for _ in range(8):
+        x = math.nextafter(x, 0.0)
+    for _ in range(16):
+        u.append(x)
+        x = math.nextafter(x, 1.0)
+    return np.array(u)
+
+
+def test_vectorized_tail_inversion_adversarial():
+    u = adversarial_uniforms()
+    seeds = [1.0 / (math.pi * (1.0 - x) ** 2) if x < 1.0 else math.inf for x in u]
+    # both sides of the int64 cut are present
+    assert any(s < mc._VEC_SEED_MAX for s in seeds[-16:])
+    assert any(s >= mc._VEC_SEED_MAX for s in seeds[-16:])
+    want = scalar_tails(u)
+    assert np.array_equal(mc._invert_tails(u), want)
+    # through the sampler, the uniforms past the table take the same indices
+    out = mc._sample_array(FixedUniforms(u), len(u))
+    tail = out >= mc._TABLE_SIZE
+    assert tail.sum() > 20
+    assert np.array_equal(out[tail], want[tail])
+    assert mc._invert_tails(np.array([1.0]))[0] == mc._INDEX_CAP
+
+
+def test_tie_band_covers_scalar_log_tail():
+    """The tie band bounds |series - _log_tail| over the vectorized range of m."""
+    dense = np.arange(mc._TABLE_SIZE + 1, 10**6 + 1, dtype=np.int64)
+    sparse = np.unique(np.geomspace(10**6, 2.0**62, 20_000).astype(np.int64))
+    m = np.concatenate([dense, sparse, [2**62 + 1]])
+    x = m.astype(np.float64)
+    log_x = np.log(x)
+    gap = np.abs(mc._log_tail_series(x, log_x) - np.array([mc._log_tail(j) for j in m.tolist()]))
+    assert np.all(gap <= mc._tie_band(x, log_x))
+
+
+# SHA-256 of the int64 bytes of _sample_array(make_generator(seed), 2**20),
+# recorded from the scalar per-draw inversion that the vectorized one replaces
+SAMPLE_DIGESTS = {
+    2: "d7f23c1d59a303facaf61aaa1f9b703d061bcace59489ca19a5f139d7b994a65",
+    3: "1d992788aef33213cb71b6b46671400fa0611a341052c9ac3d686b0c3ebe9399",
+    5: "a1b43698a4cd487850a4fb71ca1e725835d7e29fb4feefd0410a48a3779848d8",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SAMPLE_DIGESTS))
+def test_seeded_draws_pinned(seed):
+    draws = mc._sample_array(mc.make_generator(seed), 2**20)
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == SAMPLE_DIGESTS[seed]
+
+
+def test_power_estimate_pinned():
+    # the mc_tail benchmark's estimate: 16M draws, about 282k of them in the tail
+    est = mc.mc_apply_A(PowerGrowth(0.2), 8, 0, 2_000_000, mc.make_generator(2))
+    assert repr(est) == (
+        "McEstimate(mean=2.88743416149614, half_width=0.002062939616100319, "
+        "trials=2000000, method='mean')"
+    )
 
 
 def test_eval_on_indices_padding():
