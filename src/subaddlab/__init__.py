@@ -3,7 +3,7 @@
 The base object is the heavy-tailed law alpha_j = C_j/2^(2j+1) (C_j Catalan)
 and the barycenter operator A = sum_j alpha_j T^j built from the translation
 T on the weighted sequence space.  The package computes convolution powers
-exactly or in log-domain floats, brackets the infinite sums in certified
+exactly or in certified float rows, brackets the infinite sums in certified
 enclosures, and runs the desk-scale experiments showing ||A^n||_p/n -> 0
 while sup_n ||A^n||_p = infinity, together with a Monte Carlo cross-check.
 """

@@ -64,8 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--inject-float-bias",
         type=float,
         default=0.0,
-        help="fault injection: add this to every log-backend value "
-        "before the agreement scan (a correct build passes only at 0)",
+        help="fault injection: add this to every log-domain value, and scale "
+        "every float-row weight by e^bias, before the agreement scan (a "
+        "correct build passes only at 0)",
     )
 
     sp = add("growth", "norm growth of A^n on the moving-window witnesses", _run_growth)
@@ -127,14 +128,14 @@ def _run_alpha(args):
         backend = "exact" if weights.exact_ok(n, J) else "log"
     if backend == "exact":
         row = weights.exact_row(n, J)
-        tail, slop = weights.tail_pow_bound(n, J), 0
+        prefix, slop = sum(row), 0
+        tail = weights.tail_pow_bound(n, J)
     else:
-        # math.exp per element: np.exp can differ by an ulp, and the CSV
-        # prints every bit
-        row = [math.exp(v) for v in weights.log_row(n, J)]
+        values = weights.float_row(n, J)
+        row = values.tolist()
+        # the float prefix mass is within slop of the true one
+        prefix, slop = weights.row_dot(n, values)
         tail = min(1.0, n * weights.tail_float_bounds(J)[1])
-        slop = weights.row_slop(J) + 1e-12
-    prefix = sum(row)
     verdicts = {
         "prefix_mass_le_one": bool(prefix <= 1 + slop),
         "prefix_plus_tail_covers_one": bool(prefix + tail >= 1 - slop),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import weights
 from .errors import EmptyGridError, NotInLpError
 from .limits import Limits, current_limits
 from .lpspace import EventuallyConstant, IndicatorGE, PowerGrowth, SeqFunction
-from .lpspace import apply_A_pow, check_exponent
+from .lpspace import _POW_ULPS, _power_enclosure, _powers, _root_enclosure, check_exponent
 
 
 def witness_fn(n: int) -> EventuallyConstant:
@@ -61,11 +62,14 @@ def _survival_lower(n: int, m: int, lim: Limits) -> np.ndarray:
         # rounds correctly, so it is the only rounding, and a half-ulp never
         # hurts a lower bound materially
         return np.array([(D - C[m - k]) / D for k in range(m)])
-    logs = weights.log_row(n, m)
-    cs = np.cumsum(np.exp(np.asarray(logs)))
-    slop = weights.row_slop(m)
-    surv = 1.0 - cs[::-1] * (1.0 + slop)
-    return np.maximum(surv, 0.0)
+    row = weights.float_row(n, m)
+    # np.cumsum adds in order, so prefix i errs by at most i u (plus second
+    # order) of its nonnegative terms, beside each entry's row_error; the
+    # 4u more cover the second-order terms and the rounding of the product
+    rel, tiny = weights.row_error(n)
+    cs = np.cumsum(row)[::-1] * (1.0 + rel + (m + 4) * weights.U) + m * tiny
+    # rounding 1 - cs down keeps a lower bound
+    return np.maximum(np.nextafter(1.0 - np.nextafter(cs, np.inf), -np.inf), 0.0)
 
 
 def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthResult:
@@ -97,11 +101,9 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
             t_m = math.nextafter(t_m, math.inf)  # within an ulp; pad the denominator up
         norm_fn = float(t_m) ** (1.0 / p)
         surv = _survival_lower(n, m, lim)
-        base = np.exp(np.asarray(weights.log_row(1, m)))
-        q_sum = float(np.sum(base * surv**p))
-        # base and survival carry at most one row_slop of relative drift each
-        slop = 3 * weights.row_slop(m) + 1e-12
-        norm_lower = max(0.0, q_sum * (1 - slop)) ** (1.0 / p)
+        # surv**p is np.power of the float lower bounds surv
+        q_sum, q_err = weights.row_dot(1, weights.float_row(1, m), surv**p, _POW_ULPS)
+        norm_lower = _root_enclosure(q_sum - q_err, q_sum, p).lower
         ratio = norm_lower / norm_fn
         rows.append(
             GrowthRow(n, norm_fn, norm_lower, ratio, (n + 1) ** (1.0 / p))
@@ -172,13 +174,32 @@ def blowup_verdicts(rows) -> dict:
 
 
 def pointwise_divergence(f: SeqFunction, k: int = 0, n_max: int = 32, J: int = 1 << 20):
-    """Rows (n, lower(A^n f(k))) for n = 0..n_max at a fixed truncation."""
+    """Rows (n, lower(A^n f(k))) for n = 0..n_max at a fixed truncation.
+
+    Each lower end is that of apply_A_pow(f, n, k, J=J).  One sweep steps a
+    single float row through n = 1..n_max with (j+k)^beta built once, and
+    the rows are kept for the process, so a repeat of the same pass (the
+    blowup command after verify, in one report) costs nothing.  The row
+    ceiling is checked on every call, ahead of the memo.
+    """
     if not isinstance(f, PowerGrowth) or not 0 < f.beta < 0.5:
         raise ValueError("needs PowerGrowth with 0 < beta < 1/2")
+    if k < 0 or J < 0:
+        raise ValueError("need k >= 0 and J >= 0")
+    current_limits().check_row_length(J)
+    return _divergence_sweep(f, k, n_max, max(J, 1))
+
+
+@lru_cache(maxsize=8)
+def _divergence_sweep(f: PowerGrowth, k: int, n_max: int, J: int) -> tuple:
     rows = [(0, float(f(k)))]
-    for n in range(1, n_max + 1):
-        rows.append((n, float(apply_A_pow(f, n, k, J=J).lower)))
-    return tuple(rows)
+    if n_max < 1:
+        return tuple(rows)
+    powers = _powers(f.beta, k, J)
+    for n, row in weights.float_rows(J):
+        rows.append((n, float(_power_enclosure(f, n, k, J, row, powers).lower)))
+        if n == n_max:
+            return tuple(rows)
 
 
 def divergence_verdicts(rows) -> dict:
@@ -249,23 +270,16 @@ def lower_bound_probe(c0=1, n_max: int = 12, j_max: int = 2000) -> ProbeReport:
 def maximal_profile(m: int, N: int) -> tuple:
     """sup_{1<=n<=N} M_n(T)(g)(k) for g the window [m, 2m), at each k < 2m.
 
-    M_n(T)(g)(k) counts window hits among k..k+n-1 divided by n; the count is
-    min(n, 2m-k) - max(0, m-k) clipped at 0, so the sweep is pure integer
-    arithmetic with one cross-multiplied comparison per candidate.
+    M_n(T)(g)(k) counts the window hits among k..k+n-1, divided by n.  For
+    k < m the count is 0 up to n = m - k and n - (m - k) up to n = 2m - k,
+    then m, so the ratio rises to m/(2m - k) at n = 2m - k and falls after
+    it; for m <= k < 2m it is 1 at n = 1.  Both are reached within N >= 2m.
     """
     if m < 1:
         raise ValueError("need m >= 1")
     if N < 2 * m:
         raise ValueError("horizon too short: need N >= 2m")
-    out = []
-    for k in range(2 * m):
-        best_num, best_den = 0, 1
-        for n in range(1, N + 1):
-            hits = min(n, 2 * m - k) - max(0, m - k)
-            if hits > 0 and hits * best_den > best_num * n:
-                best_num, best_den = hits, n
-        out.append(Fraction(best_num, best_den))
-    return tuple(out)
+    return tuple(Fraction(m, 2 * m - k) if k < m else Fraction(1) for k in range(2 * m))
 
 
 def maximal_ratio_T(m: int, p, N: Optional[int] = None) -> float:

@@ -14,9 +14,10 @@ sums close with finitely many terms:
 
 Infinite sums are returned as Enclosure(lower, upper) pairs.  Exact rational
 partial sums are used whenever the function and the backend allow it; the
-float path carries a documented ~1e-12-level rounding allowance via
-weights.row_slop plus a certified tail bound, and a float norm sum the
-derived allowance of _norm_sum_enclosure.
+float path sums weights.float_rows entries with the derived allowance of
+weights.row_dot (about 1e-13 relative, whatever the row length) plus a
+certified tail bound, and a float norm sum the derived allowance of
+_norm_sum_enclosure.
 
 A truncated enclosure (apply_A_pow with J given) is the sum over j < J plus
 a bracket on the discarded remainder: the discarded mass times
@@ -31,6 +32,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -259,34 +261,51 @@ def _norm_sum_enclosure(masses, lo_abs, hi_abs, p: float) -> Enclosure:
     So a term is within (p + 5) u; fsum rounds the nonnegative sum once (1)
     and padding its ends rounds twice more (2), (p + 8) u in all, which
     _NORM_SUM_ULPS = 10 covers with room for the second-order terms.  A term
-    that underflows loses at most 2^-1074 absolutely instead, so both ends
-    also move by that much per term.
+    that underflows loses at most 2^-1074 absolutely instead, and so does a
+    term whose base underflows (by at most 2^-1075, which the power, p > 1,
+    does not magnify past 2^-1074), so both ends also move by that much per
+    term.
 
-    When a power or a padded sum leaves the float range, the sums are taken
-    of mass * (|v|/M)^p with M = max hi_abs, and the root is scaled back by
-    M: sum mass |v|^p = M^p sum mass (|v|/M)^p for any M > 0.  The quotient
-    adds one more rounding to the base of the power, another p u, so the
-    budget becomes (2p + _NORM_SUM_ULPS) u, and the product M * root rounds
-    once more, which one outward step at each end covers.
+    When a level, a power or a padded sum leaves the float range, the sums
+    are taken of mass * (|v| 2^-e)^p, with 2^e above every level (e the
+    bit length of the largest), and the root is scaled back by 2^e:
+    sum mass |v|^p = 2^(ep) sum mass (|v| 2^-e)^p.  The quotient is exact
+    and rounds once to a float, as float(|v|) does, so the budget stays
+    (p + _NORM_SUM_ULPS) u; the scaling back is exact too, giving a float
+    end when it fits and an exact Fraction end when it does not.
     """
     try:
         return _root_of_sums(masses, lo_abs, hi_abs, p, None)
     except OverflowError:
-        M = max(float(a) for a in hi_abs)
-        enc = _root_of_sums(masses, lo_abs, hi_abs, p, M)
-        return Enclosure(max(0.0, _pad_down(M * enc.lower)), _pad_up(M * enc.upper))
+        e = max(_bit_exponent(a) for a in hi_abs)
+        enc = _root_of_sums(masses, lo_abs, hi_abs, p, e)
+        return Enclosure(_times_pow2(enc.lower, e), _times_pow2(enc.upper, e))
 
 
-def _root_of_sums(masses, lo_abs, hi_abs, p: float, M) -> Enclosure:
-    """_norm_sum_enclosure with the bases |v| (M None) or |v|/M; see there."""
-    if M is None:
-        ulps, power = p + _NORM_SUM_ULPS, lambda a: _abs_pow(a, p)
-    else:
-        ulps, power = 2 * p + _NORM_SUM_ULPS, lambda a: (float(a) / M) ** p
+def _bit_exponent(a: Real) -> int:
+    """An e with |a| < 2^e: for a = P/Q in lowest terms, bits(P) - bits(Q) + 1."""
+    x = Fraction(a)
+    return x.numerator.bit_length() - x.denominator.bit_length() + 1
+
+
+def _times_pow2(x: float, e: int) -> Real:
+    """x 2^e exactly: a float when it fits, else a Fraction."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return Fraction(x) * 2**e
+
+
+def _root_of_sums(masses, lo_abs, hi_abs, p: float, e) -> Enclosure:
+    """_norm_sum_enclosure with the bases |v| (e None) or |v| 2^-e; see there."""
+
+    def power(a):
+        return _abs_pow(a, p) if e is None else float(abs(Fraction(a)) / 2**e) ** p
+
     lo_terms = [m * power(a) for m, a in zip(masses, lo_abs)]
     # p_norm passes one list for both ends
     hi_terms = lo_terms if hi_abs is lo_abs else [m * power(a) for m, a in zip(masses, hi_abs)]
-    pad = ulps * 2.0**-53
+    pad = (p + _NORM_SUM_ULPS) * 2.0**-53
     tiny = math.ulp(0.0) * (len(hi_terms) + 1)
     lo = math.fsum(lo_terms) * (1 - pad) - tiny
     hi = math.fsum(hi_terms) * (1 + pad) + tiny
@@ -323,13 +342,11 @@ def p_norm(f: SeqFunction, p, K: Optional[int] = None) -> Enclosure:
         for size, capped in _adaptive_ladder(lim, start=K or _ADAPTIVE_START):
             if K is not None:
                 size, capped = K, True
-            logs = weights.log_row(1, size)
-            k = np.arange(1, size, dtype=np.float64)
-            s = float(np.sum(np.exp(np.asarray(logs[1:]) + q * np.log(k))))
+            row = weights.float_row(1, size)[1:]
+            s, err = weights.row_dot(1, row, _powers(q, 1, size - 1), _POW_ULPS)
             tail = weights.power_tail_bound(q, size)
             if capped or tail <= max(1e-14, 1e-10 * s):
-                slop = weights.row_slop(size)
-                return _root_enclosure(s * (1 - slop), (s + tail) * (1 + slop), p)
+                return _root_enclosure(_pad_down(s - err), _pad_up(_pad_up(s + err) + tail), p)
     # run i carries mass T(starts[i]) - T(starts[i+1]), the last run T(L)
     ends = f.starts[1:] + (None,)
     masses = [weights._run_mass(s, e, lim) for s, e in zip(f.starts, ends)]
@@ -397,17 +414,33 @@ def _apply_A_pow(
     return _bounded_sum(f, n, k, L - k, backend, c, c, lim)
 
 
+# the error of np.power in float64, in units of u = 2^-53 (4 ulps)
+_POW_ULPS = 8
+
+
+def _powers(beta: float, k: int, J: int) -> np.ndarray:
+    """(j+k)^beta for j < J, with 0^beta = 0, each within _POW_ULPS u."""
+    out = np.power(np.arange(k, k + J, dtype=np.float64), beta)
+    if k == 0 and J:
+        out[0] = 0.0
+    return out
+
+
 def _apply_power(f: PowerGrowth, n: int, k: int, J: int) -> Enclosure:
     """Truncated sum over j < J plus the integral-comparison tail bound."""
     J_eff = max(J, 1)
-    logs = np.asarray(weights.log_row(n, J_eff))
-    j = np.arange(J_eff, dtype=np.float64) + float(k)
-    with np.errstate(divide="ignore"):
-        terms = np.where(j > 0, np.exp(logs + f.beta * np.log(np.maximum(j, 1e-300))), 0.0)
-    s = float(np.sum(terms))
-    slop = weights.row_slop(J_eff)
-    tail = n * (1.0 + k / J_eff) ** f.beta * weights.power_tail_bound(f.beta, J_eff)
-    return Enclosure(max(0.0, s * (1 - slop)), (s + tail) * (1 + slop))
+    return _power_enclosure(f, n, k, J_eff, weights.float_row(n, J_eff), _powers(f.beta, k, J_eff))
+
+
+def _power_enclosure(f: PowerGrowth, n: int, k: int, J: int, row, powers) -> Enclosure:
+    """_apply_power from row = float_row(n, J) and powers = _powers(f.beta, k, J).
+
+    The tail uses alpha^n_j <= n alpha_j and (j+k)^beta <= (1+k/J)^beta j^beta
+    for j >= J.
+    """
+    s, err = weights.row_dot(n, row, powers, _POW_ULPS)
+    tail = n * (1.0 + k / J) ** f.beta * weights.power_tail_bound(f.beta, J)
+    return Enclosure(max(0.0, _pad_down(s - err)), _pad_up(_pad_up(s + err) + tail))
 
 
 def _bounded_sum(
@@ -416,7 +449,7 @@ def _bounded_sum(
     """sum_{j<J} alpha^n_j f(j+k) plus a remainder with levels in [lo_level, hi_level].
 
     The remainder has mass R = 1 - sum_{j<J} alpha^n_j, known exactly on the
-    exact backend and to a relative row_slop on the log backend.  Exact
+    exact backend and within weights.row_dot's bound on the float one.  Exact
     masses are integer prefix sums over one denominator (weights.exact_prefix).
     """
     exact = weights._exact_ok(n, J, lim) if backend == "auto" else backend == "exact"
@@ -430,17 +463,16 @@ def _bounded_sum(
         lo = partial + _exact_value(lo_level) * rem
         hi = lo if hi_level == lo_level else partial + _exact_value(hi_level) * rem
         return Enclosure(lo, hi)
-    row = np.exp(np.asarray(weights.log_row(n, J)))
-    vals = _level_array(f, k, J)
-    slop = weights.row_slop(J)
-    s = float(np.dot(row, vals))
-    err = slop * float(np.dot(row, np.abs(vals)))
-    # R brackets the remainder mass; the slop covers the row's drift, but a
-    # rounding of 1 - mass or of the closing products is only covered by an
-    # outward step, so a side with a nonzero level rounds outward
-    mass = float(np.sum(row))
-    rems = (max(0.0, _pad_down(1.0 - mass * (1 + slop))), _pad_up(1.0 - mass * (1 - slop)))
-    lo, hi = s - err, s + err
+    row = weights.float_row(n, J)
+    # each level rounds once to a float
+    s, err = weights.row_dot(n, row, _level_array(f, k, J), 1)
+    mass, mass_err = weights.row_dot(n, row)
+    # R lies in [1 - (mass + mass_err), 1 - (mass - mass_err)], rounded outward
+    rems = (
+        max(0.0, _pad_down(1.0 - _pad_up(mass + mass_err))),
+        _pad_up(1.0 - _pad_down(mass - mass_err)),
+    )
+    lo, hi = _pad_down(s - err), _pad_up(s + err)
     if lo_level:
         lo = _pad_down(lo + _pad_down(min(_float_down(lo_level) * r for r in rems)))
     if hi_level:
@@ -515,46 +547,57 @@ def image_p_norm(
             raise NotInLpError(f"image outside the space: beta*p = {q} >= 1/2")
         K_eff = K or _ADAPTIVE_START
         J_eff = J or _ADAPTIVE_START
-        logs_n = np.asarray(weights.log_row(n, J_eff))
-        base = np.exp(np.asarray(weights.log_row(1, K_eff)))
-        j_idx = np.arange(J_eff, dtype=np.float64)
+        row_n = weights.float_row(n, J_eff)
+        # (j+k)^beta for j < J and k < K is the sliding window k of one vector
+        windows = np.lib.stride_tricks.sliding_window_view(
+            _powers(f.beta, 0, K_eff + J_eff - 1), J_eff
+        )
         tail_coeff = n * weights.power_tail_bound(f.beta, J_eff)
-        slop = weights.row_slop(J_eff)
-        lo_sum = 0.0
-        hi_sum = 0.0
-        chunk = 1024
-        for start in range(0, K_eff, chunk):
-            stop = min(start + chunk, K_eff)
+        lo_img, hi_img = np.empty(K_eff), np.empty(K_eff)
+        for start in range(0, K_eff, 1024):
+            stop = min(start + 1024, K_eff)
+            inner, err = weights.row_dot(n, row_n, windows[start:stop], _POW_ULPS)
             ks = np.arange(start, stop, dtype=np.float64)
-            grid = j_idx[None, :] + ks[:, None]
-            with np.errstate(divide="ignore"):
-                vals = np.where(
-                    grid > 0,
-                    np.exp(logs_n[None, :] + f.beta * np.log(np.maximum(grid, 1e-300))),
-                    0.0,
-                )
-            inner = vals.sum(axis=1)
             inner_tail = tail_coeff * (1.0 + ks / J_eff) ** f.beta
-            ak = base[start:stop]
-            lo_sum += float(np.sum(ak * np.maximum(inner * (1 - slop), 0.0) ** p))
-            hi_sum += float(np.sum(ak * ((inner + inner_tail) * (1 + slop)) ** p))
+            lo_img[start:stop] = np.maximum(np.nextafter(inner - err, -np.inf), 0.0)
+            hi = np.nextafter(inner + err, np.inf) + inner_tail
+            hi_img[start:stop] = np.nextafter(hi, np.inf)
+        base = weights.float_row(1, K_eff)
+        lo_sum, lo_err = weights.row_dot(1, base, lo_img**p, _POW_ULPS)
+        hi_sum, hi_err = weights.row_dot(1, base, hi_img**p, _POW_ULPS)
         # k-tail: A^n f(k) <= C_n k^beta for k >= 1 since (j+k)^beta <= ((1+j)k)^beta
         c_n = float(_apply_A_pow(f, n, 1, J_eff, "auto", lim).upper)
-        outer_tail = c_n**p * weights.power_tail_bound(q, K_eff)
-        slop = weights.row_slop(K_eff)
+        outer_tail = _pad_up(c_n**p * weights.power_tail_bound(q, K_eff))
         return _root_enclosure(
-            lo_sum * (1 - slop), (hi_sum + outer_tail) * (1 + slop), p
+            _pad_down(lo_sum - lo_err), _pad_up(_pad_up(hi_sum + hi_err) + outer_tail), p
         )
+    return _norm_sum_enclosure(*_image_levels(f, n, J, lim), p)
+
+
+@lru_cache(maxsize=64)
+def _image_levels(f: EventuallyConstant, n: int, J: Optional[int], lim: Limits) -> tuple:
+    """(masses, lo_abs, hi_abs) for ||A^n f||_p, whatever p.
+
+    The image is c on the mass T(L) past the table, and A^n f(k), bracketed
+    by its enclosure, on alpha_k for each k < L.
+    """
     L, c = f.starts[-1], f.levels[-1]
-    # the image is c for k >= L, on the mass T(L)
     masses, lo_abs, hi_abs = [weights._run_mass(L, None, lim)], [abs(c)], [abs(c)]
     for k in range(L):
         enc = _apply_A_pow(f, n, k, J, "auto", lim)
-        a, b = float(enc.lower), float(enc.upper)
+        a, b = _float_or_exact(enc.lower), _float_or_exact(enc.upper)
         masses.append(float(weights.alpha_exact(k)))
         lo_abs.append(0.0 if a <= 0.0 <= b else min(abs(a), abs(b)))
         hi_abs.append(max(abs(a), abs(b)))
-    return _norm_sum_enclosure(masses, lo_abs, hi_abs, p)
+    return tuple(masses), tuple(lo_abs), tuple(hi_abs)
+
+
+def _float_or_exact(x: Real) -> Real:
+    """float(x), or x itself past the float range (_norm_sum_enclosure scales it)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return x
 
 
 class BoundCheck(NamedTuple):

@@ -102,23 +102,10 @@ def _invert_tail(u: float) -> int:
 # to at most 2^62, so lo + hi stays inside int64; other draws go scalar
 _VEC_SEED_MAX = 2.0**58
 _VEC_GROW_MAX = 1 << 60
-_LOG_PI = math.log(math.pi)
-
-
-def _log_tail_series(x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
-    """log T(m) at float m = x > 1024, given log_x = log(x).
-
-    The Stirling series -log(pi m)/2 - 1/(8m) + 1/(192 m^3) of
-    log binom(2m, m) - 2m log 2 = lgamma(2m+1) - 2 lgamma(m+1) - 2m log 2.
-    Each lgamma remainder is bounded by its first omitted term, so the
-    truncation error is at most 1/(1260 (2m)^5) + 2/(1260 m^5) < 1e-17.
-    """
-    r = 1.0 / x
-    return -0.5 * (log_x + _LOG_PI) - r * (0.125 - r * r / 192.0)
 
 
 def _tie_band(x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
-    """Bound on |_log_tail(m) - _log_tail_series(m)| at float m = x > 1024.
+    """Bound on |_log_tail(m) - weights._log_tail_series(m)| at float m = x > 1024.
 
     In units of u = 2^-53, with S = (2m+1) log(2m+1) and CPython's lgamma
     taken to be within 4 ulps (8u relative) of the true value, the scalar
@@ -150,7 +137,7 @@ def _tail_below(m: np.ndarray, logv: np.ndarray) -> np.ndarray:
     """
     x = (m + 1).astype(np.float64)
     log_x = np.log(x)
-    d = _log_tail_series(x, log_x) - logv
+    d = weights._log_tail_series(x, log_x) - logv
     below = d < 0.0
     for i in np.nonzero(np.abs(d) <= _tie_band(x, log_x))[0]:
         below[i] = _log_tail(int(m[i]) + 1) < logv[i]
@@ -232,8 +219,10 @@ def walk(n: int, gen: np.random.Generator) -> int:
 
 def _eval_on_indices(f: SeqFunction, idx: np.ndarray) -> np.ndarray:
     if isinstance(f, PowerGrowth):
-        vals = np.power(idx.astype(np.float64), f.beta)
-        return np.where(idx == 0, 0.0, vals)
+        vals = idx.astype(np.float64)
+        np.power(vals, f.beta, out=vals)
+        vals[idx == 0] = 0.0
+        return vals
     # runs starting past the index cap are never reached; clamp to fit int64
     starts = np.array([min(s, _INDEX_CAP + 1) for s in f.starts], dtype=np.int64)
     levels = np.array([float(v) for v in f.levels])
@@ -269,7 +258,9 @@ def mc_apply_A(
             block = _sample_array(gen, (stop - start) * n)
             s = block.reshape(stop - start, n).sum(axis=1)
             sums[start:stop] = np.minimum(s, _INDEX_CAP)
-    values = _eval_on_indices(f, np.minimum(sums + k, _INDEX_CAP))
+    # in place: with 2e6 trials each int64 copy is 16 MB
+    sums += k
+    values = _eval_on_indices(f, np.minimum(sums, _INDEX_CAP, out=sums))
     if method == "median-of-means":
         blocks = [float(b.mean()) for b in np.array_split(values, _MOM_BLOCKS)]
         center = float(np.median(blocks))

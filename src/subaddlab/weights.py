@@ -23,12 +23,15 @@ which rows the exact backend takes.  exact_ok, exact_prefix and run_mass
 read the resource limits; each has a private twin that takes them, for
 callers that read the limits once per public call.
 
-"log" carries log-domain float64 weights for index ranges where exact
-integers get too wide, and the 40-digit log-gamma values (alpha_pow_log,
-run_mass) stand in for exact binomials past the exact limit.  Binomials are
-never formed from factorial tables.  All public functions are pure, and
-cached rows fill idempotently, so concurrent callers see behavior as if
-nothing were cached.
+"log" carries value-domain float64 rows (float_rows) for index ranges where
+exact integers get too wide: a base row from the exact numerators and a
+Stirling series, stepped in n by an exact ratio, under one derived
+per-entry bound (row_error) that does not grow with the row length, and
+summed by one rule (block_sum).  The 40-digit log-gamma values
+(alpha_pow_log, run_mass) stand in for exact binomials past the exact
+limit.  Binomials are never formed from factorial tables.  All public
+functions are pure, and cached rows fill idempotently, so concurrent
+callers see behavior as if nothing were cached.
 """
 
 from __future__ import annotations
@@ -54,10 +57,20 @@ LN2 = math.log(2.0)
 # every k >= 1, which is what power_tail_bound leans on.
 ASYMPTOTIC_CONSTANT = 0.28209479177387814  # 1/(2 sqrt(pi))
 
-# Worst-case relative drift of a cumulative float row of length J (each step
-# multiplies/adds one correctly-rounded factor).  Used to pad enclosures.
-def row_slop(J: int) -> float:
-    return 1e-13 + 4e-16 * max(J, 0)
+# unit roundoff of float64 (half an ulp of 1) and the smallest subnormal
+U = 2.0**-53
+TINY = math.ulp(0.0)
+# block_sum adds numpy sums of this many terms with math.fsum
+SUM_BLOCK = 1024
+# the base float row is rounded from exact numerators below this index
+_HEAD = 1024
+# relative error of a base-row entry in units of U, derived in float_rows
+_BASE_ULPS = 96
+# the float row ratios stay exact integers while 2J + n is at most this
+_RATIO_EXACT_MAX = 60_000_000
+# float rows are built and stepped in slices of this many entries
+_SLICE = 1 << 15
+_LOG_PI = math.log(math.pi)
 
 
 def alpha_exact(j: int) -> Fraction:
@@ -140,30 +153,6 @@ def _convolve_numerators(a, b) -> list:
     return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(J)]
 
 
-def _build_log_row(n: int, J: int) -> np.ndarray:
-    """log alpha^n_j for j = 0..J-1, by cumulative sum of exact-in-float ratios."""
-    if 2 * J + n > 60_000_000:
-        # (2j+n)(2j+n+1) must stay below 2^53 for the ratio to be exact
-        raise ResourceLimitError("log row too long for exact float ratios")
-    out = np.empty(max(J, 1))
-    out[0] = -n * LN2
-    if J > 1:
-        j = np.arange(J - 1, dtype=np.float64)
-        num = (2.0 * j + n) * (2.0 * j + n + 1.0)
-        den = 4.0 * (j + 1.0) * (j + n + 1.0)
-        out[1:] = out[0] + np.cumsum(np.log(num / den))
-    out = out[:J]
-    out.flags.writeable = False
-    return out
-
-
-# only modest rows are worth keeping around; a 2^20-point row is 8 MB and is
-# cheaper to rebuild than to evict useful entries for
-_LOG_CACHE_MAX_J = 1 << 16
-
-_row_log = lru_cache(maxsize=64)(_build_log_row)
-
-
 def exact_ok(n: int, J: int) -> bool:
     """Whether the exact backend takes the row alpha^n_0 .. alpha^n_{J-1}.
 
@@ -207,14 +196,208 @@ def _exact_prefix(n: int, J: int, lim: Limits) -> tuple:
     return _prefix_exact(n, J)
 
 
-def log_row(n: int, J: int) -> np.ndarray:
-    """log alpha^n_j for j = 0..J-1 (read-only array)."""
-    if n < 1 or J < 0:
-        raise ValueError("need n >= 1 and J >= 0")
+def _log_tail_series(x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
+    """log T(m) at float m = x >= 1024, given log_x = log(x).
+
+    The Stirling series -log(pi m)/2 - 1/(8m) + 1/(192 m^3) of
+    log binom(2m, m) - 2m log 2 = lgamma(2m+1) - 2 lgamma(m+1) - 2m log 2.
+    Each lgamma remainder is bounded by its first omitted term (DLMF
+    5.11(ii)), so the truncation error is at most
+    1/(1260 (2m)^5) + 2/(1260 m^5) < 1e-17.
+    """
+    r = 1.0 / x
+    return -0.5 * (log_x + _LOG_PI) - r * (0.125 - r * r / 192.0)
+
+
+@lru_cache(maxsize=1)
+def _head_row() -> np.ndarray:
+    """alpha_j for j < _HEAD, each rounded once from its exact numerator."""
+    # int true division rounds correctly
+    return np.array([N / (1 << (2 * j + 1)) for j, N in enumerate(_row_exact(1, _HEAD))])
+
+
+def _base_values(j: np.ndarray) -> np.ndarray:
+    """alpha_j at the float integers j: the head table, then the series."""
+    out = np.empty(j.shape)
+    head = j < _HEAD
+    out[head] = _head_row()[j[head].astype(np.int64)]
+    x = j[~head]
+    # T(j) = 2 (j+1) alpha_j
+    out[~head] = np.exp(_log_tail_series(x, np.log(x))) / (2.0 * (x + 1.0))
+    return out
+
+
+def _check_ratio_exact(J: int, n: int) -> None:
+    if 2 * J + n > _RATIO_EXACT_MAX:
+        raise ResourceLimitError("float row too long for exact float ratios")
+
+
+@lru_cache(maxsize=1)
+def _base_row(J: int) -> np.ndarray:
+    row = np.empty(J)
+    # in slices, so the temporaries stay small
+    for start in range(0, J, _SLICE):
+        stop = min(start + _SLICE, J)
+        row[start:stop] = _base_values(np.arange(start, stop, dtype=np.float64))
+    row.flags.writeable = False
+    return row
+
+
+_longest_base = 0
+
+
+def _base_prefix(J: int) -> np.ndarray:
+    """alpha_0 .. alpha_{J-1}: a prefix of the longest base row built so far."""
+    global _longest_base
+    _longest_base = max(_longest_base, J)
+    return _base_row(_longest_base)[:J]
+
+
+def _step(row: np.ndarray, two_j: np.ndarray, n: int, num: np.ndarray, den: np.ndarray) -> None:
+    """alpha^n -> alpha^(n+1) in place, by (n+1)(2j+n) / (n(2j+2(n+1))).
+
+    Numerator and denominator are exact float integers, formed slice by
+    slice in the short scratch rows num and den.
+    """
+    for start in range(0, len(row), len(num)):
+        stop = min(start + len(num), len(row))
+        a, b = num[: stop - start], den[: stop - start]
+        np.add(two_j[start:stop], n, out=a)
+        a *= n + 1
+        np.add(two_j[start:stop], 2 * (n + 1), out=b)
+        b *= n
+        a /= b
+        row[start:stop] *= a
+
+
+def _rows(j: np.ndarray, base: np.ndarray):
+    """(n, row) for n = 1, 2, ... at the indices j, from the base values there."""
+    J = int(j.max(initial=-1)) + 1
+    two_j = 2.0 * j
+    del j
+    size = min(len(two_j), _SLICE) or 1
+    num, den = np.empty(size), np.empty(size)
+    row = base
+    n = 1
+    while True:
+        view = row.view()
+        view.flags.writeable = False
+        yield n, view
+        _check_ratio_exact(J, n)
+        if n == 1:
+            row = row.copy()
+        _step(row, two_j, n, num, den)
+        n += 1
+
+
+def float_rows(J: int):
+    """Yield (n, row) for n = 1, 2, ...: row[j] is alpha^n_j in float64, j < J.
+
+    The base row (n = 1) is N^1_j / 2^(2j+1) rounded once from the exact
+    numerators below index 1024, and exp(log T(j)) / (2(j+1)) from 1024 on,
+    with log T the Stirling series _log_tail_series.  Each next power
+    multiplies by the exact ratio
+
+        alpha^(n+1)_j / alpha^n_j = (n+1)(2j+n) / (n(2j+2(n+1))),
+
+    whose two factors are float integers below 2^53 while 2J + n <= 6e7 (a
+    ResourceLimitError past that).  Cost: row n takes n - 1 vector steps of
+    length J.  The base row of the longest J built so far is kept, and
+    shorter requests read a prefix of it.  A yielded row is read-only and is
+    overwritten by the next step, so one row is alive at a time; copy it to
+    keep it.
+
+    The error bound (row_error), in units of u = 2^-53, with numpy's float64
+    log and exp taken to be within 4 ulps:
+    - a head entry rounds once: u.
+    - a series entry, j >= 1024 and log j < 18 (J <= 3e7): np.log(j) errs by
+      4 ulps of a number below 32, 128u absolute, halved 64u; adding log pi
+      rounds a number below 32 once, 16u, halved 8u, and log pi itself
+      carries u/2; the correction r(1/8 - r^2/192), r = 1/j <= 2^-10, is
+      below 2^-13 and errs by under u; the closing subtraction rounds a
+      number below 16, 8u; the series truncation is under 1e-17, 0.1u.  So
+      log T errs by at most 82u absolutely, which exp turns into 82u
+      relative; np.exp adds 8u and the division by the float integer
+      2(j+1) one more u: 91u, and _BASE_ULPS = 96 covers the second-order
+      terms.
+    - each step rounds the quotient once and the product once: 2u.
+    So |row[j] - alpha^n_j| <= (96 + 2n) u alpha^n_j: the products
+    (1 + u)^(2n) stay within 2nu (1 + 1e-8) for n <= 6e7.  The bound does not
+    grow with J.
+
+    Underflow.  For n <= 1021 every entry, and every product formed on the
+    way, is at least min(2^-n, alpha^n_(J-1)) > 2^-1022 (the row is unimodal
+    in j, and alpha^n_j > 1e-13 for j < 3e7), so nothing underflows.  Past
+    that the entries at small j fall below the normal range, where a product
+    may lose up to 2^-1075 absolutely.  Such an entry has j < n(n+1)/2,
+    where every later ratio is below 1, so a lost amount is never magnified
+    (beyond (1 + u)^(2n)), and after n steps the absolute error is at most
+    n 2^-1074: the second term of row_error.
+    """
+    if J < 0:
+        raise ValueError("need J >= 0")
     current_limits().check_row_length(J)
-    if J > _LOG_CACHE_MAX_J:
-        return _build_log_row(n, J)
-    return _row_log(n, J)[:J]
+    _check_ratio_exact(J, 1)
+    return _rows(np.arange(J, dtype=np.float64), _base_prefix(J))
+
+
+def float_row(n: int, J: int) -> np.ndarray:
+    """alpha^n_0 .. alpha^n_{J-1} in float64 (read-only); see float_rows."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    _check_ratio_exact(J, n)
+    for m, row in float_rows(J):
+        if m == n:
+            return row
+
+
+def row_error(n: int) -> tuple[float, float]:
+    """(rel, tiny) with |float_row(n, J)[j] - alpha^n_j| <= rel alpha^n_j + tiny.
+
+    Derived in float_rows; tiny is 0 unless entries can underflow.
+    """
+    return (_BASE_ULPS + 2 * n) * U, (0.0 if n <= 1021 else n * TINY)
+
+
+def block_sum(t: np.ndarray):
+    """Sums of t along its last axis: numpy sums of SUM_BLOCK-term blocks, then
+    math.fsum of the block sums.
+
+    The error is at most SUM_BLOCK u sum |t| per sum, whatever order numpy
+    uses inside a block: any order of m - 1 additions errs by at most
+    gamma_(m-1) sum |t| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, eq. (4.4)), which is (SUM_BLOCK - 1) u plus
+    second-order terms for one block, and fsum rounds the total once, u.
+    """
+    m = t.shape[-1]
+    full = m - m % SUM_BLOCK
+    blocks = t[..., :full].reshape(t.shape[:-1] + (-1, SUM_BLOCK)).sum(axis=-1)
+    parts = np.concatenate([blocks, t[..., full:].sum(axis=-1, keepdims=True)], axis=-1)
+    if parts.ndim == 1:
+        return math.fsum(parts.tolist())
+    return np.array([math.fsum(p) for p in parts.tolist()])
+
+
+def row_dot(n: int, row: np.ndarray, w: Optional[np.ndarray] = None, w_ulps: float = 0):
+    """(s, err) with |s - sum_j alpha^n_j w*_j| <= err, for row = float_row(n, J).
+
+    w (all ones when None) holds floats within w_ulps u, relative, of the
+    true weights w*, or within 2^-1075 where they underflow; a w with a
+    leading axis gives one sum per line.  s is the block_sum of the
+    products row * w.  A product's error is the row's rel (row_error), the
+    weight's w_ulps u and its own rounding u; the sum adds SUM_BLOCK u of
+    sum |row * w|, and 3u more cover the second-order terms and the rounding
+    of err itself.  Absolutely, each term may lose tiny |w| from the row,
+    2^-1075 from an underflowing weight and 2^-1075 from an underflowing
+    product, which the last term of err covers twice.
+    """
+    t = row if w is None else row * w
+    s = block_sum(t)
+    a = block_sum(np.abs(t)) if t.size and t.min() < 0 else s
+    rel, tiny = row_error(n)
+    big = float(np.abs(w).max()) if tiny and w is not None and w.size else 1.0
+    err = (rel + (w_ulps + SUM_BLOCK + 4) * U) * a + 2 * t.shape[-1] * (tiny * big + TINY)
+    return s, err
 
 
 def tail_exact(J: int) -> Fraction:
@@ -439,29 +622,39 @@ class AgreementResult:
 
 
 def scan_backend_agreement(bias: float = 0.0, tolerance: float = 1e-9) -> AgreementResult:
-    """Cross-validate the two backends on the overlap window j + n in [500, 2000].
+    """Cross-validate the float routes with the exact one on j + n in [500, 2000].
 
-    bias is a fault-injection hook: it is added to every log-domain value
-    before comparison, so a nonzero bias must trip the verdict.
+    The 40-digit log value alpha_pow_log is compared at each point, and the
+    float row engine (float_rows, 2,000 points long) at each point with
+    n <= 100, which keeps the sweep to 100 steps.  bias is a fault-injection
+    hook: it is added to every log-domain value, and every engine entry is
+    scaled by e^bias, before comparison, so a nonzero bias must trip the
+    verdict.
     """
-    points = []
+    points = {(1, 500), (1, 2000 - 1), (2, 1998), (1000, 1000)}
     for n in (1, 2, 3, 7, 20, 100, 500):
         for j in (0, 1, 5, 50, 199, 450, 500, 900, 1400, 1900):
             if 500 <= j + n <= 2000:
-                points.append((n, j))
-    points.extend([(1, 500), (1, 2000 - 1), (2, 1998), (1000, 1000)])
+                points.add((n, j))
+    engine = {}
+    for n, row in float_rows(2000):
+        engine.update({(m, j): float(row[j]) for m, j in points if m == n})
+        if n == 100:
+            break
+    try:
+        scale = math.exp(bias)
+    except OverflowError:
+        scale = math.inf
     worst = 0.0
-    seen = set()
-    for n, j in points:
-        if (n, j) in seen or j + n > 2000:
-            continue
-        seen.add((n, j))
-        exact = alpha_pow_exact(n, j)
+    for n, j in sorted(points):
+        exact = float(alpha_pow_exact(n, j))
         try:
             approx = math.exp(alpha_pow_log(n, j) + bias)
         except OverflowError:
             approx = math.inf
-        rel = abs(approx / float(exact) - 1.0)
-        # max() would keep the old value past a NaN; any non-finite value fails
-        worst = max(worst, rel) if math.isfinite(rel) else math.inf
-    return AgreementResult(len(seen), worst, tolerance)
+        values = (approx, engine[n, j] * scale) if (n, j) in engine else (approx,)
+        for value in values:
+            rel = abs(value / exact - 1.0)
+            # max() would keep the old value past a NaN; any non-finite value fails
+            worst = max(worst, rel) if math.isfinite(rel) else math.inf
+    return AgreementResult(len(points), worst, tolerance)

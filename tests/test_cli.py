@@ -8,7 +8,6 @@ by comparing whole files across reruns, JSON modulo the timing field.
 import contextlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -20,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subaddlab import cli, weights
+from subaddlab import cli, experiments, weights
 
 
 def run(tmp_path, *argv):
@@ -70,12 +69,12 @@ def test_alpha_single_row_and_log_backend(tmp_path):
     assert run(tmp_path, "alpha", "--n", "1", "--jmax", "8", "--backend", "log") == 0
     lines = read_csv(tmp_path, "alpha.csv").splitlines()
     assert lines[1].startswith("1,0,0.5") and lines[1].endswith(",log")
-    # log rows are math.exp of the log row, to the bit
+    # log rows are the float row engine's values, to the bit
     for n, jmax in ((1, 8), (3, 2500)):
         argv = ("alpha", "--n", str(n), "--jmax", str(jmax), "--backend", "log")
         assert run(tmp_path, *argv) == 0
         rows = [line.split(",") for line in read_csv(tmp_path, "alpha.csv").splitlines()[1:]]
-        assert [float(r[2]) for r in rows] == [math.exp(v) for v in weights.log_row(n, jmax)]
+        assert [float(r[2]) for r in rows] == weights.float_row(n, jmax).tolist()
         rep = read_json(tmp_path, "alpha.json")
         assert rep["parameters"]["tailBound"] == min(
             1.0, n * weights.tail_float_bounds(jmax)[1]
@@ -144,6 +143,21 @@ def test_blowup_command(tmp_path):
     rep = read_json(tmp_path, "blowup.json")
     assert all(rep["verdicts"].values())
     assert run(tmp_path, "blowup", "--beta", "0.4") == 2
+
+
+def test_blowup_reuses_the_verify_pass(tmp_path, monkeypatch):
+    experiments._divergence_sweep.cache_clear()
+    assert run(tmp_path, "blowup") == 0
+    before = (tmp_path / "blowup.csv").read_bytes()
+    assert run(tmp_path, "verify", "--suite", "all") == 0
+    hits = experiments._divergence_sweep.cache_info().hits
+    assert run(tmp_path, "blowup") == 0
+    assert experiments._divergence_sweep.cache_info().hits == hits + 1
+    assert (tmp_path / "blowup.csv").read_bytes() == before
+    # the row ceiling still applies to a pass that is already memoized
+    assert run(tmp_path, "blowup", "--nmax", "8", "--trunc", "65536") == 0
+    monkeypatch.setenv("SUBADDLAB_MAX_J", "100")
+    assert run(tmp_path, "blowup", "--nmax", "8", "--trunc", "65536") == 3
 
 
 def test_maximal_command(tmp_path):

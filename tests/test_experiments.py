@@ -147,6 +147,25 @@ def test_maximal_profile_closed_form():
         experiments.maximal_profile(0, 4)
 
 
+def brute_force_maximal_profile(m, N):
+    """sup over 1 <= n <= N of the hit count among k..k+n-1 over n, for k < 2m."""
+    out = []
+    for k in range(2 * m):
+        best_num, best_den = 0, 1
+        for n in range(1, N + 1):
+            hits = min(n, 2 * m - k) - max(0, m - k)
+            if hits > 0 and hits * best_den > best_num * n:
+                best_num, best_den = hits, n
+        out.append(Fraction(best_num, best_den))
+    return tuple(out)
+
+
+def test_maximal_profile_matches_brute_force():
+    for m in (1, 2, 3, 4, 16, 64, 256):
+        for N in (2 * m, 4 * m, 8 * m):
+            assert experiments.maximal_profile(m, N) == brute_force_maximal_profile(m, N)
+
+
 def test_maximal_ratio_values():
     assert abs(experiments.maximal_ratio_T(1, 2) - math.sqrt(2)) < 1e-15
     # longer horizons change nothing: every supremum is attained by n <= 2m

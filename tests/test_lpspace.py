@@ -198,6 +198,23 @@ def test_norms_past_the_float_range():
     assert e.lower <= 10 * 2 ** (-1 / 400) <= e.upper
 
 
+def test_levels_past_the_float_range():
+    # 10^400 itself does not convert to a float; the sums are scaled by 2^e
+    def mpf(x):
+        x = Fraction(x)
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    for values in ((10**400,), (10**400, -3, Fraction(1, 3))):
+        f = FiniteTable(values)
+        for p in (2, 400):
+            for n in (0, 1):
+                ref = mpmath_norm(f, n, p)
+                e = p_norm(f, p) if n == 0 else image_p_norm(f, n, p)
+                with mpmath.workdps(60):
+                    assert mpf(e.lower) <= ref <= mpf(e.upper), (values, p, n)
+                    assert mpf(e.upper) - mpf(e.lower) <= ref * mpmath.mpf(1e-13)
+
+
 def test_limits_take_effect_at_the_next_call(monkeypatch):
     # each public call reads the limits once and hands them to its inner loops
     f = IndicatorGE(60)

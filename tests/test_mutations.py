@@ -2,7 +2,7 @@
 
 A mutation is a one-line edit of one function's source.  The edited function
 is compiled against a copy of its module's namespace and patched into the
-module for one test; the exact row caches are cleared before and after, so
+module for one test; the row and result caches are cleared before and after, so
 rows built by the unmutated code never mask the fault and mutated rows never
 leak into later tests.
 """
@@ -14,10 +14,17 @@ import textwrap
 
 import pytest
 
-from subaddlab import lpspace, verify, weights
+from subaddlab import experiments, lpspace, verify, weights
 
 # the caches of the unmutated builders, captured before any patch
-ROW_CACHES = (weights._row_exact, weights._prefix_exact)
+ROW_CACHES = (
+    weights._row_exact,
+    weights._prefix_exact,
+    weights._head_row,
+    weights._base_row,
+    lpspace._image_levels,
+    experiments._divergence_sweep,
+)
 
 # (id, module, function, original text, mutated text)
 MUTATIONS = (
@@ -34,6 +41,13 @@ MUTATIONS = (
         "_bounded_sum",
         "rem = Fraction(D - C[J], D)",
         "rem = Fraction(0)",
+    ),
+    (
+        "ratio_step_off_by_one",
+        weights,
+        "_step",
+        "2 * (n + 1)",
+        "2 * (n + 2)",
     ),
     (
         "integer_convolution_index_shift",

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subaddlab import weights
+from subaddlab import lpspace, weights
 from subaddlab.errors import NotSummableError, ResourceLimitError
 
 
@@ -199,14 +199,117 @@ def test_tail_float_bounds_sandwich_exact_tail():
     assert 0 < lo < hi and hi / lo - 1 < 1e-5
 
 
-def test_log_row_agrees_with_exact_row():
+def test_float_row_agrees_with_exact_row():
     for n in (1, 5, 100):
-        logs = weights.log_row(n, 300)
+        row = weights.float_row(n, 300)
         exact = weights.exact_row(n, 300)
-        rel = max(
-            abs(math.exp(lw) / float(ev) - 1.0) for lw, ev in zip(logs, exact)
+        rel = max(abs(w / float(ev) - 1.0) for w, ev in zip(row, exact))
+        assert rel <= weights.row_error(n)[0]
+
+
+def mp_alpha_pow(n, j):
+    """alpha^n_j = n C(2j+n-1, j) / ((j+n) 2^(2j+n)) at 50 digits."""
+    with mpmath.workdps(50):
+        return mpmath.exp(
+            mpmath.log(n)
+            - mpmath.log(j + n)
+            - (2 * j + n) * mpmath.log(2)
+            + mpmath.loggamma(2 * j + n)
+            - mpmath.loggamma(j + 1)
+            - mpmath.loggamma(j + n)
         )
-        assert rel < 1e-11
+
+
+def within_row_bound(value, n, j):
+    rel, tiny = weights.row_error(n)
+    ref = mp_alpha_pow(n, j)
+    return abs(mpmath.mpf(value) - ref) <= rel * ref + tiny
+
+
+@given(
+    n=st.integers(min_value=1, max_value=64),
+    j=st.integers(min_value=0, max_value=(1 << 21) - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_property_float_entry_within_derived_bound(n, j):
+    # the engine's base values and steps, run at the one index j
+    at = np.array([float(j)])
+    for m, row in weights._rows(at, weights._base_values(at)):
+        if m == n:
+            break
+    assert within_row_bound(row[0], n, j)
+
+
+def test_long_float_rows_within_derived_bound():
+    J = 1 << 20
+    picks = (0, 1, 1023, 1024, 1025, 4095, 65536, 500_000, J - 2, J - 1)
+    for n, row in weights.float_rows(J):
+        if n in (1, 2, 32):
+            assert all(within_row_bound(row[j], n, j) for j in picks), n
+        if n == 32:
+            break
+    # the per-entry bound does not grow with J
+    assert weights.row_error(32)[0] < 2e-14
+
+
+def test_float_rows_sweep_matches_float_row():
+    rows = {}
+    for n, row in weights.float_rows(3000):
+        rows[n] = row.copy()
+        if n == 9:
+            break
+    for n in (1, 2, 9):
+        assert np.array_equal(rows[n], weights.float_row(n, 3000))
+
+
+def test_numpy_log_exp_power_within_assumed_ulps():
+    # the float row bound assumes np.log, np.exp and np.power within 4 ulps
+    rng = np.random.default_rng(7)
+    x = np.floor(np.exp(rng.uniform(math.log(1024), math.log(3e7), 2000)))
+    y = rng.uniform(-10.0, -3.0, 2000)
+    checks = (
+        (np.log(x), [mpmath.log(v) for v in x.tolist()]),
+        (np.exp(y), [mpmath.exp(v) for v in y.tolist()]),
+        (np.power(x, 0.2), [mpmath.power(v, mpmath.mpf(0.2)) for v in x.tolist()]),
+    )
+    with mpmath.workdps(40):
+        for got, want in checks:
+            for g, w in zip(got.tolist(), want):
+                assert abs(mpmath.mpf(g) - w) <= 4 * math.ulp(g)
+
+
+@given(
+    values=st.lists(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=0, max_size=3000
+    ),
+    scale=st.sampled_from([1.0, 1e-300, 1e300]),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_block_sum_within_stated_bound(values, scale):
+    t = np.array(values, dtype=np.float64) * scale
+    got = weights.block_sum(t)
+    exact = sum((Fraction(v) for v in t.tolist()), Fraction(0))
+    bound = weights.SUM_BLOCK * weights.U * sum(abs(Fraction(v)) for v in t.tolist())
+    assert abs(Fraction(got) - exact) <= bound
+    assert abs(got - math.fsum(t.tolist())) <= float(bound) * (1 + 1e-9) + 1e-300
+    # one sum per line of a 2-D array, the same as the 1-D sums
+    pair = np.stack([t, -t])
+    assert weights.block_sum(pair).tolist() == [got, weights.block_sum(-t)]
+
+
+def test_underflowing_row_keeps_a_sound_bound():
+    n, J, beta = 1100, 4096, 0.2
+    refs = [mp_alpha_pow(n, j) for j in range(J)]
+    # alpha^1100_j is below the smallest subnormal for j <= 3, and subnormal up to j = 12
+    assert all(r < 2.0**-1074 for r in refs[:4]) and refs[12] < 2.0**-1022
+    with mpmath.workdps(50):
+        ref = mpmath.fsum(r * mpmath.power(j, mpmath.mpf(beta)) for j, r in enumerate(refs))
+    row = weights.float_row(n, J)
+    s, err = weights.row_dot(n, row, lpspace._powers(beta, 0, J), lpspace._POW_ULPS)
+    assert s - err <= ref <= s + err
+    assert err <= 1e-12 * s
+    enc = lpspace.apply_A_pow(lpspace.PowerGrowth(beta), n, 0, J=J)
+    assert enc.lower <= ref <= enc.upper
 
 
 def test_alpha_pow_log_accuracy_at_window_edge():
@@ -215,12 +318,15 @@ def test_alpha_pow_log_accuracy_at_window_edge():
         assert abs(math.exp(weights.alpha_pow_log(n, j)) / exact - 1.0) < 1e-12
 
 
-def test_log_row_is_read_only_and_uncached_when_long():
-    row = weights.log_row(2, 64)
+def test_float_row_is_read_only_and_a_prefix_when_long():
+    row = weights.float_row(2, 64)
     with pytest.raises(ValueError):
         row[0] = 0.0
-    long_row = weights.log_row(1, (1 << 16) + 8)
+    long_row = weights.float_row(1, (1 << 16) + 8)
     assert long_row.shape == ((1 << 16) + 8,)
+    # the longest base row serves shorter requests without a rebuild
+    short = weights.float_row(1, 100)
+    assert np.shares_memory(short, long_row) and np.array_equal(short, long_row[:100])
 
 
 def test_backend_agreement_scan_and_fault_injection():
@@ -277,7 +383,7 @@ def test_exact_row_resource_limit(monkeypatch):
     assert len(weights.exact_row(1, 40)) == 40
     monkeypatch.setenv("SUBADDLAB_MAX_J", "100")
     with pytest.raises(ResourceLimitError):
-        weights.log_row(1, 200)
+        weights.float_row(1, 200)
 
 
 def test_convolve_examples():
