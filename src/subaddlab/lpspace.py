@@ -601,8 +601,8 @@ def _float_or_exact(x: Real) -> Real:
 
 
 class BoundCheck(NamedTuple):
-    lhs: float
-    rhs: float
+    lhs: Real
+    rhs: Real
     ok: bool
 
 
@@ -611,11 +611,19 @@ def norm_bound_check(img: Enclosure, nf: Enclosure, factor: float) -> BoundCheck
 
     lhs is the upper end of the image norm; rhs is factor times the lower
     end of ||f||_p; the tolerance absorbs both enclosure widths plus a 1e-9
-    relative allowance.
+    relative allowance.  When an end is a Fraction past the float range, the
+    same inequality is decided exactly, and lhs and rhs are Fractions.
     """
-    lhs = float(img.upper)
-    rhs = factor * float(nf.lower)
-    tol = 1e-9 * (1 + abs(rhs)) + factor * float(nf.width) + float(img.width)
+    try:
+        lhs = float(img.upper)
+        rhs = factor * float(nf.lower)
+        tol = 1e-9 * (1 + abs(rhs)) + factor * float(nf.width) + float(img.width)
+    except OverflowError:
+        c = Fraction(factor)
+        lhs, rhs = Fraction(img.upper), c * Fraction(nf.lower)
+        nf_w = Fraction(nf.upper) - Fraction(nf.lower)
+        img_w = lhs - Fraction(img.lower)
+        tol = Fraction(1e-9) * (1 + abs(rhs)) + c * nf_w + img_w
     return BoundCheck(lhs, rhs, lhs <= rhs + tol)
 
 

@@ -6,14 +6,14 @@ closed tail T(J) = binom(2J,J) 4^(-J).  Path simulation of the first-passage
 construction would have infinite expected cost per sample; inversion is
 O(log of the sampled index).
 
-The tail draws of one call are inverted together: a vectorized bisection
-replays the scalar search (_invert_tail) step for step on int64 arrays, and
-decides each step with a Stirling series for log T that is cheap in numpy.
-Where the series lies within a derived tie band of log(1 - u), the step is
-decided by the scalar double log-gamma expression itself, so the integers
-are those of the scalar search even where that expression is not monotone.
-Draws whose search would leave int64 (1 - u below about 1e-9) take the
-scalar search.
+The tail draws of one call are inverted together by one vectorized
+bisection (_invert_tails) that decides T(m+1) < v = 1 - u as
+log T(m+1) < log v, with log T the Stirling series weights._log_tail_series,
+the one log T of the package.  That series is within 163u of log T for
+m < 2^63 (u = 2^-53; derived there) and np.log(v) within 256u (4 ulps of
+|log v| < 64, as v >= 2^-53), so a step can differ from the exact decision
+only where log T(m+1) is within d = 419u < 5e-14 of log v: every sampled
+m >= 1024 below _INDEX_CAP has T(m+1) < v e^d and T(m) >= v e^-d.
 
 The law has infinite mean, so nothing here normalizes sums; only
 expectations E f(S_n + k) with summable f are estimated.  Variance may still
@@ -73,103 +73,31 @@ def _float_cdf() -> np.ndarray:
     return arr
 
 
-def _log_tail(J: int) -> float:
-    # log T(J); double lgamma is plenty here (boundary error ~1e-9 in log
-    # only perturbs bucket edges, invisible next to sampling noise)
-    return math.lgamma(2 * J + 1) - 2 * math.lgamma(J + 1) - 2 * J * weights.LN2
-
-
-def _invert_tail(u: float) -> int:
-    """Smallest j >= 1024 with T(j+1) < 1-u, resolved by log-domain bisection."""
-    v = 1.0 - u  # exact: u >= 1/2 here (Sterbenz)
-    if v <= 0.0:
-        return _INDEX_CAP
-    logv = math.log(v)
-    hi = max(2 * _TABLE_SIZE, 4 * int(1.0 / (math.pi * v * v)))
-    while _log_tail(hi + 1) >= logv:
-        hi *= 4
-    lo = _TABLE_SIZE
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _log_tail(mid + 1) < logv:
-            hi = mid
-        else:
-            lo = mid + 1
-    return min(lo, _INDEX_CAP)
-
-
-# the vectorized search seeds hi = 4 int(1/(pi v^2)) below 2^60 and grows it
-# to at most 2^62, so lo + hi stays inside int64; other draws go scalar
-_VEC_SEED_MAX = 2.0**58
-_VEC_GROW_MAX = 1 << 60
-
-
-def _tie_band(x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
-    """Bound on |_log_tail(m) - weights._log_tail_series(m)| at float m = x > 1024.
-
-    In units of u = 2^-53, with S = (2m+1) log(2m+1) and CPython's lgamma
-    taken to be within 4 ulps (8u relative) of the true value, the scalar
-    _log_tail errs by at most: lgamma(2m+1), of size <= S, 8u S, plus u S
-    for rounding 2m+1 to a float (lgamma' = digamma < log(2m+1));
-    2 lgamma(m+1) <= S likewise, 9u S; their difference rounds once, u S;
-    2m log 2 <= S carries the rounding of LN2 and of the product, 2u S; the
-    last subtraction rounds once, u S.  That is 21u S, and 24u S leaves
-    room for second-order terms.
-
-    The series in float, for log m <= 44: np.log within 2 ulps (128u),
-    halved, 64u; adding log pi and halving, 16u; the closing subtraction,
-    8u; rounding m to a float moves log m by u; truncation, under 1e-17.
-    That is under 90u, and 128u covers it.  The margins also absorb the
-    rounding of this band and of the difference compared with it.
-
-    The band is evaluated with log(2m+1) <= log(m) + 0.6936, which holds
-    for m > 1024, so it only widens.  A sweep in tests/test_mc.py checks it
-    against the scalar expression.
-    """
-    return 2.0**-53 * ((48.0 * x + 24.0) * (log_x + 0.6936) + 128.0)
-
-
 def _tail_below(m: np.ndarray, logv: np.ndarray) -> np.ndarray:
-    """_log_tail(m + 1) < logv elementwise, decided as the scalar decides it.
-
-    Outside the tie band the series and the scalar expression lie on the
-    same side of logv; inside it the scalar expression is evaluated.
-    """
+    """log T(m + 1) < logv elementwise, with log T the series of weights."""
     x = (m + 1).astype(np.float64)
-    log_x = np.log(x)
-    d = weights._log_tail_series(x, log_x) - logv
-    below = d < 0.0
-    for i in np.nonzero(np.abs(d) <= _tie_band(x, log_x))[0]:
-        below[i] = _log_tail(int(m[i]) + 1) < logv[i]
-    return below
+    return weights._log_tail_series(x, np.log(x)) < logv
 
 
 def _invert_tails(u: np.ndarray) -> np.ndarray:
-    """[_invert_tail(x) for x in u], by one bisection over the whole array.
+    """For each u >= 1/2, the smallest m >= 1024 with T(m+1) < 1 - u, as int64.
 
-    Each draw takes the scalar search's steps: the same hi seed (the same
-    float operations, truncated the same way), the same hi *= 4 growth and
-    the same mids, each decided by _tail_below.  Draws whose hi would pass
-    the int64-safe range take _invert_tail itself.
+    One bisection over the whole array.  hi starts at 4 int(1/(pi v^2)),
+    v = 1 - u (T(m) ~ 1/sqrt(pi m)), and grows fourfold until the test holds
+    there, clamped at _INDEX_CAP so that lo + hi fits int64; a draw whose
+    test fails at the cap, or with v = 0, takes the cap.
     """
-    out = np.empty(u.shape, dtype=np.int64)
-    v = 1.0 - u
-    with np.errstate(divide="ignore", over="ignore"):
-        seed = 1.0 / (np.pi * v * v)
-    vec = (v > 0.0) & (seed < _VEC_SEED_MAX)
-    pos = np.nonzero(vec)[0]
-    logv = np.array([math.log(t) for t in v[pos].tolist()])
-    hi = np.maximum(2 * _TABLE_SIZE, 4 * seed[pos].astype(np.int64))
-    grow = ~_tail_below(hi, logv)
-    while np.any(grow):
-        stuck = grow & (hi > _VEC_GROW_MAX)
-        vec[pos[stuck]] = False
-        grow &= ~stuck
-        hi[grow] *= 4
-        g = np.nonzero(grow)[0]
-        grow[g] = ~_tail_below(hi[g], logv[g])
-    keep = vec[pos]
-    pos, logv, hi = pos[keep], logv[keep], hi[keep]
+    out = np.full(u.shape, _INDEX_CAP, dtype=np.int64)
+    v = 1.0 - u  # exact: u >= 1/2 here (Sterbenz)
+    pos = np.nonzero(v > 0.0)[0]
+    v = v[pos]
+    logv = np.log(v)
+    seed = np.minimum(1.0 / (np.pi * v * v), _INDEX_CAP >> 2)
+    hi = np.maximum(2 * _TABLE_SIZE, 4 * seed.astype(np.int64))
+    grow = np.nonzero((hi < _INDEX_CAP) & ~_tail_below(hi, logv))[0]
+    while grow.size:
+        hi[grow] = 4 * np.minimum(hi[grow], _INDEX_CAP >> 2)
+        grow = grow[(hi[grow] < _INDEX_CAP) & ~_tail_below(hi[grow], logv[grow])]
     lo = np.full_like(hi, _TABLE_SIZE)  # < hi, as hi >= 2 _TABLE_SIZE
     while pos.size:
         mid = (lo + hi) >> 1
@@ -177,12 +105,9 @@ def _invert_tails(u: np.ndarray) -> np.ndarray:
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid + 1)
         done = lo >= hi
-        if done.any():
-            out[pos[done]] = lo[done]  # lo <= hi <= 2^62 = _INDEX_CAP
-            live = ~done
-            pos, logv, lo, hi = pos[live], logv[live], lo[live], hi[live]
-    for i in np.nonzero(~vec)[0]:
-        out[i] = _invert_tail(float(u[i]))
+        out[pos[done]] = lo[done]
+        live = ~done
+        pos, logv, lo, hi = pos[live], logv[live], lo[live], hi[live]
     return out
 
 
@@ -203,18 +128,8 @@ def _sample_array(gen: np.random.Generator, size: int) -> np.ndarray:
             idx[i] = bisect.bisect_right(C, num * D // den) - 1
     out = idx.astype(np.int64)
     in_tail = idx >= _TABLE_SIZE
-    if np.any(in_tail):
-        out[in_tail] = _invert_tails(u[in_tail])
+    out[in_tail] = _invert_tails(u[in_tail])
     return out
-
-
-def walk(n: int, gen: np.random.Generator) -> int:
-    """S_n, the sum of n independent draws; S_0 = 0."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    if n == 0:
-        return 0
-    return int(_sample_array(gen, n).sum())
 
 
 def _eval_on_indices(f: SeqFunction, idx: np.ndarray) -> np.ndarray:
@@ -227,6 +142,32 @@ def _eval_on_indices(f: SeqFunction, idx: np.ndarray) -> np.ndarray:
     starts = np.array([min(s, _INDEX_CAP + 1) for s in f.starts], dtype=np.int64)
     levels = np.array([float(v) for v in f.levels])
     return levels[np.searchsorted(starts, idx, side="right") - 1]
+
+
+def _value_chunks(f: SeqFunction, n: int, k: int, trials: int, gen):
+    """f(S_n + k) for `trials` walks in turn, in chunks of at most 2^16 draws."""
+    rows = max(1, (1 << 16) // max(n, 1))
+    for start in range(0, trials, rows):
+        size = min(rows, trials - start)
+        s = np.minimum(_sample_array(gen, size * n).reshape(size, n).sum(axis=1), _INDEX_CAP)
+        s += k
+        yield _eval_on_indices(f, np.minimum(s, _INDEX_CAP, out=s))
+
+
+def _moments(chunks) -> tuple:
+    """(mean, sum of squared deviations) of the values of all the chunks.
+
+    Chunk moments are merged one by one (Chan, Golub and LeVeque 1979), so
+    memory stays one chunk however many trials there are.
+    """
+    count, mean, m2 = 0, 0.0, 0.0
+    for v in chunks:
+        c, mu = len(v), float(v.mean())
+        d = mu - mean
+        count += c
+        mean += d * c / count
+        m2 += float(np.square(v - mu).sum()) + d * d * c * (count - c) / count
+    return mean, m2
 
 
 def mc_apply_A(
@@ -250,23 +191,15 @@ def mc_apply_A(
                 raise ValueError(
                     f"median-of-means needs at least {_MOM_BLOCKS} trials"
                 )
-    sums = np.zeros(trials, dtype=np.int64)
-    if n > 0:
-        rows_per_chunk = max(1, (1 << 16) // n)
-        for start in range(0, trials, rows_per_chunk):
-            stop = min(start + rows_per_chunk, trials)
-            block = _sample_array(gen, (stop - start) * n)
-            s = block.reshape(stop - start, n).sum(axis=1)
-            sums[start:stop] = np.minimum(s, _INDEX_CAP)
-    # in place: with 2e6 trials each int64 copy is 16 MB
-    sums += k
-    values = _eval_on_indices(f, np.minimum(sums, _INDEX_CAP, out=sums))
     if method == "median-of-means":
-        blocks = [float(b.mean()) for b in np.array_split(values, _MOM_BLOCKS)]
+        # np.array_split's blocks of the trials, each drawn in trial order
+        q, r = divmod(trials, _MOM_BLOCKS)
+        chunks = (_value_chunks(f, n, k, q + (b < r), gen) for b in range(_MOM_BLOCKS))
+        blocks = [_moments(c)[0] for c in chunks]
         center = float(np.median(blocks))
         mad = float(np.median(np.abs(np.asarray(blocks) - center)))
         half = 1.4826 * mad / math.sqrt(_MOM_BLOCKS)
         return McEstimate(center, half, trials, method)
-    mean = float(values.mean())
-    half = float(values.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
+    mean, m2 = _moments(_value_chunks(f, n, k, trials, gen))
+    half = math.sqrt(m2 / (trials - 1)) / math.sqrt(trials) if trials > 1 else 0.0
     return McEstimate(mean, half, trials, method)

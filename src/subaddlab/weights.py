@@ -50,8 +50,6 @@ from .limits import Limits, current_limits
 
 Weight = Union[Fraction, float]
 
-LN2 = math.log(2.0)
-
 # Limit of alpha_k * k^(3/2), by Stirling on the closed form.  The approach is
 # monotone from below: alpha_k = T(k)/(2(k+1)) <= k^(-3/2)/(2 sqrt(pi)) for
 # every k >= 1, which is what power_tail_bound leans on.
@@ -197,13 +195,25 @@ def _exact_prefix(n: int, J: int, lim: Limits) -> tuple:
 
 
 def _log_tail_series(x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
-    """log T(m) at float m = x >= 1024, given log_x = log(x).
+    """log T(m) at float m = x >= 1024, given log_x = np.log(x).
 
     The Stirling series -log(pi m)/2 - 1/(8m) + 1/(192 m^3) of
     log binom(2m, m) - 2m log 2 = lgamma(2m+1) - 2 lgamma(m+1) - 2m log 2.
     Each lgamma remainder is bounded by its first omitted term (DLMF
     5.11(ii)), so the truncation error is at most
-    1/(1260 (2m)^5) + 2/(1260 m^5) < 1e-17.
+    1/(1260 (2m)^5) + 2/(1260 m^5) < 1e-17.  This is the one definition of
+    log T in the package: float_rows reads it for m < 3e7 and the sampler
+    (mc._invert_tails) for m up to 2^62.
+
+    Rounding, in units of u = 2^-53 with np.log within 4 ulps, for
+    log m < 18 (float_rows) and, in brackets, log m < 44 (the sampler): x
+    is m rounded once, moving log m by 0 (u); np.log(x) errs by 4 ulps of a
+    number below 32 (64), 128u (256u); _LOG_PI carries u, and adding it
+    rounds once, 16u (32u); halving is exact, so -log(pi m)/2 errs by at
+    most 72.5u (145u).  The correction r(1/8 - r^2/192), r = 1/x <= 2^-10,
+    is below 2^-13 and errs by under u; the closing subtraction rounds a
+    number below 16 (32) once, 8u (16u); truncation adds 0.1u.  So the float
+    series is within 82u (163u) of log T(m).
     """
     r = 1.0 / x
     return -0.5 * (log_x + _LOG_PI) - r * (0.125 - r * r / 192.0)
@@ -310,16 +320,11 @@ def float_rows(J: int):
     The error bound (row_error), in units of u = 2^-53, with numpy's float64
     log and exp taken to be within 4 ulps:
     - a head entry rounds once: u.
-    - a series entry, j >= 1024 and log j < 18 (J <= 3e7): np.log(j) errs by
-      4 ulps of a number below 32, 128u absolute, halved 64u; adding log pi
-      rounds a number below 32 once, 16u, halved 8u, and log pi itself
-      carries u/2; the correction r(1/8 - r^2/192), r = 1/j <= 2^-10, is
-      below 2^-13 and errs by under u; the closing subtraction rounds a
-      number below 16, 8u; the series truncation is under 1e-17, 0.1u.  So
-      log T errs by at most 82u absolutely, which exp turns into 82u
-      relative; np.exp adds 8u and the division by the float integer
-      2(j+1) one more u: 91u, and _BASE_ULPS = 96 covers the second-order
-      terms.
+    - a series entry, j >= 1024 and log j < 18 (J <= 3e7): log T errs by at
+      most 82u absolutely (derived in _log_tail_series), which exp turns
+      into 82u relative; np.exp adds 8u and the division by the float
+      integer 2(j+1) one more u: 91u, and _BASE_ULPS = 96 covers the
+      second-order terms.
     - each step rounds the quotient once and the product once: 2u.
     So |row[j] - alpha^n_j| <= (96 + 2n) u alpha^n_j: the products
     (1 + u)^(2n) stay within 2nu (1 + 1e-8) for n <= 6e7.  The bound does not

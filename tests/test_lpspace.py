@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from subaddlab import weights
 from subaddlab.errors import NotInLpError, NotSummableError, ResourceLimitError
 from subaddlab.lpspace import (
+    BoundCheck,
     Enclosure,
     EventuallyConstant,
     FiniteTable,
@@ -31,6 +32,7 @@ from subaddlab.lpspace import (
     check_exponent,
     contraction_bound_check,
     image_p_norm,
+    norm_bound_check,
     p_norm,
 )
 
@@ -417,6 +419,18 @@ def test_contraction_bound_cases():
     assert contraction_bound_check(FiniteTable((1, -2, Fraction(3, 2))), 1.5).ok
     c = contraction_bound_check(PowerGrowth(0.2), 2, K=1 << 13, J=1 << 13)
     assert c.ok and c.lhs <= c.rhs + 1
+
+
+def test_norm_bound_check_past_the_float_range():
+    # both norms of 10^400 at index 0 have Fraction ends past the float
+    # range; the inequality is decided exactly, ||A f||_2 / ||f||_2 = 1/2
+    f = FiniteTable((10**400,))
+    c = contraction_bound_check(f, 2)
+    assert isinstance(c, BoundCheck) and c.ok
+    assert c.lhs > 10**399 and c.rhs > 10**399
+    img, nf = image_p_norm(f, 1, 2), p_norm(f, 2)
+    assert norm_bound_check(img, nf, 0.6).ok
+    assert not norm_bound_check(img, nf, 0.4).ok
 
 
 small_tables = st.lists(

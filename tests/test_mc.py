@@ -4,9 +4,9 @@ Distribution oracles are the exact weights: CDF pins are rational identities,
 the chi-squared reference counts come from alpha_0..alpha_63 plus one exact
 tail bucket, and the deep-tail check compares against T(100) in closed form.
 All seeded runs are deterministic, so observed statistics are reproducible
-pins rather than flaky draws.  The vectorized tail inversion is checked
-against the scalar search it replays, draw for draw, and the seeded draws
-are pinned by digest.
+pins rather than flaky draws.  The tail inversion is checked draw for draw
+against a 60-digit mpmath bisection on log T, and the seeded draws are
+pinned by digest.
 """
 
 import bisect
@@ -14,6 +14,7 @@ import hashlib
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -37,6 +38,42 @@ def fraction_cdf():
         acc += weights.alpha_exact(j)
         out.append(acc)
     return out
+
+
+def oracle_log_tail(m):
+    """log T(m) = log binom(2m, m) - 2m log 2 from mpmath's loggamma."""
+    return mpmath.loggamma(2 * m + 1) - 2 * mpmath.loggamma(m + 1) - 2 * m * mpmath.log(2)
+
+
+def oracle_index(u):
+    """Smallest m >= 1024 with T(m+1) < 1 - u, clipped at _INDEX_CAP.
+
+    A bisection at 60 digits, with its own bracket: hi starts at 2048 and
+    grows fourfold until the test holds or hi reaches the cap.
+    """
+    cap = mc._INDEX_CAP
+    with mpmath.workdps(60):
+        v = 1 - mpmath.mpf(u)  # exact
+        if v <= 0:
+            return cap
+        logv = mpmath.log(v)
+
+        def below(m):
+            return oracle_log_tail(m + 1) < logv
+
+        hi = 2 * mc._TABLE_SIZE
+        while not below(hi):
+            if hi == cap:
+                return cap
+            hi = min(4 * hi, cap)
+        lo = mc._TABLE_SIZE
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if below(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
 
 def test_cdf_table_pins():
@@ -74,7 +111,7 @@ def test_near_edge_draws_match_fraction_bisect():
     for ui, drawn in zip(u, out):
         want = bisect.bisect_right(cdf, Fraction(ui))
         if want == mc._TABLE_SIZE:
-            want = mc._invert_tail(ui)
+            want = oracle_index(ui)
         assert drawn == want, ui
 
 
@@ -91,15 +128,6 @@ def test_stream_independence():
     a = mc._sample_array(mc.make_generator(7, stream=0), 1000)
     b = mc._sample_array(mc.make_generator(7, stream=1), 1000)
     assert not np.array_equal(a, b)
-
-
-def test_walk_basics():
-    assert mc.walk(0, mc.make_generator(1)) == 0
-    g1, g2 = mc.make_generator(123), mc.make_generator(123)
-    assert mc.walk(5, g1) == mc.walk(5, g2)
-    assert mc.walk(3, mc.make_generator(9)) >= 0
-    with pytest.raises(ValueError):
-        mc.walk(-1, mc.make_generator(1))
 
 
 def test_frequency_of_zero():
@@ -130,19 +158,19 @@ def test_deep_tail_matches_closed_form():
 
 
 def test_log_tail_against_exact():
-    for J in (1024, 5000):
-        oracle = math.log(float(weights.tail_exact(J)))
-        assert abs(mc._log_tail(J) - oracle) < 1e-9
+    """The float series is within its derived bound of log T, m = 1024 .. 2^62.
 
-
-def test_invert_tail_deep_clamp():
-    assert mc._invert_tail(1.0) == mc._INDEX_CAP
-    assert mc._invert_tail(1.0 - 2.0**-40) == mc._INDEX_CAP
-    # a moderate u must land where T(j) straddles 1 - u
-    j = mc._invert_tail(1.0 - 1e-4)
-    lo, hi = weights.tail_float_bounds(j)
-    assert j >= mc._TABLE_SIZE
-    assert lo * 0.99 <= 1e-4 <= weights.tail_float_bounds(max(j - 1, 1))[1] * 1.01
+    weights._log_tail_series derives 82u for log m < 18 and 163u for
+    log m < 44, u = 2^-53; m past 2^53 is rounded to a float first.
+    """
+    m = np.unique(np.geomspace(mc._TABLE_SIZE, 2.0**62, 400).astype(np.int64))
+    m = np.concatenate([m, [1025, 5000, 2**53 + 1, 2**62]])
+    x = m.astype(np.float64)
+    series = weights._log_tail_series(x, np.log(x))
+    with mpmath.workdps(60):
+        for mi, got in zip(m.tolist(), series.tolist()):
+            err = abs(mpmath.mpf(got) - oracle_log_tail(mi))
+            assert err <= (82 if math.log(mi) < 18 else 163) * weights.U, mi
 
 
 def tail_uniforms(seed, size=1 << 18):
@@ -151,15 +179,13 @@ def tail_uniforms(seed, size=1 << 18):
     return u[u >= mc._float_cdf()[-1]]
 
 
-def scalar_tails(u):
-    return np.array([mc._invert_tail(x) for x in np.asarray(u).tolist()], dtype=np.int64)
-
-
 @pytest.mark.parametrize("seed", [2, 8, 13, 21])
-def test_vectorized_tail_inversion_matches_scalar(seed):
-    u = tail_uniforms(seed)
-    assert len(u) > 4000
-    assert np.array_equal(mc._invert_tails(u), scalar_tails(u))
+def test_tail_inversion_matches_oracle(seed):
+    # 4 seeds x 512 = 2,048 seeded tail uniforms, each equal to the oracle
+    u = tail_uniforms(seed)[:512]
+    assert len(u) == 512
+    got = mc._invert_tails(u).tolist()
+    assert [m for m, x in zip(got, u.tolist()) if m != oracle_index(x)] == []
 
 
 def adversarial_uniforms():
@@ -168,52 +194,42 @@ def adversarial_uniforms():
     u = [1.0 - 2.0**-e for e in range(2, 54)]
     u += [math.nextafter(1.0, 0.0), 1.0]
     u += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)]
-    # v = 1 - u where the search seed 1/(pi v^2) crosses the int64 cut, whose
-    # larger side goes to the scalar search: eight uniforms either side
-    v_cut = 1.0 / math.sqrt(math.pi * mc._VEC_SEED_MAX)
-    x = 1.0 - v_cut
-    for _ in range(8):
-        x = math.nextafter(x, 0.0)
-    for _ in range(16):
-        u.append(x)
-        x = math.nextafter(x, 1.0)
+    # eight uniforms either side of two v = 1 - u: where the bracket seed
+    # 1/(pi v^2) reaches the clamp _INDEX_CAP / 4, and where the answer
+    # itself reaches _INDEX_CAP
+    for m in (mc._INDEX_CAP >> 2, mc._INDEX_CAP):
+        x = 1.0 - 1.0 / math.sqrt(math.pi * m)
+        for _ in range(8):
+            x = math.nextafter(x, 0.0)
+        for _ in range(16):
+            u.append(x)
+            x = math.nextafter(x, 1.0)
     return np.array(u)
 
 
 def test_vectorized_tail_inversion_adversarial():
+    # past m ~ 1e13 float log v cannot resolve single integers, so those
+    # draws need only agree with the oracle to 1e-13 relative
     u = adversarial_uniforms()
-    seeds = [1.0 / (math.pi * (1.0 - x) ** 2) if x < 1.0 else math.inf for x in u]
-    # both sides of the int64 cut are present
-    assert any(s < mc._VEC_SEED_MAX for s in seeds[-16:])
-    assert any(s >= mc._VEC_SEED_MAX for s in seeds[-16:])
-    want = scalar_tails(u)
-    assert np.array_equal(mc._invert_tails(u), want)
+    got = mc._invert_tails(u)
+    for x, m in zip(u.tolist(), got.tolist()):
+        want = oracle_index(x)
+        assert m == want or abs(m - want) <= 1e-13 * want, x
+    assert got[u == 1.0].tolist() == [mc._INDEX_CAP]
+    assert mc._INDEX_CAP in got.tolist() and got.max() <= mc._INDEX_CAP
     # through the sampler, the uniforms past the table take the same indices
     out = mc._sample_array(FixedUniforms(u), len(u))
     tail = out >= mc._TABLE_SIZE
     assert tail.sum() > 20
-    assert np.array_equal(out[tail], want[tail])
-    assert mc._invert_tails(np.array([1.0]))[0] == mc._INDEX_CAP
-
-
-def test_tie_band_covers_scalar_log_tail():
-    """The tie band bounds |series - _log_tail| over the vectorized range of m."""
-    dense = np.arange(mc._TABLE_SIZE + 1, 10**6 + 1, dtype=np.int64)
-    sparse = np.unique(np.geomspace(10**6, 2.0**62, 20_000).astype(np.int64))
-    m = np.concatenate([dense, sparse, [2**62 + 1]])
-    x = m.astype(np.float64)
-    log_x = np.log(x)
-    series = weights._log_tail_series(x, log_x)
-    gap = np.abs(series - np.array([mc._log_tail(j) for j in m.tolist()]))
-    assert np.all(gap <= mc._tie_band(x, log_x))
+    assert np.array_equal(out[tail], got[tail])
 
 
 # SHA-256 of the int64 bytes of _sample_array(make_generator(seed), 2**20),
-# recorded from the scalar per-draw inversion that the vectorized one replaces
+# recorded once every tail draw of the three was checked against the oracle
 SAMPLE_DIGESTS = {
-    2: "d7f23c1d59a303facaf61aaa1f9b703d061bcace59489ca19a5f139d7b994a65",
-    3: "1d992788aef33213cb71b6b46671400fa0611a341052c9ac3d686b0c3ebe9399",
-    5: "a1b43698a4cd487850a4fb71ca1e725835d7e29fb4feefd0410a48a3779848d8",
+    2: "c75e97aa579adef358091e4e36d81f4430ceb09708f0e4c06c54f36dcdaa3579",
+    3: "27dc2ab497cf9ae5f10131f8ef2b0c6cebb567fd68ce31140a1291229ba3493c",
+    5: "e2729e2be54620a13dfa155176194a61e0b61a099272053123b8bbff2fdbb159",
 }
 
 
@@ -227,9 +243,30 @@ def test_power_estimate_pinned():
     # the mc_tail benchmark's estimate: 16M draws, about 282k of them in the tail
     est = mc.mc_apply_A(PowerGrowth(0.2), 8, 0, 2_000_000, mc.make_generator(2))
     assert repr(est) == (
-        "McEstimate(mean=2.88743416149614, half_width=0.002062939616100319, "
+        "McEstimate(mean=2.8869134842941, half_width=0.0018969703938819696, "
         "trials=2000000, method='mean')"
     )
+
+
+def test_chunked_estimates_match_the_whole_sample():
+    # _moments merges chunk moments: the whole-array mean and variance
+    v = np.random.default_rng(3).pareto(3.0, 100_003)
+    mean, m2 = mc._moments(np.array_split(v, 7))
+    assert mean == pytest.approx(v.mean(), rel=1e-14)
+    assert m2 / (len(v) - 1) == pytest.approx(v.var(ddof=1), rel=1e-13)
+    # both methods see the values of one whole-sample run, in trial order
+    for f, n, trials in ((PowerGrowth(0.2), 3, 70_001), (PowerGrowth(0.3), 3, 70_001)):
+        whole = np.concatenate(list(mc._value_chunks(f, n, 0, trials, mc.make_generator(4))))
+        est = mc.mc_apply_A(f, n, 0, trials, mc.make_generator(4))
+        if est.method == "mean":
+            assert est.mean == pytest.approx(whole.mean(), rel=1e-14)
+            want = whole.std(ddof=1) / math.sqrt(trials)
+        else:
+            blocks = np.array([b.mean() for b in np.array_split(whole, mc._MOM_BLOCKS)])
+            center = np.median(blocks)
+            assert est.mean == pytest.approx(center, rel=1e-14)
+            want = 1.4826 * np.median(np.abs(blocks - center)) / math.sqrt(mc._MOM_BLOCKS)
+        assert est.half_width == pytest.approx(want, rel=1e-12)
 
 
 def test_eval_on_indices_padding():

@@ -263,16 +263,22 @@ def test_float_rows_sweep_matches_float_row():
 
 
 def test_numpy_log_exp_power_within_assumed_ulps():
-    # the float row bound assumes np.log, np.exp and np.power within 4 ulps
+    # the float row bound and the sampler's series bound assume np.log,
+    # np.exp and np.power within 4 ulps: log over the row range, the
+    # sampler's m up to 2^62 and its v = 1 - u down to 2^-53
     rng = np.random.default_rng(7)
     x = np.floor(np.exp(rng.uniform(math.log(1024), math.log(3e7), 2000)))
+    m = np.exp(rng.uniform(math.log(1024), math.log(2.0**62), 2000))
+    v = np.exp(rng.uniform(-53 * math.log(2), math.log(0.02), 2000))
     y = rng.uniform(-10.0, -3.0, 2000)
-    checks = (
-        (np.log(x), [mpmath.log(v) for v in x.tolist()]),
-        (np.exp(y), [mpmath.exp(v) for v in y.tolist()]),
-        (np.power(x, 0.2), [mpmath.power(v, mpmath.mpf(0.2)) for v in x.tolist()]),
-    )
     with mpmath.workdps(40):
+        checks = (
+            (np.log(x), [mpmath.log(t) for t in x.tolist()]),
+            (np.log(m), [mpmath.log(t) for t in m.tolist()]),
+            (np.log(v), [mpmath.log(t) for t in v.tolist()]),
+            (np.exp(y), [mpmath.exp(t) for t in y.tolist()]),
+            (np.power(x, 0.2), [mpmath.power(t, mpmath.mpf(0.2)) for t in x.tolist()]),
+        )
         for got, want in checks:
             for g, w in zip(got.tolist(), want):
                 assert abs(mpmath.mpf(g) - w) <= 4 * math.ulp(g)
