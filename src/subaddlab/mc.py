@@ -1,10 +1,15 @@
 """Monte Carlo corroboration of the exact machinery.
 
-Sampling is inverse-CDF: an exact integer cumulative table decides indices
-below 1024, and beyond it the draw is resolved in the log domain through the
-closed tail T(J) = binom(2J,J) 4^(-J).  Path simulation of the first-passage
-construction would have infinite expected cost per sample; inversion is
-O(log of the sampled index).
+Sampling is inverse-CDF, one uniform u per draw.  Below 1024 the index is
+decided exactly by a table of the CDF rounded up to doubles (_cdf_up): a
+double u passes an exact CDF value exactly when it passes the rounded-up
+one.  A guide table of 2^16 cells (_guide) starts each draw at most two
+edges below its index, so a table draw costs O(1).  Beyond 1024 the draw
+is resolved in the log domain through the closed tail
+T(J) = binom(2J,J) 4^(-J), nearly always in a bracket of five integers
+around its asymptotic answer, so a tail draw costs a few steps.  Path
+simulation of the first-passage construction would have infinite expected
+cost per sample.
 
 The tail draws of one call are inverted together by one vectorized
 bisection (_invert_tails) that decides T(m+1) < v = 1 - u as
@@ -24,7 +29,6 @@ than a Gaussian interval.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,6 +44,7 @@ _TABLE_SIZE = 1024
 # per draw, and the clipped value still dwarfs every scale in use
 _INDEX_CAP = 1 << 62
 _MOM_BLOCKS = 32
+_GUIDE_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -66,11 +71,48 @@ def _exact_cdf() -> tuple:
 
 
 @lru_cache(maxsize=1)
-def _float_cdf() -> np.ndarray:
+def _cdf_up() -> np.ndarray:
+    """F_up[j], the smallest double >= P(X <= j) = C[j+1]/D, for j < 1024; then +inf.
+
+    A double u has u >= C[j+1]/D exactly when u >= F_up[j], so the count of
+    F_up[j] <= u is the exact table index of u, with no near-edge repair.
+    The +inf at index 1024 stops any step past the table.
+    """
     C, D = _exact_cdf()
-    arr = np.array([c / D for c in C[1:]])  # int division rounds correctly
+    F = []
+    for c in C[1:]:
+        x = c / D  # int division rounds correctly
+        num, den = x.as_integer_ratio()
+        F.append(math.nextafter(x, math.inf) if num * D < c * den else x)
+    arr = np.array(F + [math.inf])
     arr.flags.writeable = False
     return arr
+
+
+@lru_cache(maxsize=1)
+def _guide() -> np.ndarray:
+    """guide[c] = #{j : F_up[j] <= c / 2^16} for c = 0 .. 2^16 (Chen and Asau 1974).
+
+    A double u in [0, 1] lies in cell int(u 2^16), computed exactly as u is a
+    multiple of 2^-53; cell 2^16 holds u = 1.0 alone.  The cell's entry is
+    at most the index of u, which is reached by stepping up past the table
+    edges inside the cell; no cell holds more than two.
+    """
+    cells = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS  # exact
+    guide = np.searchsorted(_cdf_up(), cells, side="right")
+    guide.flags.writeable = False
+    return guide
+
+
+def _table_index(u: np.ndarray) -> np.ndarray:
+    """#{j < 1024 : F_up[j] <= u} for each u in [0, 1], as int64; 1024 is the tail."""
+    F = _cdf_up()
+    idx = _guide()[(u * _GUIDE_CELLS).astype(np.intp)]
+    step = np.nonzero(F[idx] <= u)[0]
+    while step.size:
+        idx[step] += 1
+        step = step[F[idx[step]] <= u[step]]
+    return idx
 
 
 def _tail_below(m: np.ndarray, logv: np.ndarray) -> np.ndarray:
@@ -82,23 +124,53 @@ def _tail_below(m: np.ndarray, logv: np.ndarray) -> np.ndarray:
 def _invert_tails(u: np.ndarray) -> np.ndarray:
     """For each u >= 1/2, the smallest m >= 1024 with T(m+1) < 1 - u, as int64.
 
-    One bisection over the whole array.  hi starts at 4 int(1/(pi v^2)),
-    v = 1 - u (T(m) ~ 1/sqrt(pi m)), and grows fourfold until the test holds
-    there, clamped at _INDEX_CAP so that lo + hi fits int64; a draw whose
-    test fails at the cap, or with v = 0, takes the cap.
+    One bisection over the whole array, each draw in its own bracket
+    [lo, hi]: no m < lo passes the test below(m) (log T(m+1) < log v in
+    floats, v = 1 - u) and below(hi) holds, or hi is the cap.
+
+    Tight bracket.  With s = 1/(pi v^2), log T(m) ~ -log(pi m)/2 - 1/(8m)
+    puts the answer near s - 1/4, so a draw with s < 2^42 first tries
+    [max(1024, m0 - 2), m0 + 2], m0 = floor(s - 5/4), and keeps it when its
+    two end tests confirm it.  It gives the same integer as any other
+    valid bracket, the wide one below included, because for such a draw
+    below is false up to one m and true from there on.  The float series is
+    within 163u of log T and np.log(v) within 256u of log v (u = 2^-53), so
+    - for m >= 2^43 > 2 s, log T(m+1) < log v + log(1/2)/2 < log v - 0.34,
+      far past those errors, and below(m) holds;
+    - for m < 2^43.6, the exact step log T(m+1) - log T(m+2) =
+      log(1 + 1/(2m+3)) exceeds 2 x 163u, so the float series is strictly
+      decreasing in m and below switches at most once from false to true.
+    Past s = 2^42 the float series is no longer monotone where below is in
+    doubt, so the result may depend on the path of the bisection, and those
+    draws keep the wide bracket.
+
+    Wide bracket, for every other draw: lo = 1024 and hi starts at
+    4 int(1/(pi v^2)), growing fourfold until the test holds there, clamped
+    at _INDEX_CAP so that lo + hi fits int64; a draw whose test fails at the
+    cap, or with v = 0, takes the cap.
     """
     out = np.full(u.shape, _INDEX_CAP, dtype=np.int64)
     v = 1.0 - u  # exact: u >= 1/2 here (Sterbenz)
     pos = np.nonzero(v > 0.0)[0]
     v = v[pos]
     logv = np.log(v)
-    seed = np.minimum(1.0 / (np.pi * v * v), _INDEX_CAP >> 2)
-    hi = np.maximum(2 * _TABLE_SIZE, 4 * seed.astype(np.int64))
-    grow = np.nonzero((hi < _INDEX_CAP) & ~_tail_below(hi, logv))[0]
+    s = 1.0 / (np.pi * v * v)
+    lo = np.full(pos.shape, _TABLE_SIZE, dtype=np.int64)
+    # the wide bracket's first hi, replaced by the tight bracket where it holds
+    hi = np.maximum(2 * _TABLE_SIZE, 4 * np.minimum(s, _INDEX_CAP >> 2).astype(np.int64))
+    near = np.nonzero(s < 2.0**42)[0]
+    m0 = np.floor(s[near] - 1.25).astype(np.int64)
+    t_lo = np.maximum(_TABLE_SIZE, m0 - 2)
+    t_hi = np.maximum(t_lo, m0 + 2)
+    ok = _tail_below(t_hi, logv[near])
+    ok[ok] = (t_lo[ok] == _TABLE_SIZE) | ~_tail_below(t_lo[ok] - 1, logv[near[ok]])
+    tight = near[ok]
+    lo[tight], hi[tight] = t_lo[ok], t_hi[ok]
+    grow = np.setdiff1d(np.arange(pos.size), tight, assume_unique=True)
+    grow = grow[(hi[grow] < _INDEX_CAP) & ~_tail_below(hi[grow], logv[grow])]
     while grow.size:
         hi[grow] = 4 * np.minimum(hi[grow], _INDEX_CAP >> 2)
         grow = grow[(hi[grow] < _INDEX_CAP) & ~_tail_below(hi[grow], logv[grow])]
-    lo = np.full_like(hi, _TABLE_SIZE)  # < hi, as hi >= 2 _TABLE_SIZE
     while pos.size:
         mid = (lo + hi) >> 1
         below = _tail_below(mid, logv)
@@ -114,22 +186,10 @@ def _invert_tails(u: np.ndarray) -> np.ndarray:
 def _sample_array(gen: np.random.Generator, size: int) -> np.ndarray:
     """size iid draws from alpha, as int64; one uniform consumed per draw."""
     u = gen.random(size)
-    F = _float_cdf()
-    idx = np.searchsorted(F, u, side="right")
-    # draws within an ulp of a table edge are re-decided exactly
-    lo = np.clip(idx - 1, 0, _TABLE_SIZE - 1)
-    hi = np.clip(idx, 0, _TABLE_SIZE - 1)
-    near = (np.abs(u - F[lo]) < 1e-15) | (np.abs(u - F[hi]) < 1e-15)
-    if np.any(near):
-        C, D = _exact_cdf()
-        for i in np.nonzero(near)[0]:
-            # u D is an integer: u is a multiple of 2^-1074 and D = 2^2049
-            num, den = float(u[i]).as_integer_ratio()
-            idx[i] = bisect.bisect_right(C, num * D // den) - 1
-    out = idx.astype(np.int64)
-    in_tail = idx >= _TABLE_SIZE
-    out[in_tail] = _invert_tails(u[in_tail])
-    return out
+    idx = _table_index(u)
+    in_tail = idx == _TABLE_SIZE
+    idx[in_tail] = _invert_tails(u[in_tail])
+    return idx
 
 
 def _eval_on_indices(f: SeqFunction, idx: np.ndarray) -> np.ndarray:
@@ -145,13 +205,21 @@ def _eval_on_indices(f: SeqFunction, idx: np.ndarray) -> np.ndarray:
 
 
 def _value_chunks(f: SeqFunction, n: int, k: int, trials: int, gen):
-    """f(S_n + k) for `trials` walks in turn, in chunks of at most 2^16 draws."""
+    """f(S_n + k) for `trials` walks in turn, in chunks of at most 2^16 draws.
+
+    S_n + k saturates at _INDEX_CAP; k <= _INDEX_CAP, so nothing wraps int64.
+    """
     rows = max(1, (1 << 16) // max(n, 1))
     for start in range(0, trials, rows):
         size = min(rows, trials - start)
-        s = np.minimum(_sample_array(gen, size * n).reshape(size, n).sum(axis=1), _INDEX_CAP)
+        draws = _sample_array(gen, size * n).reshape(size, n)
+        s = draws.sum(axis=1)
+        if n * int(draws.max(initial=0)) >= 1 << 63:
+            # the int64 sums may have wrapped: redo them in Python integers
+            s = np.array([min(sum(r), _INDEX_CAP) for r in draws.tolist()], dtype=np.int64)
+        np.minimum(s, _INDEX_CAP - k, out=s)
         s += k
-        yield _eval_on_indices(f, np.minimum(s, _INDEX_CAP, out=s))
+        yield _eval_on_indices(f, s)
 
 
 def _moments(chunks) -> tuple:
@@ -176,8 +244,8 @@ def mc_apply_A(
     """Estimate A^n(f)(k) = E f(S_n + k) from `trials` simulated walks."""
     if trials < 1:
         raise ValueError("need trials >= 1")
-    if n < 0 or k < 0:
-        raise ValueError("need n >= 0 and k >= 0")
+    if n < 0 or not 0 <= k <= _INDEX_CAP:
+        raise ValueError(f"need n >= 0 and 0 <= k <= {_INDEX_CAP}")
     method = "mean"
     if isinstance(f, PowerGrowth):
         if f.beta >= 0.5:

@@ -249,6 +249,7 @@ def test_report_aggregates_everything(tmp_path):
         ["growth", "--p", "1e300"],
         ["probe", "--c0", "1/0"],
         ["alpha", "--n", "1", "--outdir", os.devnull],
+        ["simulate", "--k", "100000000000000000000"],
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, argv):
@@ -287,7 +288,7 @@ FLAG_POOLS = {
     "--a": ("0", "-1", "1", "3/2", "nan", "1/0", "1e400", "1e-400"),
     "--fn": ("table", "indicator", "power", "other"),
     "--m": ("-1", "0", "3", "3000000000"),
-    "--k": ("-1", "0", "5"),
+    "--k": ("-1", "0", "5", str(2**62), str(2**63 - 100), str(10**20)),
     "--trials": ("-1", "0", "1", "10", "100"),
     "--seed": ("-1", "0", "7", str(2**70)),
 }

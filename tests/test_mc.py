@@ -79,15 +79,18 @@ def oracle_index(u):
 def test_cdf_table_pins():
     C, D = mc._exact_cdf()
     assert len(C) == mc._TABLE_SIZE + 1 and C[0] == 0
-    assert mc._float_cdf()[0] == 0.5
+    F = mc._cdf_up()
+    assert F[0] == 0.5
     assert Fraction(C[1], D) == Fraction(1, 2)
     assert Fraction(C[2], D) == Fraction(5, 8)
     assert Fraction(C[-1], D) == 1 - weights.tail_exact(mc._TABLE_SIZE)
-    # the integer table is the Fraction running sum, and the float table its
-    # correctly rounded image
+    # the integer table is the Fraction running sum, and the float table
+    # holds the smallest double >= each of its values, then +inf
     cdf = fraction_cdf()
     assert [Fraction(c, D) for c in C[1:]] == cdf
-    assert mc._float_cdf().tolist() == [float(v) for v in cdf]
+    assert len(F) == mc._TABLE_SIZE + 1 and F[-1] == math.inf
+    for x, want in zip(F[:-1].tolist(), cdf):
+        assert Fraction(x) >= want > Fraction(math.nextafter(x, 0.0)), want
 
 
 class FixedUniforms:
@@ -102,9 +105,9 @@ class FixedUniforms:
 
 
 def test_near_edge_draws_match_fraction_bisect():
-    # uniforms on, and one ulp either side of, every float CDF edge all take
-    # the exact re-decision path
-    edges = mc._float_cdf().tolist()
+    # uniforms on, and one ulp either side of, every round-up and every
+    # nearest-rounded CDF edge
+    edges = mc._cdf_up()[:-1].tolist() + [float(v) for v in fraction_cdf()]
     u = sorted({x for e in edges for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0))})
     out = mc._sample_array(FixedUniforms(u), len(u))
     cdf = fraction_cdf()
@@ -113,6 +116,18 @@ def test_near_edge_draws_match_fraction_bisect():
         if want == mc._TABLE_SIZE:
             want = oracle_index(ui)
         assert drawn == want, ui
+
+
+def test_guide_lookup_matches_searchsorted():
+    # every cell edge c / 2^16, one ulp either side of it, and u = 1.0
+    edges = np.arange(mc._GUIDE_CELLS + 1) / mc._GUIDE_CELLS
+    u = np.concatenate([np.nextafter(edges, -1.0), edges, np.nextafter(edges, 2.0)])
+    u = u[(u >= 0.0) & (u <= 1.0)]
+    assert u.max() == 1.0
+    want = np.searchsorted(mc._cdf_up(), u, side="right")
+    assert np.array_equal(mc._table_index(u), want)
+    # no cell holds more than two table edges, so a draw takes at most two steps
+    assert np.diff(mc._guide()).max() == 2
 
 
 def test_bitwise_determinism():
@@ -176,7 +191,7 @@ def test_log_tail_against_exact():
 def tail_uniforms(seed, size=1 << 18):
     """The seeded uniforms of one draw that fall in the tail (u >= P(X < 1024))."""
     u = mc.make_generator(seed).random(size)
-    return u[u >= mc._float_cdf()[-1]]
+    return u[u >= mc._cdf_up()[mc._TABLE_SIZE - 1]]
 
 
 @pytest.mark.parametrize("seed", [2, 8, 13, 21])
@@ -188,9 +203,56 @@ def test_tail_inversion_matches_oracle(seed):
     assert [m for m, x in zip(got, u.tolist()) if m != oracle_index(x)] == []
 
 
+def wide_bisection(u):
+    """The tail search with the wide bracket alone, for u in (1/2, 1).
+
+    lo = 1024, and hi starts at 4 int(1/(pi v^2)) and grows fourfold until
+    the test holds there or hi reaches the cap; then one bisection.
+    """
+    logv = np.log(1.0 - u)
+    seed = np.minimum(1.0 / (np.pi * (1.0 - u) ** 2), mc._INDEX_CAP >> 2)
+    hi = np.maximum(2 * mc._TABLE_SIZE, 4 * seed.astype(np.int64))
+    while True:
+        grow = (hi < mc._INDEX_CAP) & ~mc._tail_below(hi, logv)
+        if not grow.any():
+            break
+        hi[grow] = 4 * np.minimum(hi[grow], mc._INDEX_CAP >> 2)
+    lo = np.full_like(hi, mc._TABLE_SIZE)
+    while (lo < hi).any():
+        mid = (lo + hi) >> 1
+        below = mc._tail_below(mid, logv)
+        live = lo < hi
+        hi = np.where(live & below, mid, hi)
+        lo = np.where(live & ~below, mid + 1, lo)
+    return lo
+
+
+def uniforms_around(s, count):
+    """count uniforms either side of the u whose 1/(pi (1 - u)^2) is s, one ulp apart."""
+    x = 1.0 - 1.0 / math.sqrt(math.pi * s)
+    for _ in range(count):
+        x = math.nextafter(x, 0.0)
+    out = []
+    for _ in range(2 * count):
+        out.append(x)
+        x = math.nextafter(x, 1.0)
+    return np.array(out)
+
+
+def test_tight_bracket_matches_wide_bisection():
+    # 2^16 seeded tail uniforms, then uniforms either side of the tight
+    # bracket's limit s = 2^42, where the two brackets give the same integers
+    u = tail_uniforms(5, 1 << 22)[: 1 << 16]
+    assert len(u) == 1 << 16
+    u = np.concatenate([u, uniforms_around(2.0**42, 64)])
+    s = 1.0 / (np.pi * (1.0 - u) ** 2)
+    assert (s < 2.0**42).sum() > (1 << 16) and (s >= 2.0**42).sum() >= 32
+    assert np.array_equal(mc._invert_tails(u), wide_bisection(u))
+
+
 def adversarial_uniforms():
     """Uniforms at the extremes of the tail search."""
-    edge = float(mc._float_cdf()[-1])
+    edge = float(mc._cdf_up()[mc._TABLE_SIZE - 1])
     u = [1.0 - 2.0**-e for e in range(2, 54)]
     u += [math.nextafter(1.0, 0.0), 1.0]
     u += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)]
@@ -198,12 +260,7 @@ def adversarial_uniforms():
     # 1/(pi v^2) reaches the clamp _INDEX_CAP / 4, and where the answer
     # itself reaches _INDEX_CAP
     for m in (mc._INDEX_CAP >> 2, mc._INDEX_CAP):
-        x = 1.0 - 1.0 / math.sqrt(math.pi * m)
-        for _ in range(8):
-            x = math.nextafter(x, 0.0)
-        for _ in range(16):
-            u.append(x)
-            x = math.nextafter(x, 1.0)
+        u += uniforms_around(m, 8).tolist()
     return np.array(u)
 
 
@@ -267,6 +324,24 @@ def test_chunked_estimates_match_the_whole_sample():
             assert est.mean == pytest.approx(center, rel=1e-14)
             want = 1.4826 * np.median(np.abs(blocks - center)) / math.sqrt(mc._MOM_BLOCKS)
         assert est.half_width == pytest.approx(want, rel=1e-12)
+
+
+def test_walk_sums_saturate_at_the_cap():
+    # S_n + k saturates at _INDEX_CAP instead of wrapping int64
+    cap = mc._INDEX_CAP
+    f = PowerGrowth(0.2)
+    top = float(cap) ** 0.2
+    for n, k, u in (
+        (2, 0, [1.0, 1.0]),
+        (8, 0, [1.0] * 8),
+        (1, cap, [0.0]),
+        (1, cap, [1.0]),
+        (2, cap - 1, [0.0, 1.0]),
+    ):
+        assert mc.mc_apply_A(f, n, k, 1, FixedUniforms(u)).mean == top, (n, k, u)
+    assert mc.mc_apply_A(f, 1, cap - 1, 1, FixedUniforms([0.0])).mean == float(cap - 1) ** 0.2
+    with pytest.raises(ValueError):
+        mc.mc_apply_A(f, 1, cap + 1, 1, FixedUniforms([0.0]))
 
 
 def test_eval_on_indices_padding():
