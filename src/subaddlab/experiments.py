@@ -11,6 +11,7 @@ row's norm column is a lower bound obtained by truncation, never an estimate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,9 +21,9 @@ import numpy as np
 
 from . import weights
 from .errors import EmptyGridError, NotInLpError
-from .limits import Limits, current_limits
+from .limits import current_limits
 from .lpspace import EventuallyConstant, IndicatorGE, PowerGrowth, SeqFunction
-from .lpspace import _POW_ULPS, _power_enclosure, _powers, _root_enclosure, check_exponent
+from .lpspace import _POW_ULPS, _image, _power_enclosure, _powers, _root_enclosure, check_exponent
 
 
 def witness_fn(n: int) -> EventuallyConstant:
@@ -54,24 +55,6 @@ class GrowthResult:
         return 0.85 / self.p, 1.15 / self.p
 
 
-def _survival_lower(n: int, m: int, lim: Limits) -> np.ndarray:
-    """Lower bounds on P(S_n >= m - k) for k = 0..m-1."""
-    if weights._exact_ok(n, m, lim):
-        C, D = weights._exact_prefix(n, m, lim)
-        # P(S_n >= m - k) = (D - C[m - k]) / D exactly; int true division
-        # rounds correctly, so it is the only rounding, and a half-ulp never
-        # hurts a lower bound materially
-        return np.array([(D - C[m - k]) / D for k in range(m)])
-    row = weights.float_row(n, m)
-    # np.cumsum adds in order, so prefix i errs by at most i u (plus second
-    # order) of its nonnegative terms, beside each entry's row_error; the
-    # 4u more cover the second-order terms and the rounding of the product
-    rel, tiny = weights.row_error(n)
-    cs = np.cumsum(row)[::-1] * (1.0 + rel + (m + 4) * weights.U) + m * tiny
-    # rounding 1 - cs down keeps a lower bound
-    return np.maximum(np.nextafter(1.0 - np.nextafter(cs, np.inf), -np.inf), 0.0)
-
-
 def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthResult:
     """Certified lower bounds on R(n) = ||A^n f_n||_p / ||f_n||_p and a slope fit.
 
@@ -79,8 +62,12 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
     ||A^n f_n||_p^p >= sum_{k<n^2} alpha_k P(S_n + k >= n^2)^p.  Every
     omitted term is nonnegative, and the truncated bound tracks the n^(1/p)
     growth without the constant-offset term that flattens a log-log fit at
-    desk scale.  The fit is ordinary least squares on (log n, log R(n)) for
-    n >= fit_from (default n_max//4, at least 2).
+    desk scale.  The survival values P(S_n + k >= n^2) = A^n f_n(k) are the
+    lower ends of lpspace._image: exact (rounded once) while the row is
+    within the exact limit, else from the compensated prefix of row n of
+    one float_rows sweep, stepped once through n.  The fit is ordinary
+    least squares on (log n, log R(n)) for n >= fit_from (default
+    n_max//4, at least 2).
     """
     p = check_exponent(p)
     if n_max < 8:
@@ -94,13 +81,19 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
             f"need fit_from <= n_max - 1 = {n_max - 1} for a two-point fit, got {fit_from}"
         )
     rows = []
+    sweep = weights.float_rows(n_max * n_max)  # one row stepped in n serves every float n
     for n in range(1, n_max + 1):
         m = n * n
         t_m = weights._run_mass(m, None, lim)
         if not isinstance(t_m, Fraction):
             t_m = math.nextafter(t_m, math.inf)  # within an ulp; pad the denominator up
         norm_fn = float(t_m) ** (1.0 / p)
-        surv = _survival_lower(n, m, lim)
+        # lower ends of A^n f_n(k) = P(S_n >= m - k), k < m, from one row
+        # kind: past the exact limit the float prefix serves every k, since
+        # exact rows for the short windows cost more than the sums they tighten
+        backend = "auto" if weights._exact_ok(n, m, lim) else "log"
+        ends = _image(witness_fn(n), n, 0, m, None, backend, lim, operator.truediv, next(sweep)[1])
+        surv = ends[0].astype(float)
         # surv**p is np.power of the float lower bounds surv
         q_sum, q_err = weights.row_dot(1, weights.float_row(1, m), surv**p, _POW_ULPS)
         norm_lower = _root_enclosure(q_sum - q_err, q_sum, p).lower

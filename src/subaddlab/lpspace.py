@@ -7,16 +7,21 @@ A^n(f)(k) = sum_j alpha^n_j f(j+k) = E f(S_n + k) for the random walk S_n.
 Two function kinds cover every witness: PowerGrowth (k^beta) and
 EventuallyConstant, a table v_0..v_{L-1} followed by a constant c, which
 IndicatorGE, IndicatorWindow and FiniteTable build.  For the latter both key
-sums close with finitely many terms:
+sums close with finitely many terms.  With runs [a_s, b_s) at levels v_s and
+P_n the prefix mass of alpha^n (offsets clipped to [0, L - k]):
 
-    A^n f(k)  = sum_{j<L-k} alpha^n_j v_{j+k} + c (1 - sum_{j<L-k} alpha^n_j)
+    A^n f(k)  = c + sum_s (v_s - c) (P_n(b_s - k) - P_n(a_s - k))
     ||f||_p^p = sum_{k<L} alpha_k |v_k|^p + |c|^p T(L)
 
-Infinite sums are returned as Enclosure(lower, upper) pairs.  Exact rational
-partial sums are used whenever the function and the backend allow it; the
-float path sums weights.float_rows entries with the derived allowance of
+So one prefix row serves every k.  _image evaluates A^n f over a range of k
+from one exact prefix (integers over one power of two) or one compensated
+float prefix (weights._float_prefix: a few u of each segment's own mass
+beside weights.row_error), and apply_A_pow, image_p_norm and
+experiments.growth_curve all read it.  Infinite sums are returned as
+Enclosure(lower, upper) pairs, exact whenever the function and the backend
+allow it.  PowerGrowth sums float rows with the derived allowance of
 weights.row_dot (about 1e-13 relative, whatever the row length) plus a
-certified tail bound, and a float norm sum the derived allowance of
+certified tail bound, and a float norm sum has the derived allowance of
 _norm_sum_enclosure.
 
 A truncated enclosure (apply_A_pow with J given) is the sum over j < J plus
@@ -29,6 +34,7 @@ enclosure contains the true value for any sign pattern.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,26 +142,6 @@ def FiniteTable(values: Sequence[Real]) -> EventuallyConstant:
     return EventuallyConstant(tuple(range(len(vals) + 1)), vals + (0,))
 
 
-def _segments(f: EventuallyConstant, k: int, length: int):
-    """(lo, hi, level) for the runs of f on [k, k + length), as offsets from k."""
-    i = bisect.bisect_right(f.starts, k) - 1
-    ends = f.starts[i + 1:] + (math.inf,)
-    for s, e, v in zip(f.starts[i:], ends, f.levels[i:]):
-        lo, hi = max(s - k, 0), min(e - k, length)
-        if lo >= hi:
-            break
-        yield lo, hi, v
-
-
-def _level_array(f: EventuallyConstant, k: int, length: int) -> np.ndarray:
-    """f(k), ..., f(k + length - 1) as floats."""
-    segs = list(_segments(f, k, length))
-    return np.repeat(
-        np.array([float(v) for _, _, v in segs], dtype=np.float64),
-        [hi - lo for lo, hi, _ in segs],
-    )
-
-
 def _is_exact(v) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
@@ -166,18 +152,6 @@ def _pad_down(x: float) -> float:
 
 def _pad_up(x: float) -> float:
     return math.nextafter(x, math.inf)
-
-
-def _float_down(x: Real) -> float:
-    """The largest float <= x."""
-    f = float(x)
-    return f if f <= x else _pad_down(f)
-
-
-def _float_up(x: Real) -> float:
-    """The smallest float >= x."""
-    f = float(x)
-    return f if f >= x else _pad_up(f)
 
 
 def _abs_pow(v: Real, p: float) -> Real:
@@ -376,7 +350,8 @@ def apply_A_pow(
     (degenerate enclosure) on the exact backend: past the table the series
     closes as c times 1 minus a finite prefix mass.  With J given, the
     enclosure is the truncated sum over j < J plus a certified bracket on
-    the discarded remainder (module docstring).
+    the discarded remainder (module docstring).  For an eventually-constant
+    f both come from _image.
     """
     if n < 0 or k < 0:
         raise ValueError("need n >= 0 and k >= 0")
@@ -385,33 +360,21 @@ def apply_A_pow(
             f"sum of alpha^n_j (j+k)^{f.beta} diverges: needs beta < 1/2"
         )
     if n == 0:
-        v = f(k)
-        return Enclosure.point(v)
-    return _apply_A_pow(f, n, k, J, backend, current_limits())
-
-
-def _apply_A_pow(
-    f: SeqFunction, n: int, k: int, J: Optional[int], backend: str, lim: Limits
-) -> Enclosure:
-    """apply_A_pow for n >= 1 and k >= 0, under the limits lim."""
+        return Enclosure.point(f(k))
     if J is not None and J < 0:
         raise ValueError("truncation must be >= 0")
     if isinstance(f, PowerGrowth):
         if J is not None:
             return _apply_power(f, n, k, J)
-        for size, capped in _adaptive_ladder(lim):
+        for size, capped in _adaptive_ladder(current_limits()):
             enc = _apply_power(f, n, k, size)
             w = float(enc.width)
             if capped or w <= max(1e-14, 1e-10 * max(float(enc.lower), 1e-300)):
                 return enc
-    if J is not None:
-        rest = f.levels[bisect.bisect_right(f.starts, k + J) - 1:]  # not yet summed
-        return _bounded_sum(f, n, k, J, backend, min(0, min(rest)), max(0, max(rest)), lim)
-    L, c = f.starts[-1], f.levels[-1]
-    if k >= L:
-        return Enclosure.point(Fraction(c))
-    # every level past the table is c, so the remainder is c times its mass
-    return _bounded_sum(f, n, k, L - k, backend, c, c, lim)
+    if J is None and k >= f.starts[-1]:
+        return Enclosure.point(Fraction(f.levels[-1]))
+    lo, hi = (ends.tolist() for ends in _image(f, n, k, k + 1, J, backend, current_limits()))
+    return Enclosure(lo[0], hi[0])
 
 
 # the error of np.power in float64, in units of u = 2^-53 (4 ulps)
@@ -443,41 +406,132 @@ def _power_enclosure(f: PowerGrowth, n: int, k: int, J: int, row, powers) -> Enc
     return Enclosure(max(0.0, _pad_down(s - err)), _pad_up(_pad_up(s + err) + tail))
 
 
-def _bounded_sum(
-    f: EventuallyConstant, n: int, k: int, J: int, backend: str, lo_level, hi_level, lim: Limits
-) -> Enclosure:
-    """sum_{j<J} alpha^n_j f(j+k) plus a remainder with levels in [lo_level, hi_level].
+def _image(f, n: int, k0: int, k1: int, J, backend: str, lim, value=Fraction, row=None):
+    """Ends (lo, hi) of the enclosures of A^n f(k) for k0 <= k < k1 (n >= 1), as arrays.
 
-    The remainder has mass R = 1 - sum_{j<J} alpha^n_j, known exactly on the
-    exact backend and within weights.row_dot's bound on the float one.  Exact
-    masses are integer prefix sums over one denominator (weights.exact_prefix).
+    Each k sums f over the window [k, k + W), W = J, or W = max(L - k, 0)
+    when J is omitted (every level past L is c), and brackets the rest.
+    With P the prefix mass of alpha^n and runs [a_s, b_s) at levels v_s,
+
+        A^n f(k) in sum_s v_s (P(hi_s) - P(lo_s)) + R [lo_level, hi_level],
+
+    lo_s, hi_s the run's offsets a_s - k, b_s - k clipped to [0, W] and
+    R = 1 - P(W).  With J omitted both levels are c, and this is the closed
+    identity A^n f(k) = c + sum_s (v_s - c)(P(b_s - k) - P(a_s - k)); with
+    J given they are min(0, inf) and max(0, sup) of the levels not yet
+    summed.  A k takes the exact prefix, integers over one power of two
+    (weights.exact_prefix), when exact_ok(n, W) holds on the "auto"
+    backend, and every k does on "exact"; its ends are value(x, d) for the
+    exact ratio x / d, a Fraction by default.  The other ks take the
+    compensated float prefix of weights._float_prefix, which bounds each
+    segment mass; their ends are floats.  Each kind reads one prefix row;
+    a caller that steps rows in n may pass row = float_row(n, N) for an N
+    past every window.  The arrays are float64 when every k took the float
+    prefix, else objects.
     """
-    exact = weights._exact_ok(n, J, lim) if backend == "auto" else backend == "exact"
-    if exact:
-        C, D = weights._exact_prefix(n, J, lim)
-        segs = _segments(f, k, J)
-        partial = Fraction(sum(_exact_value(v) * (C[hi] - C[lo]) for lo, hi, v in segs if v), D)
-        if not (lo_level or hi_level):
-            return Enclosure.point(partial)
-        rem = Fraction(D - C[J], D)
-        lo = partial + _exact_value(lo_level) * rem
-        hi = lo if hi_level == lo_level else partial + _exact_value(hi_level) * rem
-        return Enclosure(lo, hi)
-    row = weights.float_row(n, J)
-    # each level rounds once to a float
-    s, err = weights.row_dot(n, row, _level_array(f, k, J), 1)
-    mass, mass_err = weights.row_dot(n, row)
-    # R lies in [1 - (mass + mass_err), 1 - (mass - mass_err)], rounded outward
-    rems = (
-        max(0.0, _pad_down(1.0 - _pad_up(mass + mass_err))),
-        _pad_up(1.0 - _pad_down(mass - mass_err)),
-    )
-    lo, hi = _pad_down(s - err), _pad_up(s + err)
-    if lo_level:
-        lo = _pad_down(lo + _pad_down(min(_float_down(lo_level) * r for r in rems)))
-    if hi_level:
-        hi = _pad_up(hi + _pad_up(max(_float_up(hi_level) * r for r in rems)))
-    return Enclosure(lo, hi)
+    ks = np.arange(k0, k1)
+    W = np.full(len(ks), J) if J is not None else np.maximum(f.starts[-1] - ks, 0)
+    if backend == "auto":
+        cut = int(np.count_nonzero((W > 0) & (W - 1 + n > lim.exact_limit)))
+    else:
+        cut = 0 if backend == "exact" else len(ks)
+    # W does not grow with k, so the exact ks are the last ones
+    parts = [_float_image(f, n, ks[:cut], W[:cut], J, row)] if cut else []
+    if cut < len(ks):
+        parts.append(_exact_image(f, n, ks[cut:], W[cut:], J, lim, value))
+    return tuple(np.concatenate(ends) for ends in zip(*parts)) if parts else (np.empty(0),) * 2
+
+
+def _runs(f: EventuallyConstant, levels, ks, W):
+    """(v, lo, hi) for each run of f at a level v = levels[i] != 0 that meets a window."""
+    end = int((ks + W).max())  # no window reaches past this
+    for a, b, v in zip(f.starts, f.starts[1:] + (end,), levels):
+        if v and a < end and b > ks[0]:
+            yield v, np.minimum(np.maximum(a - ks, 0), W), np.minimum(np.maximum(b - ks, 0), W)
+
+
+def _rest(f: EventuallyConstant, levels, ks, J: Optional[int], dtype) -> tuple:
+    """The remainder's level bracket (lows, highs) for each k, from f's levels.
+
+    Both are c with J omitted; else min(0, ...) and max(0, ...) of the
+    levels from the run at k + J on, as arrays over ks.
+    """
+    if J is None:
+        return levels[-1], levels[-1]
+    at = np.searchsorted(f.starts, ks + J, "right") - 1
+    rest = ([*itertools.accumulate(levels[::-1], op, initial=0)][:0:-1] for op in (min, max))
+    return tuple(np.array(r, dtype=dtype)[at] for r in rest)
+
+
+def _exact_image(f, n, ks, W, J, lim: Limits, value) -> tuple:
+    """_image's exact ends: (partial + level R) / D, as integers over d = q D.
+
+    q is the lcm of the levels' denominators and D that of one prefix row.
+    """
+    fracs = [_exact_value(v) for v in f.levels]
+    q = math.lcm(*(x.denominator for x in fracs))
+    levels = [x.numerator * (q // x.denominator) for x in fracs]
+    C, D = weights._exact_prefix(n, int(W.max()), lim)
+    C = np.array(C, dtype=object)
+    terms = [v * (C[hi] - C[lo]) for v, lo, hi in _runs(f, levels, ks, W)]
+    rem, d = D - C[W], q * D
+    to_value = np.frompyfunc(value, 2, 1)
+
+    def ends(level):
+        # an indicator's remainder level, 1, needs no pass over the numerators
+        return to_value(sum(terms, rem if type(level) is int and level == 1 else level * rem), d)
+
+    lows, highs = _rest(f, levels, ks, J, object)
+    lo = ends(lows)
+    return lo, (lo if J is None else ends(highs))
+
+
+def _float_image(f, n, ks, W, J, row) -> tuple:
+    """_image's float ends, from one float row and its compensated prefix.
+
+    Each run level v rounds once to a float (u |v|), and so does its product
+    with a segment mass (u); the run sum s is compensated (TwoSum), so it
+    errs by u |s| plus 2 r^2 u^2 sum |terms| for r runs: err in all.  A
+    product that underflows, in a sum or in its bound, loses at most
+    2^-1075, which 2^-1073 per run and 2^-1072 at the close cover.
+    R = 1 - P(W) is within m_err + u |R~| of R~ = fl(1 - m), m the float
+    mass P(W) and m_err its bound.  With a the remainder's level as a
+    float, y = fl(s + a R~) is within
+    err + |a| (m_err + 2u |R~|) + u |y| of that end: u |a R~| for R~,
+    u |a R~| for the product and u |y| for the sum (none when there is no
+    run), plus u |a R~| more when a level rounded.  Each end is y -+ B,
+    B = (that + u |y|)(1 + 8u): rounding y -+ B moves it by at most
+    u (|y| + B), which u |y| and the factor cover also after B itself
+    rounds, and a sum in the subnormal range is exact.  With
+    |y| <= |s| + |a R~| (1 + u), B is taken as
+    (err + t u |s| + |a| (m_err + (2 + t + i) u |R~|)) (1 + 8u), with t the
+    roundings of y (1 when there is no run, s = 0, else 2) and i = 1 when a
+    level rounded.
+    """
+    levels = [float(v) for v in f.levels]
+    mass = weights._float_prefix(n, int(W.max()), row)
+    s = comp = size = err = runs = 0
+    for v, lo, hi in _runs(f, levels, ks, W):
+        m, m_err = mass(lo, hi)
+        t = v * m
+        s, e = weights._two_sum(s, t)
+        comp, size, runs = comp + e, size + np.abs(t), runs + 1
+        err = err + abs(v) * m_err + 3 * weights.U * np.abs(t) + 2 * weights.TINY
+    s = s + comp
+    err = err + weights.U * (np.abs(s) + 2 * runs**2 * weights.U * size) + 4 * weights.TINY
+    m, m_err = mass(0, W)
+    rem = 1.0 - m
+
+    y_ulps = 1 + (runs > 0)
+    rem_ulps = (2 + y_ulps + any(a != v for a, v in zip(levels, f.levels))) * weights.U
+
+    def bracket(a):
+        b = err + y_ulps * weights.U * np.abs(s) + np.abs(a) * (m_err + rem_ulps * np.abs(rem))
+        return s + a * rem, b * (1 + 8 * weights.U)
+
+    lows, highs = _rest(f, levels, ks, J, float)
+    (y_lo, b_lo), (y_hi, b_hi) = (bracket(lows),) * 2 if J is None else map(bracket, (lows, highs))
+    return y_lo - b_lo, y_hi + b_hi
 
 
 def cesaro_T(f: SeqFunction, n: int, k: int):
@@ -566,7 +620,7 @@ def image_p_norm(
         lo_sum, lo_err = weights.row_dot(1, base, lo_img**p, _POW_ULPS)
         hi_sum, hi_err = weights.row_dot(1, base, hi_img**p, _POW_ULPS)
         # k-tail: A^n f(k) <= C_n k^beta for k >= 1 since (j+k)^beta <= ((1+j)k)^beta
-        c_n = float(_apply_A_pow(f, n, 1, J_eff, "auto", lim).upper)
+        c_n = float(apply_A_pow(f, n, 1, J_eff).upper)
         outer_tail = _pad_up(c_n**p * weights.power_tail_bound(q, K_eff))
         return _root_enclosure(
             _pad_down(lo_sum - lo_err), _pad_up(_pad_up(hi_sum + hi_err) + outer_tail), p
@@ -579,25 +633,26 @@ def _image_levels(f: EventuallyConstant, n: int, J: Optional[int], lim: Limits) 
     """(masses, lo_abs, hi_abs) for ||A^n f||_p, whatever p.
 
     The image is c on the mass T(L) past the table, and A^n f(k), bracketed
-    by its enclosure, on alpha_k for each k < L.
+    by its enclosure from _image, on alpha_k for each k < L; alpha_k is
+    N^1_k / 2^(2k+1) rounded once, from one pass over the base numerators.
     """
     L, c = f.starts[-1], f.levels[-1]
-    masses, lo_abs, hi_abs = [weights._run_mass(L, None, lim)], [abs(c)], [abs(c)]
-    for k in range(L):
-        enc = _apply_A_pow(f, n, k, J, "auto", lim)
-        a, b = _float_or_exact(enc.lower), _float_or_exact(enc.upper)
-        masses.append(float(weights.alpha_exact(k)))
+    masses = [weights._run_mass(L, None, lim)]
+    masses += [N / (1 << (2 * k + 1)) for k, N in zip(range(L), weights._numerators(1))]
+    lo_abs, hi_abs = [abs(c)], [abs(c)]
+    lo, hi = (ends.tolist() for ends in _image(f, n, 0, L, J, "auto", lim, _float_or_exact))
+    for a, b in zip(lo, hi):
         lo_abs.append(0.0 if a <= 0.0 <= b else min(abs(a), abs(b)))
         hi_abs.append(max(abs(a), abs(b)))
     return tuple(masses), tuple(lo_abs), tuple(hi_abs)
 
 
-def _float_or_exact(x: Real) -> Real:
-    """float(x), or x itself past the float range (_norm_sum_enclosure scales it)."""
+def _float_or_exact(x: int, d: int) -> Real:
+    """x / d as a float, or as a Fraction past the float range (_norm_sum_enclosure scales it)."""
     try:
-        return float(x)
+        return x / d
     except OverflowError:
-        return x
+        return Fraction(x, d)
 
 
 class BoundCheck(NamedTuple):

@@ -26,8 +26,10 @@ callers that read the limits once per public call.
 "log" carries value-domain float64 rows (float_rows) for index ranges where
 exact integers get too wide: a base row from the exact numerators and a
 Stirling series, stepped in n by an exact ratio, under one derived
-per-entry bound (row_error) that does not grow with the row length, and
-summed by one rule (block_sum).  The 40-digit log-gamma values
+per-entry bound (row_error) that does not grow with the row length.  A
+weighted sum over a row is a block_sum (row_dot); the masses of many
+segments of one row come from its compensated prefix sums (_float_prefix),
+the float twin of exact_prefix.  The 40-digit log-gamma values
 (alpha_pow_log, run_mass) stand in for exact binomials past the exact
 limit.  Binomials are never formed from factorial tables.  All public
 functions are pure, and cached rows fill idempotently, so concurrent
@@ -36,6 +38,7 @@ callers see behavior as if nothing were cached.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,19 +114,20 @@ def alpha_pow_log(n: int, j: int) -> float:
         return float(val)
 
 
-@lru_cache(maxsize=128)
-def _row_exact(n: int, J: int) -> tuple:
-    """Numerators N^n_0 .. N^n_{J-1}: alpha^n_j = N^n_j / 2^(2j+n)."""
-    if J <= 0:
-        return ()
-    out = [1]
+def _numerators(n: int):
+    """Yield N^n_0, N^n_1, ...: alpha^n_j = N^n_j / 2^(2j+n)."""
     N = 1
-    for j in range(J - 1):
+    for j in itertools.count():
+        yield N
         # alpha^n_{j+1} / alpha^n_j = (2j+n)(2j+n+1) / (4(j+1)(j+n+1)); the
         # factor 4 is the denominator's step, and the division is exact
         N = N * (2 * j + n) * (2 * j + n + 1) // ((j + 1) * (j + n + 1))
-        out.append(N)
-    return tuple(out)
+
+
+@lru_cache(maxsize=128)
+def _row_exact(n: int, J: int) -> tuple:
+    """Numerators N^n_0 .. N^n_{J-1}: alpha^n_j = N^n_j / 2^(2j+n)."""
+    return tuple(itertools.islice(_numerators(n), max(J, 0)))
 
 
 @lru_cache(maxsize=128)
@@ -403,6 +407,55 @@ def row_dot(n: int, row: np.ndarray, w: Optional[np.ndarray] = None, w_ulps: flo
     big = float(np.abs(w).max()) if tiny and w is not None and w.size else 1.0
     err = (rel + (w_ulps + SUM_BLOCK + 4) * U) * a + 2 * t.shape[-1] * (tiny * big + TINY)
     return s, err
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and a + b = s + e exactly (Knuth's TwoSum).
+
+    Exact elementwise for float64 arrays or scalars, subnormals included,
+    unless a sum overflows.
+    """
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _float_prefix(n: int, J: int, row: Optional[np.ndarray] = None):
+    """mass(lo, hi) -> (m, err) with |m - sum_{lo<=j<hi} alpha^n_j| <= err.
+
+    One float_row(n, J) (row[:J] when row, a longer float_row(n, .), is
+    given) and its compensated prefix sums (Ogita, Rump and
+    Oishi, "Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005)
+    serve every segment; lo and hi are integers or integer arrays with
+    0 <= lo <= hi <= J, and m and err have their shape.
+
+    With x the row (x >= 0) and u = 2^-53: s_0 = 0 and
+    s_i = fl(s_(i-1) + x_(i-1)) (np.cumsum adds in order); TwoSum gives
+    each step's error e_i exactly, |e_i| <= u s_i <= u s_J; and
+    E_i = fl(E_(i-1) + e_i) = E_(i-1) + e_i + eta_i with
+    |eta_i| <= u |E_i| <= u g, g the largest |E_i|.  For a segment of width
+    w = hi - lo the row sum is X = A + B - sum_(lo<i<=hi) eta_i, with
+    A = s_hi - s_lo and B = E_hi - E_lo, |B| <= w u (s_J + g).
+    m = fl(fl(A) + fl(B)) is within 2u |m| (1 + 2u) + 2u |B| (1 + 2u) of
+    A + B, so |m - X| <= 2u |m| (1 + 2u) + w u (g + 3u (s_J + g)).  The
+    row's own error (row_error) adds rel X + w tiny.  So
+    err = (rel + 4u) m + w (u (2g + 4u s_J) + 2 tiny), whose spare 2u m,
+    w u g and w tiny cover the second-order terms and the rounding of err
+    itself; err is 0 on an empty segment.  The terms in g and s_J are of
+    order w u^2 s_J (g <= J u s_J at worst), so in practice err is
+    (rel + 4u) m: a few u of the segment's own mass beside row_error.
+    """
+    x = float_row(n, J) if row is None else row[:J]
+    s = np.concatenate(([0.0], np.cumsum(x)))
+    e = np.concatenate(([0.0], np.cumsum(_two_sum(s[:-1], x)[1])))
+    rel, tiny = row_error(n)
+    per_entry = U * (2 * float(np.abs(e).max()) + 4 * U * float(s[-1])) + 2 * tiny
+
+    def mass(lo, hi):
+        m = (s[hi] - s[lo]) + (e[hi] - e[lo])
+        return m, (rel + 4 * U) * m + (hi - lo) * per_entry
+
+    return mass
 
 
 def tail_exact(J: int) -> Fraction:

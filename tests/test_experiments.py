@@ -1,9 +1,10 @@
 """Experiment-driver tests.
 
-Independent oracles: the survival table for n = 2, m = 4 is worked out by
-hand from the exact squared weights, the maximal-function profile has the
-closed form m/(2m-k) for k < m and 1 on [m, 2m), and the probe ratio is
-cross-checked against the quotient of closed-form weights it abbreviates.
+Independent oracles: the witness image (survival) table for n = 2, m = 4 is
+worked out by hand from the exact squared weights, the maximal-function
+profile has the closed form m/(2m-k) for k < m and 1 on [m, 2m), and the
+probe ratio is cross-checked against the quotient of closed-form weights it
+abbreviates.
 Empirical curve values (slopes, doubling ratios) are pinned to windows, not
 exact floats, since they depend on documented truncation choices.
 """
@@ -11,13 +12,12 @@ exact floats, since they depend on documented truncation choices.
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from subaddlab import experiments, weights
 from subaddlab.limits import current_limits
 from subaddlab.errors import EmptyGridError, NotInLpError
-from subaddlab.lpspace import IndicatorGE, PowerGrowth
+from subaddlab.lpspace import IndicatorGE, PowerGrowth, _image
 
 
 def test_witness_fn():
@@ -26,15 +26,17 @@ def test_witness_fn():
         experiments.witness_fn(0)
 
 
-def test_survival_lower_by_hand():
-    # prefix sums of (1/4, 1/8, 5/64, 7/128): survival at k is 1 - prefix(4-k)
-    surv = experiments._survival_lower(2, 4, current_limits())
+def test_witness_image_by_hand():
+    # prefix sums of (1/4, 1/8, 5/64, 7/128): A^2 f(k) = P(S_2 >= 4 - k) is
+    # 1 - prefix(4 - k), the survival growth_curve reads for n = 2
+    lo, hi = _image(IndicatorGE(4), 2, 0, 4, None, "auto", current_limits())
     expected = [Fraction(63, 128), Fraction(35, 64), Fraction(5, 8), Fraction(3, 4)]
-    assert np.allclose(surv, [float(v) for v in expected], rtol=0, atol=1e-15)
-    # the log route must stay below the true survival (lower bounds)
-    lo = experiments._survival_lower(2, 2100, current_limits())
-    exactish = 1.0 - float(sum(weights.exact_row(2, 1998), Fraction(0)))
-    assert 0.0 <= lo[2100 - 1998] <= exactish + 1e-12
+    assert list(lo) == list(hi) == expected
+    # the float prefix, which growth_curve takes past the exact limit, must
+    # bracket the true survival (lower ends are lower bounds)
+    lo, hi = _image(IndicatorGE(2100), 2, 0, 2100, None, "log", current_limits())
+    exact = 1 - sum(weights.exact_row(2, 1998), Fraction(0))
+    assert 0.0 <= lo[2100 - 1998] <= exact <= hi[2100 - 1998]
 
 
 def test_growth_curve_structure():

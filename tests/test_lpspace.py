@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subaddlab import weights
+from subaddlab import lpspace, weights
 from subaddlab.errors import NotInLpError, NotSummableError, ResourceLimitError
+from subaddlab.limits import current_limits
 from subaddlab.lpspace import (
     BoundCheck,
     Enclosure,
@@ -335,6 +336,12 @@ def test_property_enclosure_soundness(table, c, n, k, J, backend):
     assert enc.lower <= truth <= enc.upper
     if J is None and backend == "exact":
         assert enc.lower == enc.upper == truth
+    if n:
+        # the all-k evaluation, one prefix row for k = 0..k, brackets it too
+        lo, hi = lpspace._image(f, n, 0, k + 1, J, backend, current_limits())
+        assert lo[k] <= truth <= hi[k]
+        if J is None and backend == "exact":
+            assert lo[k] == hi[k] == truth
 
 
 def test_log_backend_enclosure_contains_true_tail():
@@ -394,6 +401,25 @@ def test_image_norm_hand_oracles():
     e = image_p_norm(FiniteTable((1, -1)), 1, 2)
     true = math.sqrt(13 / 128)
     assert e.lower <= true <= e.upper and e.width < 1e-10
+
+
+def test_image_norm_past_the_exact_limit_against_exact_sum(monkeypatch):
+    # IndicatorGE(2100) at n = 3 takes the float prefix for k < 102 and the
+    # exact one beyond; the enclosure must hold the exact norm, whose square
+    # is T(2100) + sum_k alpha_k P(S_3 >= 2100 - k)^2
+    m, n = 2100, 3
+    C, D = weights._prefix_exact(n, m)
+    exact = weights.tail_exact(m) + sum(
+        (weights.alpha_exact(k) * Fraction(D - C[m - k], D) ** 2 for k in range(m)), Fraction(0)
+    )
+    rows = []
+    float_row = weights.float_row
+    monkeypatch.setattr(weights, "float_row", lambda *a: rows.append(a) or float_row(*a))
+    lpspace._image_levels.cache_clear()
+    e = image_p_norm(IndicatorGE(m), n, 2.0)
+    assert Fraction(e.lower) ** 2 <= exact <= Fraction(e.upper) ** 2
+    # one prefix row serves every k
+    assert len(rows) <= 1
 
 
 def test_image_norm_n_zero_reduces_to_p_norm():

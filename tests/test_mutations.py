@@ -31,16 +31,23 @@ MUTATIONS = (
     (
         "numerator_recurrence_off_by_one",
         weights,
-        "_row_exact",
+        "_numerators",
         "((j + 1) * (j + n + 1))",
         "((j + 1) * (j + n + 2))",
     ),
     (
-        "bounded_sum_drops_remainder",
+        "image_drops_remainder",
         lpspace,
-        "_bounded_sum",
-        "rem = Fraction(D - C[J], D)",
-        "rem = Fraction(0)",
+        "_exact_image",
+        "rem, d = D - C[W], q * D",
+        "rem, d = 0 * C[W], q * D",
+    ),
+    (
+        "image_run_offset_off_by_one",
+        lpspace,
+        "_runs",
+        "np.maximum(a - ks, 0)",
+        "np.maximum(a + 1 - ks, 0)",
     ),
     (
         "ratio_step_off_by_one",
