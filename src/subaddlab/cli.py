@@ -205,7 +205,6 @@ def _run_maximal(args):
 
 def _run_probe(args):
     rep = experiments.lower_bound_probe(args.c0, args.nmax, args.jmax)
-    verdicts = {"min_positive": rep.min_observed > 0}
     parameters = {
         "c0": str(args.c0),
         "nMax": rep.n_max,
@@ -214,7 +213,7 @@ def _run_probe(args):
         "argmin": list(rep.argmin),
     }
     rows = [[n, j, ratio] for n, j, ratio in rep.rows]
-    return parameters, ("n", "j", "ratio"), rows, verdicts
+    return parameters, ("n", "j", "ratio"), rows, experiments.probe_verdicts(rep)
 
 
 def _run_sato(args):
@@ -239,7 +238,7 @@ def _run_simulate(args):
     est = mc.mc_apply_A(f, args.n, args.k, args.trials, mc.make_generator(args.seed))
     J = args.trunc if isinstance(f, PowerGrowth) and args.n >= 1 else None
     enc = apply_A_pow(f, args.n, args.k, J=J)
-    ok = verify.mc_within(est, enc)
+    ok = mc.within(est, enc)
     verdicts = {"within_three_half_widths": ok}
     parameters = {
         "fn": args.fn,

@@ -23,7 +23,7 @@ from . import weights
 from .errors import EmptyGridError, NotInLpError
 from .limits import current_limits
 from .lpspace import EventuallyConstant, IndicatorGE, PowerGrowth, SeqFunction
-from .lpspace import _POW_ULPS, _image, _power_enclosure, _powers, _root_enclosure, check_exponent
+from .lpspace import _POW_ULPS, _image, _power_image, _powers, _root_enclosure, check_exponent
 
 
 def witness_fn(n: int) -> EventuallyConstant:
@@ -190,7 +190,7 @@ def _divergence_sweep(f: PowerGrowth, k: int, n_max: int, J: int) -> tuple:
         return tuple(rows)
     powers = _powers(f.beta, k, J)
     for n, row in weights.float_rows(J):
-        rows.append((n, float(_power_enclosure(f, n, k, J, row, powers).lower)))
+        rows.append((n, float(_power_image(f, n, k, J, row, powers)[0])))
         if n == n_max:
             return tuple(rows)
 
@@ -258,6 +258,11 @@ def lower_bound_probe(c0=1, n_max: int = 12, j_max: int = 2000) -> ProbeReport:
             f"n_max={n_max}, j_max={j_max}"
         )
     return ProbeReport(float(c0), n_max, j_max, tuple(rows), best, argmin)
+
+
+def probe_verdicts(rep: ProbeReport) -> dict:
+    """The probe's minimum is strictly positive."""
+    return {"min_positive": rep.min_observed > 0}
 
 
 def maximal_profile(m: int, N: int) -> tuple:

@@ -19,10 +19,11 @@ float prefix (weights._float_prefix: a few u of each segment's own mass
 beside weights.row_error), and apply_A_pow, image_p_norm and
 experiments.growth_curve all read it.  Infinite sums are returned as
 Enclosure(lower, upper) pairs, exact whenever the function and the backend
-allow it.  PowerGrowth sums float rows with the derived allowance of
-weights.row_dot (about 1e-13 relative, whatever the row length) plus a
-certified tail bound, and a float norm sum has the derived allowance of
-_norm_sum_enclosure.
+allow it.  For PowerGrowth, _power_image sums one float row with the
+derived allowance of weights.row_dot (about 1e-13 relative, whatever the
+row length) plus a certified tail bound, and apply_A_pow, image_p_norm and
+experiments.pointwise_divergence all read it.  A float norm sum has the
+derived allowance of _norm_sum_enclosure.
 
 A truncated enclosure (apply_A_pow with J given) is the sum over j < J plus
 a bracket on the discarded remainder: the discarded mass times
@@ -49,11 +50,10 @@ from .limits import Limits, current_limits
 
 Real = Union[int, float, Fraction]
 
-# cap for adaptive truncation ladders; the relative-width target is often
-# unreachable for heavy tails (the bound decays like K^(q-1/2)), so ladders
-# stop here and the enclosure honestly stays wide
-_ADAPTIVE_CAP = 1 << 21
-_ADAPTIVE_START = 1 << 12
+# the truncation of a k^beta sum when J (or K) is omitted: min(max_j, this)
+_POWER_CAP = 1 << 21
+# image_p_norm's default k and j extents for k^beta
+_IMAGE_SIZE = 1 << 12
 
 
 def check_exponent(p) -> float:
@@ -288,22 +288,17 @@ def _root_of_sums(masses, lo_abs, hi_abs, p: float, e) -> Enclosure:
     return _root_enclosure(lo, hi, p)
 
 
-def _adaptive_ladder(lim: Limits, start=_ADAPTIVE_START):
-    """Yield (size, capped) truncation steps; the consumer breaks when satisfied."""
-    cap = min(lim.max_j, _ADAPTIVE_CAP)
-    K = min(start, cap)
-    while True:
-        yield K, K >= cap
-        K = min(2 * K, cap)
-
-
 def p_norm(f: SeqFunction, p, K: Optional[int] = None) -> Enclosure:
     """Enclosure of (sum_k alpha_k |f(k)|^p)^(1/p).
 
     An eventually-constant f sums run by run, sum_k alpha_k |v_k|^p +
     |c|^p T(L), exactly when every level is 0 or +-1 (indicators).
-    PowerGrowth uses an integral-comparison tail and is rejected outright
-    when beta*p >= 1/2 (the function is then outside the space).
+    PowerGrowth sums k < K from one float row and adds the integral-comparison
+    tail power_tail_bound(beta p, K); it is rejected outright when
+    beta*p >= 1/2 (the function is then outside the space).  K omitted means
+    K = min(SUBADDLAB_MAX_J, 2^21), with no search for a smaller K: the tail
+    decays like K^(beta p - 1/2), so no K below that cap brings the width
+    within 1e-10 of the value.
     """
     p = check_exponent(p)
     lim = current_limits()
@@ -313,14 +308,11 @@ def p_norm(f: SeqFunction, p, K: Optional[int] = None) -> Enclosure:
             raise NotInLpError(
                 f"k^{f.beta} is outside l^{p}(N, alpha): needs beta*p < 1/2, got {q}"
             )
-        for size, capped in _adaptive_ladder(lim, start=K or _ADAPTIVE_START):
-            if K is not None:
-                size, capped = K, True
-            row = weights.float_row(1, size)[1:]
-            s, err = weights.row_dot(1, row, _powers(q, 1, size - 1), _POW_ULPS)
-            tail = weights.power_tail_bound(q, size)
-            if capped or tail <= max(1e-14, 1e-10 * s):
-                return _root_enclosure(_pad_down(s - err), _pad_up(_pad_up(s + err) + tail), p)
+        K = min(lim.max_j, _POWER_CAP) if K is None else K
+        row = weights.float_row(1, K)[1:]
+        s, err = weights.row_dot(1, row, _powers(q, 1, K - 1), _POW_ULPS)
+        tail = weights.power_tail_bound(q, K)
+        return _root_enclosure(_pad_down(s - err), _pad_up(_pad_up(s + err) + tail), p)
     # run i carries mass T(starts[i]) - T(starts[i+1]), the last run T(L)
     ends = f.starts[1:] + (None,)
     masses = [weights._run_mass(s, e, lim) for s, e in zip(f.starts, ends)]
@@ -352,6 +344,12 @@ def apply_A_pow(
     enclosure is the truncated sum over j < J plus a certified bracket on
     the discarded remainder (module docstring).  For an eventually-constant
     f both come from _image.
+
+    For k^beta the enclosure is _power_image's: the sum over j < J
+    (J = 0 sums one term) plus a certified tail.  J omitted means
+    J = min(SUBADDLAB_MAX_J, 2^21), with no search for a smaller J: the
+    tail decays like J^(beta - 1/2), so no J below that cap brings the
+    width within 1e-10 of the value.
     """
     if n < 0 or k < 0:
         raise ValueError("need n >= 0 and k >= 0")
@@ -364,13 +362,9 @@ def apply_A_pow(
     if J is not None and J < 0:
         raise ValueError("truncation must be >= 0")
     if isinstance(f, PowerGrowth):
-        if J is not None:
-            return _apply_power(f, n, k, J)
-        for size, capped in _adaptive_ladder(current_limits()):
-            enc = _apply_power(f, n, k, size)
-            w = float(enc.width)
-            if capped or w <= max(1e-14, 1e-10 * max(float(enc.lower), 1e-300)):
-                return enc
+        J = max(min(current_limits().max_j, _POWER_CAP) if J is None else J, 1)
+        lo, hi = _power_image(f, n, k, J, weights.float_row(n, J), _powers(f.beta, k, J))
+        return Enclosure(float(lo), float(hi))
     if J is None and k >= f.starts[-1]:
         return Enclosure.point(Fraction(f.levels[-1]))
     lo, hi = (ends.tolist() for ends in _image(f, n, k, k + 1, J, backend, current_limits()))
@@ -389,21 +383,19 @@ def _powers(beta: float, k: int, J: int) -> np.ndarray:
     return out
 
 
-def _apply_power(f: PowerGrowth, n: int, k: int, J: int) -> Enclosure:
-    """Truncated sum over j < J plus the integral-comparison tail bound."""
-    J_eff = max(J, 1)
-    return _power_enclosure(f, n, k, J_eff, weights.float_row(n, J_eff), _powers(f.beta, k, J_eff))
+def _power_image(f: PowerGrowth, n: int, k, J: int, row, powers) -> tuple:
+    """Ends (lo, hi) of the enclosure of A^n(k^beta)(k), n >= 1 and J >= 1.
 
-
-def _power_enclosure(f: PowerGrowth, n: int, k: int, J: int, row, powers) -> Enclosure:
-    """_apply_power from row = float_row(n, J) and powers = _powers(f.beta, k, J).
-
-    The tail uses alpha^n_j <= n alpha_j and (j+k)^beta <= (1+k/J)^beta j^beta
-    for j >= J.
+    row = float_row(n, J) and powers = _powers(f.beta, k, J); k may be an
+    array of ks, with one line of powers per k, and the ends are then arrays.
+    The sum over j < J is weights.row_dot's, and the tail uses
+    alpha^n_j <= n alpha_j and (j+k)^beta <= (1+k/J)^beta j^beta for j >= J,
+    so it is at most n (1+k/J)^beta power_tail_bound(beta, J).
     """
     s, err = weights.row_dot(n, row, powers, _POW_ULPS)
     tail = n * (1.0 + k / J) ** f.beta * weights.power_tail_bound(f.beta, J)
-    return Enclosure(max(0.0, _pad_down(s - err)), _pad_up(_pad_up(s + err) + tail))
+    lo = np.maximum(np.nextafter(s - err, -np.inf), 0.0)
+    return lo, np.nextafter(np.nextafter(s + err, np.inf) + tail, np.inf)
 
 
 def _image(f, n: int, k0: int, k1: int, J, backend: str, lim, value=Fraction, row=None):
@@ -585,7 +577,9 @@ def image_p_norm(
     is constant (or zero) past the function's support, so only finitely many
     image values are needed plus one exact tail mass.  For PowerGrowth the
     k-tail is bounded through A^n(f)(k) <= C_n k^beta with
-    C_n = sum_j alpha^n_j (1+j)^beta.
+    C_n = sum_j alpha^n_j (1+j)^beta, and each image value for k < K is
+    _power_image's enclosure at truncation J; K and J omitted (or 0) mean
+    4096 each.
     """
     p = check_exponent(p)
     if n < 0:
@@ -599,28 +593,24 @@ def image_p_norm(
         q = f.beta * p
         if q >= 0.5:
             raise NotInLpError(f"image outside the space: beta*p = {q} >= 1/2")
-        K_eff = K or _ADAPTIVE_START
-        J_eff = J or _ADAPTIVE_START
+        K_eff = K or _IMAGE_SIZE
+        J_eff = J or _IMAGE_SIZE
         row_n = weights.float_row(n, J_eff)
         # (j+k)^beta for j < J and k < K is the sliding window k of one vector
         windows = np.lib.stride_tricks.sliding_window_view(
             _powers(f.beta, 0, K_eff + J_eff - 1), J_eff
         )
-        tail_coeff = n * weights.power_tail_bound(f.beta, J_eff)
-        lo_img, hi_img = np.empty(K_eff), np.empty(K_eff)
-        for start in range(0, K_eff, 1024):
-            stop = min(start + 1024, K_eff)
-            inner, err = weights.row_dot(n, row_n, windows[start:stop], _POW_ULPS)
-            ks = np.arange(start, stop, dtype=np.float64)
-            inner_tail = tail_coeff * (1.0 + ks / J_eff) ** f.beta
-            lo_img[start:stop] = np.maximum(np.nextafter(inner - err, -np.inf), 0.0)
-            hi = np.nextafter(inner + err, np.inf) + inner_tail
-            hi_img[start:stop] = np.nextafter(hi, np.inf)
+        ks = np.arange(K_eff, dtype=np.float64)
+        blocks = [
+            _power_image(f, n, ks[s : s + 1024], J_eff, row_n, windows[s : s + 1024])
+            for s in range(0, K_eff, 1024)
+        ]
+        lo_img, hi_img = (np.concatenate(ends) for ends in zip(*blocks))
         base = weights.float_row(1, K_eff)
         lo_sum, lo_err = weights.row_dot(1, base, lo_img**p, _POW_ULPS)
         hi_sum, hi_err = weights.row_dot(1, base, hi_img**p, _POW_ULPS)
         # k-tail: A^n f(k) <= C_n k^beta for k >= 1 since (j+k)^beta <= ((1+j)k)^beta
-        c_n = float(apply_A_pow(f, n, 1, J_eff).upper)
+        c_n = float(_power_image(f, n, 1, J_eff, row_n, _powers(f.beta, 1, J_eff))[1])
         outer_tail = _pad_up(c_n**p * weights.power_tail_bound(q, K_eff))
         return _root_enclosure(
             _pad_down(lo_sum - lo_err), _pad_up(_pad_up(hi_sum + hi_err) + outer_tail), p

@@ -55,6 +55,16 @@ class McEstimate:
     method: str
 
 
+def within(est: McEstimate, enc) -> bool:
+    """Interval-overlap agreement: the 3-half-width ball around the estimate
+    must reach the enclosure midpoint after discounting the enclosure's own
+    radius.  Degenerate enclosures reduce this to plain |mc - exact| <= 3 hw.
+    """
+    mid = float(enc.midpoint)
+    radius = float(enc.width) / 2.0
+    return abs(est.mean - mid) <= 3.0 * est.half_width + radius + 1e-12
+
+
 def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic generator; parallel strands get (seed, stream) substreams."""
     ss = np.random.SeedSequence(seed, spawn_key=(stream,))

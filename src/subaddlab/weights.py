@@ -600,16 +600,14 @@ def scan_subadditivity(nm_max: int = 24, j_max: int = 400) -> ScanResult:
     Over the denominator 2^(2j+n+m) this is N^{n+m}_j <= 2^m N^n_j + 2^n N^m_j.
     """
     rows = {n: _row_exact(n, j_max + 1) for n in range(1, nm_max + 1)}
-    checked = 0
-    bad = []
-    for n in range(1, nm_max):
-        for m in range(n, nm_max - n + 1):
-            rn, rm, rnm = rows[n], rows[m], rows[n + m]
-            for j in range(j_max + 1):
-                checked += 1
-                if rnm[j] > (rn[j] << m) + (rm[j] << n):
-                    bad.append((n, m, j))
-    return ScanResult(checked, tuple(bad))
+    pairs = [(n, m) for n in range(1, nm_max) for m in range(n, nm_max - n + 1)]
+    bad = tuple(
+        (n, m, j)
+        for n, m in pairs
+        for j, (nm, a, b) in enumerate(zip(rows[n + m], rows[n], rows[m]))
+        if nm > (a << m) + (b << n)
+    )
+    return ScanResult(len(pairs) * (j_max + 1), bad)
 
 
 def scan_normalized_monotonicity(n_max: int = 20, j_max: int = 200) -> ScanResult:
@@ -618,33 +616,29 @@ def scan_normalized_monotonicity(n_max: int = 20, j_max: int = 200) -> ScanResul
     Over the denominator 2^(2j+n+1) this is n N^{n+1}_j <= 2(n+1) N^n_j.
     """
     rows = {n: _row_exact(n, j_max + 1) for n in range(1, n_max + 2)}
-    checked = 0
-    bad = []
-    for n in range(1, n_max + 1):
-        rn, rn1 = rows[n], rows[n + 1]
-        for j in range(j_max + 1):
-            checked += 1
-            if rn1[j] * n > rn[j] * 2 * (n + 1):
-                bad.append((n, j))
-    return ScanResult(checked, tuple(bad))
+    bad = tuple(
+        (n, j)
+        for n in range(1, n_max + 1)
+        for j, (a, b) in enumerate(zip(rows[n], rows[n + 1]))
+        if b * n > a * 2 * (n + 1)
+    )
+    return ScanResult(n_max * (j_max + 1), bad)
 
 
 def scan_convolution_agreement(n_max: int = 6, j_max: int = 200) -> ScanResult:
     """Closed form vs iterated convolution, exact equality on the full grid."""
     J = j_max + 1
-    checked = 0
-    bad = []
     base = _row_exact(1, J)
-    acc = base
-    for n in range(1, n_max + 1):
-        if n > 1:
-            acc = _convolve_numerators(acc, base)
-        closed = _row_exact(n, J)
-        for j in range(J):
-            checked += 1
-            if closed[j] != acc[j]:
-                bad.append((n, j))
-    return ScanResult(checked, tuple(bad))
+    convs = itertools.accumulate(
+        range(n_max - 1), lambda acc, _: _convolve_numerators(acc, base), initial=base
+    )
+    bad = tuple(
+        (n, j)
+        for n, acc in enumerate(convs, 1)
+        for j, (closed, conv) in enumerate(zip(_row_exact(n, J), acc))
+        if closed != conv
+    )
+    return ScanResult(n_max * J, bad)
 
 
 def scan_tail_identity(j_max: int = 300) -> ScanResult:
@@ -654,18 +648,12 @@ def scan_tail_identity(j_max: int = 300) -> ScanResult:
     is P + binom(2J, J) == 4^J, and over 4^(J+1) the second is
     4 binom(2J, J) - binom(2J+2, J+1) == 2 N^1_J.
     """
-    checked = 0
-    bad = []
-    prefix = 0
-    for J, N in enumerate(_row_exact(1, j_max + 1)):
-        checked += 1
-        c, c_next = math.comb(2 * J, J), math.comb(2 * J + 2, J + 1)
-        if prefix + c != 1 << (2 * J):
-            bad.append(("prefix", J))
-        if 4 * c - c_next != 2 * N:
-            bad.append(("difference", J))
-        prefix = 4 * prefix + 2 * N
-    return ScanResult(checked, tuple(bad))
+    row = _row_exact(1, j_max + 1)
+    c = [math.comb(2 * J, J) for J in range(j_max + 2)]
+    P = itertools.accumulate(row, lambda acc, N: 4 * acc + 2 * N, initial=0)
+    bad = [("prefix", J) for J, prefix in zip(range(len(row)), P) if prefix + c[J] != 1 << (2 * J)]
+    bad += [("difference", J) for J, N in enumerate(row) if 4 * c[J] - c[J + 1] != 2 * N]
+    return ScanResult(len(row), tuple(bad))
 
 
 @dataclass(frozen=True)

@@ -253,6 +253,28 @@ def test_p_norm_power_growth():
         p_norm(PowerGrowth(0.3), 2)  # beta * p = 0.6 >= 1/2
 
 
+def test_power_sums_without_truncation_build_one_row_at_the_cap(monkeypatch):
+    # J or K omitted truncates a k^beta sum at min(SUBADDLAB_MAX_J, 2^21),
+    # from one float row: no shorter row is tried first
+    rows = []
+    float_rows = weights.float_rows
+    monkeypatch.setattr(weights, "float_rows", lambda J: rows.append(J) or float_rows(J))
+    cap = min(current_limits().max_j, 1 << 21)
+    apply_A_pow(PowerGrowth(0.2), 1, 0)
+    p_norm(PowerGrowth(0.2), 2)
+    assert rows == [cap, cap]
+    monkeypatch.setenv("SUBADDLAB_MAX_J", "5000")
+    rows.clear()
+    enc = apply_A_pow(PowerGrowth(0.3), 3, 5)
+    assert enc == apply_A_pow(PowerGrowth(0.3), 3, 5, J=5000)
+    p_norm(PowerGrowth(0.1), 3)
+    assert rows == [5000] * 3
+    # J = 0 still sums one term, and K = 0 is still refused
+    assert apply_A_pow(PowerGrowth(0.2), 4, 0, J=0) == apply_A_pow(PowerGrowth(0.2), 4, 0, J=1)
+    with pytest.raises(ValueError):
+        p_norm(PowerGrowth(0.2), 2, K=0)
+
+
 def test_apply_exact_values():
     f = IndicatorGE(1)
     assert apply_A_pow(f, 1, 0).lower == Fraction(1, 2)

@@ -28,7 +28,6 @@ from subaddlab.lpspace import (
     PowerGrowth,
     apply_A_pow,
 )
-from subaddlab.verify import mc_within
 
 
 def fraction_cdf():
@@ -397,6 +396,6 @@ def test_rerun_agreement_study():
         failures = 0
         for i in range(100):
             est = mc.mc_apply_A(f, n, 0, 2000, mc.make_generator(50_000 + i, ci))
-            if not mc_within(est, enc):
+            if not mc.within(est, enc):
                 failures += 1
         assert failures <= 1, f"case {ci}: {failures} of 100 runs disagreed"
