@@ -578,8 +578,9 @@ def image_p_norm(
     image values are needed plus one exact tail mass.  For PowerGrowth the
     k-tail is bounded through A^n(f)(k) <= C_n k^beta with
     C_n = sum_j alpha^n_j (1+j)^beta, and each image value for k < K is
-    _power_image's enclosure at truncation J; K and J omitted (or 0) mean
-    4096 each.
+    _power_image's enclosure at truncation J; K and J omitted mean 4096 each
+    for n >= 1.  At n = 0 this is p_norm(f, p, K), so an omitted K there means
+    p_norm's cap min(SUBADDLAB_MAX_J, 2^21).
     """
     p = check_exponent(p)
     if n < 0:
@@ -593,8 +594,10 @@ def image_p_norm(
         q = f.beta * p
         if q >= 0.5:
             raise NotInLpError(f"image outside the space: beta*p = {q} >= 1/2")
-        K_eff = K or _IMAGE_SIZE
-        J_eff = J or _IMAGE_SIZE
+        K_eff = _IMAGE_SIZE if K is None else K
+        J_eff = _IMAGE_SIZE if J is None else J
+        if K_eff < 1 or J_eff < 1:
+            raise ValueError("need K >= 1 and J >= 1")
         row_n = weights.float_row(n, J_eff)
         # (j+k)^beta for j < J and k < K is the sliding window k of one vector
         windows = np.lib.stride_tricks.sliding_window_view(

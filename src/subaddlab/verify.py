@@ -13,6 +13,7 @@ import math
 from dataclasses import astuple
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from . import experiments, mc, weights
@@ -285,8 +286,6 @@ def check_mc_agreement(seed: int = DEFAULT_SEED) -> bool:
         ok &= mc.within(est, apply_A_pow(f, n, 0, J=J))
 
     # frequency test: first 64 states exactly, everything else in one bucket
-    from scipy.special import chdtrc  # the chi-square survival function
-
     trials = 10**5
     draws = mc._sample_array(mc.make_generator(seed, 13), trials)
     counts = np.bincount(np.minimum(draws, 64), minlength=65)
@@ -294,7 +293,8 @@ def check_mc_agreement(seed: int = DEFAULT_SEED) -> bool:
     probs.append(float(weights.tail_exact(64)))
     expected = trials * np.asarray(probs)
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    ok &= float(chdtrc(64, chi2)) >= 1e-3
+    # chi-square survival at 64 degrees of freedom: Q(64/2, chi2/2)
+    ok &= mpmath.gammainc(32, chi2 / 2, mpmath.inf, regularized=True) >= 1e-3
     return bool(ok)
 
 

@@ -460,6 +460,10 @@ def test_image_norm_power_growth():
         image_p_norm(PowerGrowth(0.6), 1, 2)
     with pytest.raises(NotInLpError):
         image_p_norm(PowerGrowth(0.3), 1, 2)  # summable pointwise, not in l^2
+    # a truncation below 1 is an error, not a silent 4096
+    for kw in ({"K": 0}, {"J": 0}, {"K": -5}):
+        with pytest.raises(ValueError):
+            image_p_norm(PowerGrowth(0.2), 2, 2, **kw)
 
 
 def test_contraction_bound_cases():
