@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import experiments, mc, verify, weights
 from .errors import ResourceLimitError, SubaddLabError
 from .lpspace import FiniteTable, IndicatorGE, PowerGrowth, apply_A_pow
-from .reporting import ExperimentReport, write_csv, write_json
+from .reporting import write_csv, write_json
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -162,18 +162,15 @@ def _run_verify(args):
 
 def _run_growth(args):
     res = experiments.growth_curve(args.p, args.nmax, args.fit_from)
-    rows = [
-        [r.n, r.norm_fn, r.norm_anfn_lower, r.ratio, r.upper_bound] for r in res.rows
-    ]
     parameters = {
         "p": res.p,
         "nMax": args.nmax,
         "fitFrom": res.fit_window[0],
         "slope": res.slope,
-        "slopeWindow": list(res.slope_window),
+        "slopeWindow": res.slope_window,
     }
     header = ("n", "norm_fn", "norm_Anfn_lower", "ratio", "upper_bound")
-    return parameters, header, rows, experiments.growth_verdicts(res)
+    return parameters, header, res.rows, experiments.growth_verdicts(res)
 
 
 def _run_blowup(args):
@@ -186,9 +183,8 @@ def _run_blowup(args):
         "truncation": args.trunc,
         "quarterIndex": experiments.quarter_index(args.nmax),
     }
-    rows = [[r.n, r.e_lower, r.norm_lower] for r in rows_b]
     header = ("n", "E_lower", "norm_lower")
-    return parameters, header, rows, experiments.blowup_verdicts(rows_b)
+    return parameters, header, rows_b, experiments.blowup_verdicts(rows_b)
 
 
 def _run_maximal(args):
@@ -199,30 +195,28 @@ def _run_maximal(args):
         raise ValueError("--mgrid must be strictly increasing")
     ratios = [experiments.maximal_ratio_T(m, args.p) for m in grid]
     parameters = {"p": args.p, "mGrid": grid}
-    rows = [[m, r] for m, r in zip(grid, ratios)]
+    rows = tuple(zip(grid, ratios))
     return parameters, ("m", "ratio"), rows, experiments.maximal_verdicts(ratios)
 
 
 def _run_probe(args):
     rep = experiments.lower_bound_probe(args.c0, args.nmax, args.jmax)
     parameters = {
-        "c0": str(args.c0),
+        "c0": args.c0,
         "nMax": rep.n_max,
         "jMax": rep.j_max,
         "minObserved": rep.min_observed,
-        "argmin": list(rep.argmin),
+        "argmin": rep.argmin,
     }
-    rows = [[n, j, ratio] for n, j, ratio in rep.rows]
-    return parameters, ("n", "j", "ratio"), rows, experiments.probe_verdicts(rep)
+    return parameters, ("n", "j", "ratio"), rep.rows, experiments.probe_verdicts(rep)
 
 
 def _run_sato(args):
     if args.nmax < 2:
         raise ValueError("need --nmax >= 2")
     rows_s = experiments.sato_norm_growth(args.a, args.p, args.nmax)
-    parameters = {"a": str(args.a), "p": args.p, "nMax": args.nmax}
-    rows = [[n, v] for n, v in rows_s]
-    return parameters, ("n", "norm"), rows, experiments.sato_verdicts(args.a, rows_s)
+    parameters = {"a": args.a, "p": args.p, "nMax": args.nmax}
+    return parameters, ("n", "norm"), rows_s, experiments.sato_verdicts(args.a, rows_s)
 
 
 def _make_fn(args):
@@ -262,15 +256,8 @@ def _execute(args) -> dict:
     if header is not None:
         paths.append(os.path.join(args.outdir, f"{args.command}.csv"))
         write_csv(paths[-1], header, rows)
-    report = ExperimentReport(
-        command=args.command,
-        parameters=parameters,
-        rows=[list(r) for r in rows],
-        verdicts=verdicts,
-        wall_time_seconds=time.perf_counter() - t0,
-    )
     paths.append(os.path.join(args.outdir, f"{args.command}.json"))
-    write_json(paths[-1], report)
+    write_json(paths[-1], args.command, parameters, rows, verdicts, time.perf_counter() - t0)
     for name, ok in verdicts.items():
         print(f"[{'PASS' if ok else 'FAIL'}] {args.command}.{name}")
     for path in paths:
@@ -297,15 +284,9 @@ def _report(args) -> dict:
         sub_args = parser.parse_args(argv + ["--outdir", args.outdir])
         for name, ok in _execute(sub_args).items():
             summary[f"{sub_args.command}.{name}"] = ok
-    report = ExperimentReport(
-        command="report",
-        parameters={"seed": args.seed, "trials": args.trials},
-        rows=[],
-        verdicts=summary,
-        wall_time_seconds=time.perf_counter() - t0,
-    )
     summary_path = os.path.join(args.outdir, "summary.json")
-    write_json(summary_path, report)
+    parameters = {"seed": args.seed, "trials": args.trials}
+    write_json(summary_path, "report", parameters, [], summary, time.perf_counter() - t0)
     print(f"wrote {summary_path}")
     return summary
 

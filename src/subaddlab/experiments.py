@@ -1,9 +1,10 @@
 """Desk-scale experiments that exercise the counterexample's moving parts.
 
-Each experiment returns plain rows (dataclasses or tuples) so the CLI can
-serialize them, and each has one *_verdicts function next to it that turns
-its rows into named booleans; the CLI and the verify suites both call these,
-so every verdict threshold is written once, here.  Exact arithmetic is used
+Each experiment returns plain rows (tuples, named where the fields are
+read) with fields in the CSV's column order, so the CLI writes them as they
+come, and each has one *_verdicts function next to it that turns its rows
+into named booleans; the CLI and the verify suites both call these, so
+every verdict threshold is written once, here.  Exact arithmetic is used
 wherever the grid allows it, certified lower bounds elsewhere: a growth
 row's norm column is a lower bound obtained by truncation, never an estimate.
 """
@@ -15,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,8 +34,7 @@ def witness_fn(n: int) -> EventuallyConstant:
     return IndicatorGE(n * n)
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     n: int
     norm_fn: float
     norm_anfn_lower: float
@@ -123,8 +123,7 @@ def growth_verdicts(res: GrowthResult) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class BlowupRow:
+class BlowupRow(NamedTuple):
     n: int
     e_lower: float
     norm_lower: float
@@ -265,32 +264,27 @@ def probe_verdicts(rep: ProbeReport) -> dict:
     return {"min_positive": rep.min_observed > 0}
 
 
-def maximal_profile(m: int, N: int) -> tuple:
-    """sup_{1<=n<=N} M_n(T)(g)(k) for g the window [m, 2m), at each k < 2m.
+def maximal_profile(m: int) -> tuple:
+    """sup_{n>=1} M_n(T)(g)(k) for g the window [m, 2m), at each k < 2m.
 
     M_n(T)(g)(k) counts the window hits among k..k+n-1, divided by n.  For
     k < m the count is 0 up to n = m - k and n - (m - k) up to n = 2m - k,
     then m, so the ratio rises to m/(2m - k) at n = 2m - k and falls after
-    it; for m <= k < 2m it is 1 at n = 1.  Both are reached within N >= 2m.
+    it; for m <= k < 2m it is 1 at n = 1.  Both are reached by n = 2m.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    if N < 2 * m:
-        raise ValueError("horizon too short: need N >= 2m")
     return tuple(Fraction(m, 2 * m - k) if k < m else Fraction(1) for k in range(2 * m))
 
 
-def maximal_ratio_T(m: int, p, N: Optional[int] = None) -> float:
+def maximal_ratio_T(m: int, p) -> float:
     """||sup_n M_n(T)(g_m)||_p / ||g_m||_p for the window witness g_m.
 
     The maximal function vanishes for k >= 2m, so both norms are finite sums
-    closed by exact tails; the supremum over n is exhaustive because each
-    k < 2m attains it by n <= 2m (default horizon N = 4m keeps headroom).
+    closed by exact tails; maximal_profile gives the supremum over all n.
     """
     p = check_exponent(p)
-    if N is None:
-        N = 4 * m
-    sup = maximal_profile(m, N)
+    sup = maximal_profile(m)
     num = math.fsum(
         float(weights.alpha_exact(k)) * float(s) ** p for k, s in enumerate(sup) if s
     )

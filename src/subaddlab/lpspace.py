@@ -585,6 +585,8 @@ def image_p_norm(
     p = check_exponent(p)
     if n < 0:
         raise ValueError("need n >= 0")
+    if isinstance(f, PowerGrowth) and J is not None and J < 1:
+        raise ValueError("need J >= 1")
     if n == 0:
         return p_norm(f, p, K)
     lim = current_limits()
@@ -596,8 +598,8 @@ def image_p_norm(
             raise NotInLpError(f"image outside the space: beta*p = {q} >= 1/2")
         K_eff = _IMAGE_SIZE if K is None else K
         J_eff = _IMAGE_SIZE if J is None else J
-        if K_eff < 1 or J_eff < 1:
-            raise ValueError("need K >= 1 and J >= 1")
+        if K_eff < 1:
+            raise ValueError("need K >= 1")
         row_n = weights.float_row(n, J_eff)
         # (j+k)^beta for j < J and k < K is the sliding window k of one vector
         windows = np.lib.stride_tricks.sliding_window_view(

@@ -72,23 +72,15 @@ def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 @lru_cache(maxsize=1)
-def _exact_cdf() -> tuple:
-    """(C, D) with P(X <= j) = C[j + 1] / D for j < _TABLE_SIZE, as integers.
-
-    The table is fixed and small, so it is exact whatever the exact limit.
-    """
-    return weights._prefix_exact(1, _TABLE_SIZE)
-
-
-@lru_cache(maxsize=1)
 def _cdf_up() -> np.ndarray:
     """F_up[j], the smallest double >= P(X <= j) = C[j+1]/D, for j < 1024; then +inf.
 
     A double u has u >= C[j+1]/D exactly when u >= F_up[j], so the count of
     F_up[j] <= u is the exact table index of u, with no near-edge repair.
-    The +inf at index 1024 stops any step past the table.
+    The +inf at index 1024 stops any step past the table.  The integer table
+    (C, D) is fixed and small, so it is exact whatever the exact limit.
     """
-    C, D = _exact_cdf()
+    C, D = weights._prefix_exact(1, _TABLE_SIZE)
     F = []
     for c in C[1:]:
         x = c / D  # int division rounds correctly

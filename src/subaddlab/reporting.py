@@ -1,19 +1,20 @@
-"""Report plumbing: fixed CSV/JSON schemas, lossless printing, atomic writes.
+"""Report plumbing: the CSV and JSON writers, lossless printing, atomic writes.
 
-Exact rationals print as num/den (or a bare integer), floats with 17
-significant digits so they round-trip.  Files are written to a temp name in
-the target directory and renamed into place, so readers never see a partial
-file.  wallTimeSeconds is the one report field that varies between reruns;
-every other byte is a pure function of the run configuration.
+Rows reach the files as the experiments made them.  Exact rationals print as
+num/den (or a bare integer), floats with 17 significant digits so they
+round-trip; write_json alone fixes the report schema.  Files are written to
+a temp name in the target directory and renamed into place, so readers never
+see a partial file.  wallTimeSeconds is the one report field that varies
+between reruns; every other byte is a pure function of the run configuration.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -32,36 +33,6 @@ def format_value(v) -> str:
     return str(v)
 
 
-def _json_safe(v):
-    if isinstance(v, Fraction):
-        return format_value(v)
-    if isinstance(v, (list, tuple)):
-        return [_json_safe(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _json_safe(x) for k, x in v.items()}
-    return v
-
-
-@dataclass
-class ExperimentReport:
-    command: str
-    parameters: dict
-    rows: list
-    verdicts: dict
-    wall_time_seconds: float
-    schema_version: int = SCHEMA_VERSION
-
-    def to_dict(self) -> dict:
-        return {
-            "schemaVersion": self.schema_version,
-            "command": self.command,
-            "parameters": _json_safe(self.parameters),
-            "rows": _json_safe(self.rows),
-            "verdicts": dict(self.verdicts),
-            "wallTimeSeconds": round(self.wall_time_seconds, 6),
-        }
-
-
 def _atomic_write(path: str, data: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
@@ -77,8 +48,6 @@ def _atomic_write(path: str, data: str) -> None:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -87,5 +56,23 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
     _atomic_write(path, buf.getvalue())
 
 
-def write_json(path: str, report: ExperimentReport) -> None:
-    _atomic_write(path, json.dumps(report.to_dict(), indent=2) + "\n")
+def _json_default(v):
+    """Fractions print as in the CSVs; any other non-JSON value is an error."""
+    if isinstance(v, Fraction):
+        return format_value(v)
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
+
+
+def write_json(
+    path: str, command: str, parameters: dict, rows, verdicts: dict, seconds: float
+) -> None:
+    """<command>'s report: the one place the JSON schema is written down."""
+    report = {
+        "schemaVersion": SCHEMA_VERSION,
+        "command": command,
+        "parameters": parameters,
+        "rows": rows,
+        "verdicts": verdicts,
+        "wallTimeSeconds": round(seconds, 6),
+    }
+    _atomic_write(path, json.dumps(report, indent=2, default=_json_default) + "\n")

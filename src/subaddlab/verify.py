@@ -260,14 +260,7 @@ def check_probe_positive() -> bool:
 def check_maximal_growth() -> bool:
     grid = (4, 16, 64, 256)
     ratios = [experiments.maximal_ratio_T(m, 2.0) for m in grid]
-    ok = all(experiments.maximal_verdicts(ratios).values())
-    # the profile sup is attained by n <= 2m, so a longer horizon changes nothing
-    ok &= all(
-        experiments.maximal_ratio_T(m, 2.0, N=4 * m)
-        == experiments.maximal_ratio_T(m, 2.0, N=8 * m)
-        for m in (2, 4, 8)
-    )
-    return bool(ok)
+    return all(experiments.maximal_verdicts(ratios).values())
 
 
 def check_mc_agreement(seed: int = DEFAULT_SEED) -> bool:

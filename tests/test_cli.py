@@ -9,17 +9,19 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subaddlab import cli, experiments, weights
+from subaddlab import cli, experiments, reporting, weights
 
 
 def run(tmp_path, *argv):
@@ -179,6 +181,91 @@ def test_probe_command(tmp_path):
     assert rep["verdicts"]["min_positive"] is True
     assert rep["parameters"]["minObserved"] == "1309/1824"
     assert run(tmp_path, "probe", "--nmax", "2", "--jmax", "3") == 2
+
+
+PROBE_JSON = """\
+{
+  "schemaVersion": 1,
+  "command": "probe",
+  "parameters": {
+    "c0": "3/2",
+    "nMax": 3,
+    "jMax": 8,
+    "minObserved": "91/144",
+    "argmin": [
+      3,
+      6
+    ]
+  },
+  "rows": [
+    [
+      2,
+      3,
+      "7/10"
+    ],
+    [
+      2,
+      4,
+      "3/4"
+    ],
+    [
+      2,
+      5,
+      "11/14"
+    ],
+    [
+      2,
+      6,
+      "13/16"
+    ],
+    [
+      2,
+      7,
+      "5/6"
+    ],
+    [
+      2,
+      8,
+      "17/20"
+    ],
+    [
+      3,
+      6,
+      "91/144"
+    ],
+    [
+      3,
+      7,
+      "2/3"
+    ],
+    [
+      3,
+      8,
+      "153/220"
+    ]
+  ],
+  "verdicts": {
+    "min_positive": true
+  },
+  "wallTimeSeconds": T
+}
+"""
+
+
+def test_probe_json_bytes(tmp_path):
+    # Fraction parameters and rows print as num/den, the argmin tuple as a list
+    assert run(tmp_path, "probe", "--c0", "3/2", "--nmax", "3", "--jmax", "8") == 0
+    text = (tmp_path / "probe.json").read_text()
+    masked = re.sub(r'"wallTimeSeconds": [0-9.e+-]+', '"wallTimeSeconds": T', text)
+    assert masked == PROBE_JSON
+
+
+def test_json_rejects_numpy_scalars(tmp_path):
+    # a value json cannot print is an error, not a string, and leaves no file
+    path = tmp_path / "bad.json"
+    with pytest.raises(TypeError):
+        reporting.write_json(str(path), "bad", {"n": np.int64(3)}, [], {}, 0.0)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sato_command(tmp_path):

@@ -138,15 +138,13 @@ def test_probe_validation():
 
 def test_maximal_profile_closed_form():
     for m in (1, 2, 3, 5, 8):
-        prof = experiments.maximal_profile(m, 4 * m)
+        prof = experiments.maximal_profile(m)
         assert len(prof) == 2 * m
         for k in range(2 * m):
             expected = Fraction(m, 2 * m - k) if k < m else Fraction(1)
             assert prof[k] == expected
     with pytest.raises(ValueError):
-        experiments.maximal_profile(2, 3)
-    with pytest.raises(ValueError):
-        experiments.maximal_profile(0, 4)
+        experiments.maximal_profile(0)
 
 
 def brute_force_maximal_profile(m, N):
@@ -165,16 +163,11 @@ def brute_force_maximal_profile(m, N):
 def test_maximal_profile_matches_brute_force():
     for m in (1, 2, 3, 4, 16, 64, 256):
         for N in (2 * m, 4 * m, 8 * m):
-            assert experiments.maximal_profile(m, N) == brute_force_maximal_profile(m, N)
+            assert experiments.maximal_profile(m) == brute_force_maximal_profile(m, N)
 
 
 def test_maximal_ratio_values():
     assert abs(experiments.maximal_ratio_T(1, 2) - math.sqrt(2)) < 1e-15
-    # longer horizons change nothing: every supremum is attained by n <= 2m
-    for m in (2, 4, 8):
-        assert experiments.maximal_ratio_T(m, 2, N=4 * m) == experiments.maximal_ratio_T(
-            m, 2, N=8 * m
-        )
     ratios = [experiments.maximal_ratio_T(m, 2) for m in (4, 16, 64, 256)]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] > 5.0  # unbounded in m: already past 5 at m = 256

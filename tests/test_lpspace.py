@@ -464,6 +464,10 @@ def test_image_norm_power_growth():
     for kw in ({"K": 0}, {"J": 0}, {"K": -5}):
         with pytest.raises(ValueError):
             image_p_norm(PowerGrowth(0.2), 2, 2, **kw)
+    # and so is a J below 1 at n = 0, where J has no other use
+    for J in (0, -7):
+        with pytest.raises(ValueError):
+            image_p_norm(PowerGrowth(0.2), 0, 2, J=J)
 
 
 def test_contraction_bound_cases():

@@ -79,7 +79,7 @@ def oracle_index(u):
 
 
 def test_cdf_table_pins():
-    C, D = mc._exact_cdf()
+    C, D = weights._prefix_exact(1, mc._TABLE_SIZE)
     assert len(C) == mc._TABLE_SIZE + 1 and C[0] == 0
     F = mc._cdf_up()
     assert F[0] == 0.5
