@@ -11,6 +11,7 @@ row's norm column is a lower bound obtained by truncation, never an estimate.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import weights
 from .errors import EmptyGridError, NotInLpError
-from .limits import current_limits
-from .lpspace import EventuallyConstant, IndicatorGE, PowerGrowth, SeqFunction
+from .limits import Limits, current_limits
+from .lpspace import EventuallyConstant, IndicatorGE, PowerGrowth
 from .lpspace import _POW_ULPS, _image, _power_image, _powers, _root_enclosure, check_exponent
 
 
@@ -65,7 +66,10 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
     desk scale.  The survival values P(S_n + k >= n^2) = A^n f_n(k) are the
     lower ends of lpspace._image: exact (rounded once) while the row is
     within the exact limit, else from the compensated prefix of row n of
-    one float_rows sweep, stepped once through n.  The fit is ordinary
+    one float_rows sweep, stepped once through n.  They do not depend on p,
+    and are kept per (n_max, limits) for the process, so every p of one
+    process reads one computation; the row ceiling is checked on every
+    call, ahead of the memo.  The fit is ordinary
     least squares on (log n, log R(n)) for n >= fit_from (default
     n_max//4, at least 2).
     """
@@ -81,19 +85,9 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
             f"need fit_from <= n_max - 1 = {n_max - 1} for a two-point fit, got {fit_from}"
         )
     rows = []
-    sweep = weights.float_rows(n_max * n_max)  # one row stepped in n serves every float n
-    for n in range(1, n_max + 1):
+    for n, t_m, surv in _survival_rows(n_max, lim):
         m = n * n
-        t_m = weights._run_mass(m, None, lim)
-        if not isinstance(t_m, Fraction):
-            t_m = math.nextafter(t_m, math.inf)  # within an ulp; pad the denominator up
         norm_fn = float(t_m) ** (1.0 / p)
-        # lower ends of A^n f_n(k) = P(S_n >= m - k), k < m, from one row
-        # kind: past the exact limit the float prefix serves every k, since
-        # exact rows for the short windows cost more than the sums they tighten
-        backend = "auto" if weights._exact_ok(n, m, lim) else "log"
-        ends = _image(witness_fn(n), n, 0, m, None, backend, lim, operator.truediv, next(sweep)[1])
-        surv = ends[0].astype(float)
         # surv**p is np.power of the float lower bounds surv
         q_sum, q_err = weights.row_dot(1, weights.float_row(1, m), surv**p, _POW_ULPS)
         norm_lower = _root_enclosure(q_sum - q_err, q_sum, p).lower
@@ -110,6 +104,33 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
     ys = [math.log(r.ratio) for r in fit]
     slope = float(np.polyfit(xs, ys, 1)[0])
     return GrowthResult(tuple(rows), slope, (fit_from, n_max), p)
+
+
+@lru_cache(maxsize=8)
+def _survival_rows(n_max: int, lim: Limits) -> tuple:
+    """(n, T(n^2), lower ends of A^n f_n(k) for k < n^2) for n = 1..n_max.
+
+    None of it depends on p, so one computation serves every p; it is kept
+    per (n_max, limits), since the limits pick the exact or float path of
+    both _run_mass and _image.  T(n^2) is a Fraction, or a float padded up
+    by an ulp past the exact limit.  The survival arrays are read-only.
+    """
+    rows = []
+    sweep = weights.float_rows(n_max * n_max)  # one row stepped in n serves every float n
+    for n in range(1, n_max + 1):
+        m = n * n
+        t_m = weights._run_mass(m, None, lim)
+        if not isinstance(t_m, Fraction):
+            t_m = math.nextafter(t_m, math.inf)  # within an ulp; pad the denominator up
+        # lower ends of A^n f_n(k) = P(S_n >= m - k), k < m, from one row
+        # kind: past the exact limit the float prefix serves every k, since
+        # exact rows for the short windows cost more than the sums they tighten
+        backend = "auto" if weights._exact_ok(n, m, lim) else "log"
+        ends = _image(witness_fn(n), n, 0, m, None, backend, lim, operator.truediv, next(sweep)[1])
+        surv = ends[0].astype(float)
+        surv.flags.writeable = False
+        rows.append((n, t_m, surv))
+    return tuple(rows)
 
 
 def growth_verdicts(res: GrowthResult) -> dict:
@@ -165,33 +186,55 @@ def blowup_verdicts(rows) -> dict:
     }
 
 
-def pointwise_divergence(f: SeqFunction, k: int = 0, n_max: int = 32, J: int = 1 << 20):
+def pointwise_divergence(f, k: int = 0, n_max: int = 32, J: int = 1 << 20):
     """Rows (n, lower(A^n f(k))) for n = 0..n_max at a fixed truncation.
 
-    Each lower end is that of apply_A_pow(f, n, k, J=J).  One sweep steps a
-    single float row through n = 1..n_max with (j+k)^beta built once, and
-    the rows are kept for the process, so a repeat of the same pass (the
-    blowup command after verify, in one report) costs nothing.  The row
-    ceiling is checked on every call, ahead of the memo.
+    Each lower end is that of apply_A_pow(f, n, k, J=J).  f is one
+    PowerGrowth, or a tuple of them, for which a tuple of row tuples comes
+    back in f's order: one sweep serves several exponents, stepping a single
+    float row through n = 1..n_max once and summing it against each
+    exponent's (j+k)^beta, built once.  Rows are kept per (f, k, n_max, J)
+    for the process, and a sweep runs only for the exponents not kept yet,
+    so a repeat (the blowup command after verify, in one report) costs
+    nothing.  The row ceiling is checked on every call, ahead of the memo.
     """
-    if not isinstance(f, PowerGrowth) or not 0 < f.beta < 0.5:
+    fs = f if isinstance(f, tuple) else (f,)
+    if not fs or not all(isinstance(g, PowerGrowth) and 0 < g.beta < 0.5 for g in fs):
         raise ValueError("needs PowerGrowth with 0 < beta < 1/2")
     if k < 0 or J < 0:
         raise ValueError("need k >= 0 and J >= 0")
     current_limits().check_row_length(J)
-    return _divergence_sweep(f, k, n_max, max(J, 1))
+    J = max(J, 1)
+    keys = {g: (g, k, n_max, J) for g in fs}
+    missing = [g for g, key in keys.items() if key not in _divergence_rows]
+    if missing:
+        for g, rows in zip(missing, _divergence_sweep(missing, k, n_max, J)):
+            _divergence_rows[keys[g]] = rows
+    rows = tuple(_divergence_rows[keys[g]] for g in fs)
+    for key in list(_divergence_rows)[:-_DIVERGENCE_MEMO]:
+        del _divergence_rows[key]
+    return rows if isinstance(f, tuple) else rows[0]
 
 
-@lru_cache(maxsize=8)
-def _divergence_sweep(f: PowerGrowth, k: int, n_max: int, J: int) -> tuple:
-    rows = [(0, float(f(k)))]
-    if n_max < 1:
-        return tuple(rows)
-    powers = _powers(f.beta, k, J)
-    for n, row in weights.float_rows(J):
-        rows.append((n, float(_power_image(f, n, k, J, row, powers)[0])))
-        if n == n_max:
-            return tuple(rows)
+# pointwise_divergence's rows by (f, k, n_max, J), oldest first, at most this many
+_DIVERGENCE_MEMO = 8
+_divergence_rows: dict = {}
+
+
+def _divergence_sweep(fs, k: int, n_max: int, J: int) -> list:
+    """pointwise_divergence's rows for each f in fs, from one float_rows(J) pass."""
+    rows = [[(0, float(f(k)))] for f in fs]
+    if n_max >= 1:
+        # the base row float_rows caches comes first, so the power vectors,
+        # freed after the sweep, do not sit below it in the heap
+        sweep = weights.float_rows(J)
+        powers = [_powers(f.beta, k, J) for f in fs]
+        for n, row in sweep:
+            for f, out, w in zip(fs, rows, powers):
+                out.append((n, float(_power_image(f, n, k, J, row, w)[0])))
+            if n == n_max:
+                break
+    return [tuple(r) for r in rows]
 
 
 def divergence_verdicts(rows) -> dict:
@@ -235,12 +278,20 @@ class ProbeReport:
 
 
 def lower_bound_probe(c0=1, n_max: int = 12, j_max: int = 2000) -> ProbeReport:
-    """Minimum of alpha^n_j/(n alpha_j) over {2 <= n <= n_max, j <= j_max, c0*j >= n^2}."""
+    """Minimum of alpha^n_j/(n alpha_j) over {2 <= n <= n_max, j <= j_max, c0*j >= n^2}.
+
+    The report is kept per (c0, n_max, j_max) for the process, so the probe
+    command after verify, in one report, reads verify's grid.
+    """
     if c0 < 1:
         raise ValueError("need c0 >= 1")
     if n_max < 2:
         raise ValueError("need n_max >= 2")
-    c0_exact = Fraction(c0)
+    return _probe(Fraction(c0), n_max, j_max)
+
+
+@lru_cache(maxsize=4)
+def _probe(c0_exact: Fraction, n_max: int, j_max: int) -> ProbeReport:
     rows = []
     best = None
     argmin = None
@@ -253,10 +304,10 @@ def lower_bound_probe(c0=1, n_max: int = 12, j_max: int = 2000) -> ProbeReport:
                 best, argmin = ratio, (n, j)
     if not rows:
         raise EmptyGridError(
-            f"no admissible (n, j) with c0*j >= n^2 for c0={c0}, "
+            f"no admissible (n, j) with c0*j >= n^2 for c0={c0_exact}, "
             f"n_max={n_max}, j_max={j_max}"
         )
-    return ProbeReport(float(c0), n_max, j_max, tuple(rows), best, argmin)
+    return ProbeReport(float(c0_exact), n_max, j_max, tuple(rows), best, argmin)
 
 
 def probe_verdicts(rep: ProbeReport) -> dict:
@@ -282,13 +333,19 @@ def maximal_ratio_T(m: int, p) -> float:
 
     The maximal function vanishes for k >= 2m, so both norms are finite sums
     closed by exact tails; maximal_profile gives the supremum over all n.
+    The ratio is kept per (m, p, limits) for the process, since the limits
+    pick run_mass's exact or float path.
     """
-    p = check_exponent(p)
+    return _maximal_ratio(m, check_exponent(p), current_limits())
+
+
+@lru_cache(maxsize=32)
+def _maximal_ratio(m: int, p: float, lim: Limits) -> float:
     sup = maximal_profile(m)
     num = math.fsum(
         float(weights.alpha_exact(k)) * float(s) ** p for k, s in enumerate(sup) if s
     )
-    den = float(weights.run_mass(m, 2 * m))
+    den = float(weights._run_mass(m, 2 * m, lim))
     return (num / den) ** (1.0 / p)
 
 
@@ -326,18 +383,23 @@ def sato_power(n: int, a) -> SatoMatrix:
 
 
 def sato_matrix_product(n: int, a) -> SatoMatrix:
-    """Brute-force n-fold product oracle for sato_power."""
+    """Brute-force n-fold product oracle for sato_power: term n of _sato_products."""
     if n < 0:
         raise ValueError("need n >= 0")
     a = Fraction(a)
     if a <= 0:
         raise ValueError("need a > 0")
+    return next(itertools.islice(_sato_products(a), n, None))
+
+
+def _sato_products(a: Fraction):
+    """Yield [[1, a], [0, 1]]^n for n = 0, 1, ...: one running product, one factor a step."""
     m11, m12, m21, m22 = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
-    for _ in range(n):
+    while True:
+        yield SatoMatrix(m11, m12, m21, m22)
         # multiply on the right by [[1, a], [0, 1]]
         m11, m12 = m11, m11 * a + m12
         m21, m22 = m21, m21 * a + m22
-    return SatoMatrix(m11, m12, m21, m22)
 
 
 def sato_norm_growth(a, p, n_max: int):
@@ -357,12 +419,19 @@ def sato_norm_growth(a, p, n_max: int):
 
 
 def sato_verdicts(a, rows) -> dict:
-    """Closed form vs product for every n in rows, norms >= n a, strict growth."""
+    """Closed form vs product for every n in rows, norms >= n a, strict growth.
+
+    The products are the terms of one running product (_sato_products, the
+    oracle behind sato_matrix_product), walked once to the largest n of the
+    rows, and each row's n is compared with its own term.
+    """
     a = Fraction(a)
     vals = [v for _, v in rows]
+    closed = {n: sato_power(n, a) for n, _ in rows}
+    products = itertools.islice(_sato_products(a), max(closed, default=-1) + 1)
     return {
         "closed_form_matches_product": all(
-            sato_power(n, a) == sato_matrix_product(n, a) for n, _ in rows
+            closed[n] == prod for n, prod in enumerate(products) if n in closed
         ),
         "norm_ge_n_a": all(v >= float(n * a) - 1e-12 for n, v in rows),
         "strictly_increasing": all(x < y for x, y in zip(vals, vals[1:])),

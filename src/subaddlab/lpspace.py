@@ -377,7 +377,8 @@ _POW_ULPS = 8
 
 def _powers(beta: float, k: int, J: int) -> np.ndarray:
     """(j+k)^beta for j < J, with 0^beta = 0, each within _POW_ULPS u."""
-    out = np.power(np.arange(k, k + J, dtype=np.float64), beta)
+    out = np.arange(k, k + J, dtype=np.float64)
+    np.power(out, beta, out=out)  # in place: no second vector of length J
     if k == 0 and J:
         out[0] = 0.0
     return out
@@ -587,6 +588,8 @@ def image_p_norm(
         raise ValueError("need n >= 0")
     if isinstance(f, PowerGrowth) and J is not None and J < 1:
         raise ValueError("need J >= 1")
+    if isinstance(f, EventuallyConstant) and J is not None and J < 0:
+        raise ValueError("truncation must be >= 0")
     if n == 0:
         return p_norm(f, p, K)
     lim = current_limits()

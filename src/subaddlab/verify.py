@@ -231,19 +231,22 @@ def check_growth_slopes() -> bool:
     )
 
 
+# blowup_curve(2.0)'s exponent 2/(5p) and the faster one pointwise_divergence
+# needs; one float_rows pass at J = 2^20 makes the rows of both
+_DIVERGENCE_EXPONENTS = (PowerGrowth(0.2), PowerGrowth(0.32))
+
+
 def check_blowup_monotone() -> bool:
+    experiments.pointwise_divergence(_DIVERGENCE_EXPONENTS, 0, 32)
     return all(experiments.blowup_verdicts(experiments.blowup_curve(2.0)).values())
 
 
 def check_pointwise_divergence() -> bool:
-    # rows n <= 24 of the beta = 0.2 pass that blowup_monotone makes to n = 32
-    v_slow = experiments.divergence_verdicts(
-        experiments.pointwise_divergence(PowerGrowth(0.2), 0, 32)[:25]
-    )
+    slow, fast = experiments.pointwise_divergence(_DIVERGENCE_EXPONENTS, 0, 32)
+    # rows n <= 24 of the beta = 0.2 pass that blowup_monotone reads to n = 32
+    v_slow = experiments.divergence_verdicts(slow[:25])
     # end-vs-quarter doubling needs 4^(2 beta) >= 2, so probe it above 1/4
-    v_fast = experiments.divergence_verdicts(
-        experiments.pointwise_divergence(PowerGrowth(0.32), 0, 32)
-    )
+    v_fast = experiments.divergence_verdicts(fast)
     return v_slow["nondecreasing"] and v_fast["nondecreasing"] and v_fast["doubled"]
 
 

@@ -47,6 +47,7 @@ from typing import Optional, Union
 
 import mpmath
 import numpy as np
+from mpmath import libmp
 
 from .errors import NotSummableError, ResourceLimitError
 from .limits import Limits, current_limits
@@ -69,7 +70,8 @@ _HEAD = 1024
 _BASE_ULPS = 96
 # the float row ratios stay exact integers while 2J + n is at most this
 _RATIO_EXACT_MAX = 60_000_000
-# float rows are built and stepped in slices of this many entries
+# float rows are built, stepped and summed in slices of this many entries
+# (whole SUM_BLOCK blocks)
 _SLICE = 1 << 15
 _LOG_PI = math.log(math.pi)
 
@@ -267,29 +269,34 @@ def _base_prefix(J: int) -> np.ndarray:
     return _base_row(_longest_base)[:J]
 
 
-def _step(row: np.ndarray, two_j: np.ndarray, n: int, num: np.ndarray, den: np.ndarray) -> None:
-    """alpha^n -> alpha^(n+1) in place, by (n+1)(2j+n) / (n(2j+2(n+1))).
+def _step(row: np.ndarray, j0: float, n: int, num: np.ndarray, den: np.ndarray) -> None:
+    """alpha^n -> alpha^(n+1) in place, by (n+1)(2j+n) / (n(2j+2(n+1))), j = j0, j0 + 1, ...
 
     Numerator and denominator are exact float integers, formed slice by
-    slice in the short scratch rows num and den.
+    slice in the short scratch rows num and den from 2i, i < len(num).
     """
+    two_i = 2.0 * np.arange(len(num))
     for start in range(0, len(row), len(num)):
         stop = min(start + len(num), len(row))
-        a, b = num[: stop - start], den[: stop - start]
-        np.add(two_j[start:stop], n, out=a)
+        a, b, two_j = num[: stop - start], den[: stop - start], two_i[: stop - start]
+        off = 2 * (j0 + start)
+        np.add(two_j, off + n, out=a)
         a *= n + 1
-        np.add(two_j[start:stop], 2 * (n + 1), out=b)
+        np.add(two_j, off + 2 * (n + 1), out=b)
         b *= n
         a /= b
         row[start:stop] *= a
 
 
-def _rows(j: np.ndarray, base: np.ndarray):
-    """(n, row) for n = 1, 2, ... at the indices j, from the base values there."""
-    J = int(j.max(initial=-1)) + 1
-    two_j = 2.0 * j
-    del j
-    size = min(len(two_j), _SLICE) or 1
+def _rows(j, base: np.ndarray):
+    """(n, row) for n = 1, 2, ... at the consecutive indices j, from the base values there.
+
+    j is a range or an array of consecutive integers; only j[0] and len(j)
+    are read, so no index vector is kept beside the row.
+    """
+    j0 = float(j[0]) if len(j) else 0.0
+    J = int(j0) + len(j)
+    size = min(len(j), _SLICE) or 1
     num, den = np.empty(size), np.empty(size)
     row = base
     n = 1
@@ -300,7 +307,7 @@ def _rows(j: np.ndarray, base: np.ndarray):
         _check_ratio_exact(J, n)
         if n == 1:
             row = row.copy()
-        _step(row, two_j, n, num, den)
+        _step(row, j0, n, num, den)
         n += 1
 
 
@@ -347,7 +354,7 @@ def float_rows(J: int):
         raise ValueError("need J >= 0")
     current_limits().check_row_length(J)
     _check_ratio_exact(J, 1)
-    return _rows(np.arange(J, dtype=np.float64), _base_prefix(J))
+    return _rows(range(J), _base_prefix(J))
 
 
 def float_row(n: int, J: int) -> np.ndarray:
@@ -378,10 +385,18 @@ def block_sum(t: np.ndarray):
     Algorithms, 2nd ed., 2002, eq. (4.4)), which is (SUM_BLOCK - 1) u plus
     second-order terms for one block, and fsum rounds the total once, u.
     """
+    return _fsum_lines(_block_parts(t))
+
+
+def _block_parts(t: np.ndarray) -> np.ndarray:
+    """The block sums of t along its last axis, then the sum of the rest."""
     m = t.shape[-1]
     full = m - m % SUM_BLOCK
     blocks = t[..., :full].reshape(t.shape[:-1] + (-1, SUM_BLOCK)).sum(axis=-1)
-    parts = np.concatenate([blocks, t[..., full:].sum(axis=-1, keepdims=True)], axis=-1)
+    return np.concatenate([blocks, t[..., full:].sum(axis=-1, keepdims=True)], axis=-1)
+
+
+def _fsum_lines(parts: np.ndarray):
     if parts.ndim == 1:
         return math.fsum(parts.tolist())
     return np.array([math.fsum(p) for p in parts.tolist()])
@@ -400,13 +415,31 @@ def row_dot(n: int, row: np.ndarray, w: Optional[np.ndarray] = None, w_ulps: flo
     2^-1075 from an underflowing weight and 2^-1075 from an underflowing
     product, which the last term of err covers twice.
     """
-    t = row if w is None else row * w
-    s = block_sum(t)
-    a = block_sum(np.abs(t)) if t.size and t.min() < 0 else s
+    s, negative = _sliced_block_sum(row, w)
+    a = _sliced_block_sum(row, w, np.abs)[0] if negative else s
     rel, tiny = row_error(n)
     big = float(np.abs(w).max()) if tiny and w is not None and w.size else 1.0
-    err = (rel + (w_ulps + SUM_BLOCK + 4) * U) * a + 2 * t.shape[-1] * (tiny * big + TINY)
+    err = (rel + (w_ulps + SUM_BLOCK + 4) * U) * a + 2 * row.shape[-1] * (tiny * big + TINY)
     return s, err
+
+
+def _sliced_block_sum(row: np.ndarray, w: Optional[np.ndarray], fn=None) -> tuple:
+    """(block_sum(fn(row * w)), whether a product row * w is negative).
+
+    The products are formed _SLICE terms at a time, so no temporary is as
+    long as the row.  A slice holds whole blocks, so the blocks are
+    block_sum's, and the fsum is too, to the bit: the only other parts are
+    the empty rests of the slices before the last, exact zeros, which leave
+    the exact sum that fsum rounds unchanged.
+    """
+    parts, negative = [], False
+    for start in range(0, row.shape[-1] or 1, _SLICE):
+        t = row[start : start + _SLICE]
+        if w is not None:
+            t = t * w[..., start : start + _SLICE]
+        negative = negative or bool(t.size and t.min() < 0)
+        parts.append(_block_parts(t if fn is None else fn(t)))
+    return _fsum_lines(np.concatenate(parts, axis=-1)), negative
 
 
 def _two_sum(a, b):
@@ -560,7 +593,10 @@ def pgf_check(x, J: int) -> PgfCheck:
     The sum stops at the first term that leaves the 40-digit total unchanged:
     the terms decrease (ratio x(2j+1)/(2j+4) < 1) and rounding is monotone,
     so no later term could change it either, and the result is the same to
-    the bit as summing all J terms.
+    the bit as summing all J terms.  The loop calls mpmath.libmp on the raw
+    values: the same operations (mpf_add, mpf_mul, mpf_mul_int, mpf_div), at
+    the same precision mp.prec and with the same round-to-nearest, as mpf
+    arithmetic, so it gives the same bits without an mpf object per step.
     """
     if not 0 <= x < 1:
         raise ValueError("x must lie in [0, 1)")
@@ -572,14 +608,18 @@ def pgf_check(x, J: int) -> PgfCheck:
             closed = mpmath.mpf(1) / 2
         else:
             closed = (1 - mpmath.sqrt(1 - xm)) / xm
-        term = mpmath.mpf(1) / 2
-        total = mpmath.mpf(0)
+        prec, rnd, xv = mpmath.mp.prec, libmp.round_nearest, xm._mpf_
+        term = libmp.mpf_div(libmp.fone, libmp.from_int(2), prec, rnd)
+        total = libmp.fzero
         for j in range(J):
-            if total + term == total:
+            new = libmp.mpf_add(total, term, prec, rnd)
+            if new == total:
                 break
-            total += term
+            total = new
             # alpha_{j+1}/alpha_j = (2j+1)/(2(j+2)); one extra factor of x per step
-            term = term * xm * (2 * j + 1) / (2 * (j + 2))
+            term = libmp.mpf_mul_int(libmp.mpf_mul(term, xv, prec, rnd), 2 * j + 1, prec, rnd)
+            term = libmp.mpf_div(term, libmp.from_int(2 * (j + 2)), prec, rnd)
+        total = mpmath.mp.make_mpf(total)
         gap = closed - total
         return PgfCheck(float(total), float(closed), float(gap))
 

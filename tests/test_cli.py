@@ -148,13 +148,15 @@ def test_blowup_command(tmp_path):
 
 
 def test_blowup_reuses_the_verify_pass(tmp_path, monkeypatch):
-    experiments._divergence_sweep.cache_clear()
+    experiments._divergence_rows.clear()
     assert run(tmp_path, "blowup") == 0
     before = (tmp_path / "blowup.csv").read_bytes()
     assert run(tmp_path, "verify", "--suite", "all") == 0
-    hits = experiments._divergence_sweep.cache_info().hits
+    sweeps = []
+    sweep = experiments._divergence_sweep
+    monkeypatch.setattr(experiments, "_divergence_sweep", lambda *a: sweeps.append(a) or sweep(*a))
     assert run(tmp_path, "blowup") == 0
-    assert experiments._divergence_sweep.cache_info().hits == hits + 1
+    assert sweeps == []
     assert (tmp_path / "blowup.csv").read_bytes() == before
     # the row ceiling still applies to a pass that is already memoized
     assert run(tmp_path, "blowup", "--nmax", "8", "--trunc", "65536") == 0
@@ -307,8 +309,31 @@ def test_usage_errors():
     assert cli.main(["--help"]) == 0
 
 
-def test_report_aggregates_everything(tmp_path):
+def test_report_aggregates_everything(tmp_path, monkeypatch):
+    caches = (experiments._probe, experiments._survival_rows, experiments._maximal_ratio)
+    for cache in caches:
+        cache.cache_clear()
+    experiments._divergence_rows.clear()
+    # (J, last n stepped) of every float_rows pass
+    passes = []
+    float_rows = weights.float_rows
+
+    def counted(J):
+        rec = [J, 0]
+        passes.append(rec)
+        for n, row in float_rows(J):
+            rec[1] = n
+            yield n, row
+
+    monkeypatch.setattr(weights, "float_rows", counted)
     assert run(tmp_path, "report", "--trials", "20000") == 0
+    # one 2^20 pass to n = 32 serves both divergence exponents and the blowup
+    # command; the pass to n = 4 is mc_agreement's k^0.2 enclosure
+    assert sorted(n for J, n in passes if J == 1 << 20) == [4, 32]
+    # probe, growth and maximal compute once for verify and the command
+    assert experiments._probe.cache_info()[:2] == (1, 1)
+    assert experiments._survival_rows.cache_info()[:2] == (3, 1)
+    assert experiments._maximal_ratio.cache_info()[:2] == (4, 4)
     for name in (
         "alpha.csv",
         "verify.json",

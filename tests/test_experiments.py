@@ -16,8 +16,8 @@ import pytest
 
 from subaddlab import experiments, weights
 from subaddlab.limits import current_limits
-from subaddlab.errors import EmptyGridError, NotInLpError
-from subaddlab.lpspace import IndicatorGE, PowerGrowth, _image
+from subaddlab.errors import EmptyGridError, NotInLpError, ResourceLimitError
+from subaddlab.lpspace import IndicatorGE, PowerGrowth, _image, apply_A_pow
 
 
 def test_witness_fn():
@@ -94,6 +94,28 @@ def test_pointwise_divergence_doubling_depends_on_beta():
     assert v["nondecreasing"] and not v["doubled"]
     values = [x for _, x in rows]
     assert values[0] == 0.0 and values[-1] > 1.0
+
+
+def test_shared_sweep_rows_equal_single_exponent_rows():
+    fs, J = (PowerGrowth(0.2), PowerGrowth(0.32)), 1 << 18
+    experiments._divergence_rows.clear()
+    shared = experiments.pointwise_divergence(fs, 0, 32, J)
+    experiments._divergence_rows.clear()
+    single = [experiments.pointwise_divergence(f, 0, 32, J) for f in fs]
+    bits = lambda rows: [(n, v.hex()) for n, v in rows]
+    assert list(map(bits, shared)) == list(map(bits, single))
+    for f, rows in zip(fs, shared):
+        assert rows[7][1] == apply_A_pow(f, 7, 0, J=J).lower
+
+
+def test_memoized_experiments_still_check_the_row_ceiling(monkeypatch):
+    experiments.growth_curve(2, 8)
+    experiments.pointwise_divergence(PowerGrowth(0.2), 0, 4, 4096)
+    monkeypatch.setenv("SUBADDLAB_MAX_J", "63")
+    with pytest.raises(ResourceLimitError):
+        experiments.growth_curve(2, 8)  # rows of length 8^2 = 64
+    with pytest.raises(ResourceLimitError):
+        experiments.pointwise_divergence(PowerGrowth(0.2), 0, 4, 4096)
 
 
 def test_pointwise_divergence_validation():
@@ -183,6 +205,18 @@ def test_sato_closed_form_matches_product_oracle():
         experiments.sato_power(-1, 1)
     with pytest.raises(ValueError):
         experiments.SatoMatrix(Fraction(2), Fraction(0), Fraction(0), Fraction(1))
+
+
+def test_sato_verdicts_compare_each_row(monkeypatch):
+    rows = [(n, n + 0.5) for n in (3, 7, 100)]
+    seen = []
+    power = experiments.sato_power
+    monkeypatch.setattr(experiments, "sato_power", lambda n, a: seen.append(n) or power(n, a))
+    assert experiments.sato_verdicts(1, rows)["closed_form_matches_product"]
+    assert seen == [3, 7, 100]
+    # a closed form that is wrong at the last row's n alone turns the verdict false
+    monkeypatch.setattr(experiments, "sato_power", lambda n, a: power(n + (n == 100), a))
+    assert not experiments.sato_verdicts(1, rows)["closed_form_matches_product"]
 
 
 def test_sato_norm_growth():

@@ -470,6 +470,15 @@ def test_image_norm_power_growth():
             image_p_norm(PowerGrowth(0.2), 0, 2, J=J)
 
 
+def test_image_norm_rejects_a_negative_truncation_by_name():
+    # a bounded f names J, as apply_A_pow does, at every n
+    for n in (0, 2):
+        with pytest.raises(ValueError, match="^truncation must be >= 0$"):
+            image_p_norm(IndicatorGE(3), n, 2, J=-3)
+    with pytest.raises(ValueError, match="^truncation must be >= 0$"):
+        apply_A_pow(IndicatorGE(3), 2, 0, J=-3)
+
+
 def test_contraction_bound_cases():
     assert contraction_bound_check(IndicatorGE(1), 2).ok
     assert contraction_bound_check(FiniteTable((1, -2, Fraction(3, 2))), 1.5).ok

@@ -1,10 +1,10 @@
-"""Mutation table: every seeded fault must turn at least one core verdict false.
+"""Mutation table: every seeded fault must turn its named core verdict false.
 
-A mutation is a one-line edit of one function's source.  The edited function
-is compiled against a copy of its module's namespace and patched into the
-module for one test; the row and result caches are cleared before and after, so
-rows built by the unmutated code never mask the fault and mutated rows never
-leak into later tests.
+A mutation is a small edit of one function's source: one line changed, or
+one line moved.  The edited function is compiled against a copy of its
+module's namespace and patched into the module for one test; the row and
+result caches are cleared before and after, so rows built by the unmutated
+code never mask the fault and mutated rows never leak into later tests.
 """
 
 import __future__
@@ -16,20 +16,24 @@ import pytest
 
 from subaddlab import experiments, lpspace, verify, weights
 
-# the caches of the unmutated builders, captured before any patch
+# how to empty each cache of the unmutated builders, captured before any patch
 ROW_CACHES = (
-    weights._row_exact,
-    weights._prefix_exact,
-    weights._head_row,
-    weights._base_row,
-    lpspace._image_levels,
-    experiments._divergence_sweep,
+    weights._row_exact.cache_clear,
+    weights._prefix_exact.cache_clear,
+    weights._head_row.cache_clear,
+    weights._base_row.cache_clear,
+    lpspace._image_levels.cache_clear,
+    experiments._divergence_rows.clear,
+    experiments._survival_rows.cache_clear,
+    experiments._probe.cache_clear,
+    experiments._maximal_ratio.cache_clear,
 )
 
-# (id, module, function, original text, mutated text)
+# (id, core verdict that must turn false, module, function, original text, mutated text)
 MUTATIONS = (
     (
         "numerator_recurrence_off_by_one",
+        "closed_form_vs_convolution",
         weights,
         "_numerators",
         "((j + 1) * (j + n + 1))",
@@ -37,6 +41,7 @@ MUTATIONS = (
     ),
     (
         "image_drops_remainder",
+        "cesaro_identities",
         lpspace,
         "_exact_image",
         "rem, d = D - C[W], q * D",
@@ -44,6 +49,7 @@ MUTATIONS = (
     ),
     (
         "image_run_offset_off_by_one",
+        "barycenter_residual_zero",
         lpspace,
         "_runs",
         "np.maximum(a - ks, 0)",
@@ -51,6 +57,7 @@ MUTATIONS = (
     ),
     (
         "ratio_step_off_by_one",
+        "backend_agreement",
         weights,
         "_step",
         "2 * (n + 1)",
@@ -58,10 +65,33 @@ MUTATIONS = (
     ),
     (
         "integer_convolution_index_shift",
+        "closed_form_vs_convolution",
         weights,
         "_convolve_numerators",
         "b[j - i]",
         "b[j - i - 1]",
+    ),
+    (
+        "sato_product_yields_after_multiplying",
+        "sato_closed_form",
+        experiments,
+        "_sato_products",
+        "yield SatoMatrix(m11, m12, m21, m22)\n"
+        "        # multiply on the right by [[1, a], [0, 1]]\n"
+        "        m11, m12 = m11, m11 * a + m12\n"
+        "        m21, m22 = m21, m21 * a + m22\n",
+        "# multiply on the right by [[1, a], [0, 1]]\n"
+        "        m11, m12 = m11, m11 * a + m12\n"
+        "        m21, m22 = m21, m21 * a + m22\n"
+        "        yield SatoMatrix(m11, m12, m21, m22)\n",
+    ),
+    (
+        "pgf_term_ratio_off_by_one",
+        "pgf_point_checks",
+        weights,
+        "pgf_check",
+        "2 * j + 1",
+        "2 * j + 2",
     ),
 )
 
@@ -84,11 +114,11 @@ def mutant(module, name, old, new):
 
 @pytest.fixture
 def clean_caches():
-    for fn in ROW_CACHES:
-        fn.cache_clear()
+    for clear in ROW_CACHES:
+        clear()
     yield
-    for fn in ROW_CACHES:
-        fn.cache_clear()
+    for clear in ROW_CACHES:
+        clear()
 
 
 def failed_checks(bias=0.0):
@@ -100,11 +130,11 @@ def test_unmutated_core_suite_passes(clean_caches):
 
 
 @pytest.mark.parametrize(
-    "module, name, old, new", [m[1:] for m in MUTATIONS], ids=[m[0] for m in MUTATIONS]
+    "verdict, module, name, old, new", [m[1:] for m in MUTATIONS], ids=[m[0] for m in MUTATIONS]
 )
-def test_mutation_trips_a_core_verdict(monkeypatch, clean_caches, module, name, old, new):
+def test_mutation_trips_a_core_verdict(monkeypatch, clean_caches, verdict, module, name, old, new):
     monkeypatch.setattr(module, name, mutant(module, name, old, new))
-    assert failed_checks(), f"no core verdict caught the mutation {old!r} -> {new!r}"
+    assert verdict in failed_checks(), f"{verdict} did not catch the mutation {old!r} -> {new!r}"
 
 
 def test_nan_bias_trips_backend_agreement(clean_caches):
