@@ -252,12 +252,12 @@ def _execute(args) -> dict:
     """Run one parsed command, write <command>.csv/.json, print its verdicts."""
     t0 = time.perf_counter()
     parameters, header, rows, verdicts = args.run(args)
-    paths = []
+    paths, csv_block = [], None
     if header is not None:
         paths.append(os.path.join(args.outdir, f"{args.command}.csv"))
-        write_csv(paths[-1], header, rows)
+        csv_block = write_csv(paths[-1], header, rows)
     paths.append(os.path.join(args.outdir, f"{args.command}.json"))
-    write_json(paths[-1], args.command, parameters, rows, verdicts, time.perf_counter() - t0)
+    write_json(paths[-1], args.command, parameters, csv_block, verdicts, time.perf_counter() - t0)
     for name, ok in verdicts.items():
         print(f"[{'PASS' if ok else 'FAIL'}] {args.command}.{name}")
     for path in paths:
@@ -286,7 +286,7 @@ def _report(args) -> dict:
             summary[f"{sub_args.command}.{name}"] = ok
     summary_path = os.path.join(args.outdir, "summary.json")
     parameters = {"seed": args.seed, "trials": args.trials}
-    write_json(summary_path, "report", parameters, [], summary, time.perf_counter() - t0)
+    write_json(summary_path, "report", parameters, None, summary, time.perf_counter() - t0)
     print(f"wrote {summary_path}")
     return summary
 

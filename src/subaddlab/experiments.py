@@ -293,15 +293,17 @@ def lower_bound_probe(c0=1, n_max: int = 12, j_max: int = 2000) -> ProbeReport:
 @lru_cache(maxsize=4)
 def _probe(c0_exact: Fraction, n_max: int, j_max: int) -> ProbeReport:
     rows = []
-    best = None
-    argmin = None
+    best = argmin = None
+    bn, bd = 1, 0  # the best ratio so far as bn / bd, with 1 / 0 above every ratio
     for n in range(2, n_max + 1):
         nn = n * n
         for j in range(math.ceil(nn / c0_exact), j_max + 1):
             ratio = probe_ratio_exact(n, j)
             rows.append((n, j, ratio))
-            if best is None or ratio < best:
-                best, argmin = ratio, (n, j)
+            # ratio < best on integers: denominators are positive
+            a, b = ratio.numerator, ratio.denominator
+            if a * bd < bn * b:
+                best, argmin, bn, bd = ratio, (n, j), a, b
     if not rows:
         raise EmptyGridError(
             f"no admissible (n, j) with c0*j >= n^2 for c0={c0_exact}, "

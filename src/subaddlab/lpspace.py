@@ -17,7 +17,10 @@ So one prefix row serves every k.  _image evaluates A^n f over a range of k
 from one exact prefix (integers over one power of two) or one compensated
 float prefix (weights._float_prefix: a few u of each segment's own mass
 beside weights.row_error), and apply_A_pow, image_p_norm and
-experiments.growth_curve all read it.  Infinite sums are returned as
+experiments.growth_curve all read it.  Neither the image nor the masses
+depend on the exponent, so image_p_norms and p_norms read every p off one
+image and one mass list; image_p_norm and p_norm, for such f, are their
+one-exponent case.  Infinite sums are returned as
 Enclosure(lower, upper) pairs, exact whenever the function and the backend
 allow it.  For PowerGrowth, _power_image sums one float row with the
 derived allowance of weights.row_dot (about 1e-13 relative, whatever the
@@ -39,7 +42,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -277,8 +279,8 @@ def _root_of_sums(masses, lo_abs, hi_abs, p: float, e) -> Enclosure:
         return _abs_pow(a, p) if e is None else float(abs(Fraction(a)) / 2**e) ** p
 
     lo_terms = [m * power(a) for m, a in zip(masses, lo_abs)]
-    # p_norm passes one list for both ends
-    hi_terms = lo_terms if hi_abs is lo_abs else [m * power(a) for m, a in zip(masses, hi_abs)]
+    # equal bases give equal terms: a norm of f, or of an exact image, has one list
+    hi_terms = lo_terms if hi_abs == lo_abs else [m * power(a) for m, a in zip(masses, hi_abs)]
     pad = (p + _NORM_SUM_ULPS) * 2.0**-53
     tiny = math.ulp(0.0) * (len(hi_terms) + 1)
     lo = math.fsum(lo_terms) * (1 - pad) - tiny
@@ -291,28 +293,38 @@ def _root_of_sums(masses, lo_abs, hi_abs, p: float, e) -> Enclosure:
 def p_norm(f: SeqFunction, p, K: Optional[int] = None) -> Enclosure:
     """Enclosure of (sum_k alpha_k |f(k)|^p)^(1/p).
 
-    An eventually-constant f sums run by run, sum_k alpha_k |v_k|^p +
-    |c|^p T(L), exactly when every level is 0 or +-1 (indicators).
-    PowerGrowth sums k < K from one float row and adds the integral-comparison
-    tail power_tail_bound(beta p, K); it is rejected outright when
+    An eventually-constant f is p_norms' one-exponent case.  PowerGrowth
+    sums k < K from one float row and adds the integral-comparison tail
+    power_tail_bound(beta p, K); it is rejected outright when
     beta*p >= 1/2 (the function is then outside the space).  K omitted means
     K = min(SUBADDLAB_MAX_J, 2^21), with no search for a smaller K: the tail
     decays like K^(beta p - 1/2), so no K below that cap brings the width
     within 1e-10 of the value.
     """
+    if isinstance(f, EventuallyConstant):
+        return p_norms(f, (p,))[0]
     p = check_exponent(p)
+    q = f.beta * p
+    if q >= 0.5:
+        raise NotInLpError(
+            f"k^{f.beta} is outside l^{p}(N, alpha): needs beta*p < 1/2, got {q}"
+        )
+    K = min(current_limits().max_j, _POWER_CAP) if K is None else K
+    row = weights.float_row(1, K)[1:]
+    s, err = weights.row_dot(1, row, _powers(q, 1, K - 1), _POW_ULPS)
+    tail = weights.power_tail_bound(q, K)
+    return _root_enclosure(_pad_down(s - err), _pad_up(_pad_up(s + err) + tail), p)
+
+
+def p_norms(f: EventuallyConstant, ps) -> tuple:
+    """p_norm(f, p) for each p in ps, for an eventually-constant f.
+
+    f sums run by run, sum_k alpha_k |v_k|^p + |c|^p T(L), exactly when
+    every level is 0 or +-1 (indicators).  The run masses and levels do not
+    depend on p, so one pass over them serves every p.
+    """
+    ps = [check_exponent(p) for p in ps]
     lim = current_limits()
-    if isinstance(f, PowerGrowth):
-        q = f.beta * p
-        if q >= 0.5:
-            raise NotInLpError(
-                f"k^{f.beta} is outside l^{p}(N, alpha): needs beta*p < 1/2, got {q}"
-            )
-        K = min(lim.max_j, _POWER_CAP) if K is None else K
-        row = weights.float_row(1, K)[1:]
-        s, err = weights.row_dot(1, row, _powers(q, 1, K - 1), _POW_ULPS)
-        tail = weights.power_tail_bound(q, K)
-        return _root_enclosure(_pad_down(s - err), _pad_up(_pad_up(s + err) + tail), p)
     # run i carries mass T(starts[i]) - T(starts[i+1]), the last run T(L)
     ends = f.starts[1:] + (None,)
     masses = [weights._run_mass(s, e, lim) for s, e in zip(f.starts, ends)]
@@ -321,8 +333,8 @@ def p_norm(f: SeqFunction, p, K: Optional[int] = None) -> Enclosure:
         _is_exact(a) and a in (0, 1) for a in levels
     ):
         mass = sum((m for m, a in zip(masses, levels) if a), Fraction(0))
-        return _root_enclosure(mass, mass, p)
-    return _norm_sum_enclosure(masses, levels, levels, p)
+        return tuple(_root_enclosure(mass, mass, p) for p in ps)
+    return tuple(_norm_sum_enclosure(masses, levels, levels, p) for p in ps)
 
 
 def _exact_value(v) -> Union[int, Fraction]:
@@ -435,12 +447,21 @@ def _image(f, n: int, k0: int, k1: int, J, backend: str, lim, value=Fraction, ro
     return tuple(np.concatenate(ends) for ends in zip(*parts)) if parts else (np.empty(0),) * 2
 
 
-def _runs(f: EventuallyConstant, levels, ks, W):
-    """(v, lo, hi) for each run of f at a level v = levels[i] != 0 that meets a window."""
+def _runs(f: EventuallyConstant, levels, ks, W) -> tuple:
+    """(vs, lo, hi) for the runs [a, b) of f at a level v = levels[i] != 0 that meet a window.
+
+    vs lists those levels in run order; lo and hi hold the offsets a - k and
+    b - k clipped to [0, W], one line per run and one column per k.
+    """
     end = int((ks + W).max())  # no window reaches past this
-    for a, b, v in zip(f.starts, f.starts[1:] + (end,), levels):
-        if v and a < end and b > ks[0]:
-            yield v, np.minimum(np.maximum(a - ks, 0), W), np.minimum(np.maximum(b - ks, 0), W)
+    runs = [
+        (a, b, v)
+        for a, b, v in zip(f.starts, f.starts[1:] + (end,), levels)
+        if v and a < end and b > ks[0]
+    ]
+    a, b = (np.array([r[i] for r in runs], dtype=np.int64).reshape(-1, 1) for i in (0, 1))
+    vs = [v for _, _, v in runs]
+    return vs, np.minimum(np.maximum(a - ks, 0), W), np.minimum(np.maximum(b - ks, 0), W)
 
 
 def _rest(f: EventuallyConstant, levels, ks, J: Optional[int], dtype) -> tuple:
@@ -466,12 +487,19 @@ def _exact_image(f, n, ks, W, J, lim: Limits, value) -> tuple:
     levels = [x.numerator * (q // x.denominator) for x in fracs]
     C, D = weights._exact_prefix(n, int(W.max()), lim)
     C = np.array(C, dtype=object)
-    terms = [v * (C[hi] - C[lo]) for v, lo, hi in _runs(f, levels, ks, W)]
+    vs, lo, hi = _runs(f, levels, ks, W)
+    # every run's term at every k in one pass of exact integers, one line per
+    # run; in place, so each run's difference is replaced by its term
+    terms = C[hi]
+    terms -= C[lo]
+    terms *= np.array(vs, dtype=object).reshape(-1, 1)
     rem, d = D - C[W], q * D
     to_value = np.frompyfunc(value, 2, 1)
 
     def ends(level):
-        # an indicator's remainder level, 1, needs no pass over the numerators
+        # the lines are summed onto the remainder term, which a function with
+        # no run in the windows returns as it is; an indicator's remainder
+        # level, 1, needs no pass over the numerators
         return to_value(sum(terms, rem if type(level) is int and level == 1 else level * rem), d)
 
     lows, highs = _rest(f, levels, ks, J, object)
@@ -504,7 +532,7 @@ def _float_image(f, n, ks, W, J, row) -> tuple:
     levels = [float(v) for v in f.levels]
     mass = weights._float_prefix(n, int(W.max()), row)
     s = comp = size = err = runs = 0
-    for v, lo, hi in _runs(f, levels, ks, W):
+    for v, lo, hi in zip(*_runs(f, levels, ks, W)):
         m, m_err = mass(lo, hi)
         t = v * m
         s, e = weights._two_sum(s, t)
@@ -574,10 +602,8 @@ def image_p_norm(
 ) -> Enclosure:
     """Enclosure of ||A^n f||_p.
 
-    For indicators and finite tables the sum over k closes exactly: the image
-    is constant (or zero) past the function's support, so only finitely many
-    image values are needed plus one exact tail mass.  For PowerGrowth the
-    k-tail is bounded through A^n(f)(k) <= C_n k^beta with
+    An eventually-constant f is image_p_norms' one-exponent case.  For
+    PowerGrowth the k-tail is bounded through A^n(f)(k) <= C_n k^beta with
     C_n = sum_j alpha^n_j (1+j)^beta, and each image value for k < K is
     _power_image's enclosure at truncation J; K and J omitted mean 4096 each
     for n >= 1.  At n = 0 this is p_norm(f, p, K), so an omitted K there means
@@ -586,54 +612,60 @@ def image_p_norm(
     p = check_exponent(p)
     if n < 0:
         raise ValueError("need n >= 0")
-    if isinstance(f, PowerGrowth) and J is not None and J < 1:
+    if isinstance(f, EventuallyConstant):
+        return image_p_norms(f, n, (p,), J)[0]
+    if J is not None and J < 1:
         raise ValueError("need J >= 1")
-    if isinstance(f, EventuallyConstant) and J is not None and J < 0:
-        raise ValueError("truncation must be >= 0")
     if n == 0:
         return p_norm(f, p, K)
-    lim = current_limits()
-    if isinstance(f, PowerGrowth):
-        if f.beta >= 0.5:
-            raise NotSummableError("image diverges pointwise: needs beta < 1/2")
-        q = f.beta * p
-        if q >= 0.5:
-            raise NotInLpError(f"image outside the space: beta*p = {q} >= 1/2")
-        K_eff = _IMAGE_SIZE if K is None else K
-        J_eff = _IMAGE_SIZE if J is None else J
-        if K_eff < 1:
-            raise ValueError("need K >= 1")
-        row_n = weights.float_row(n, J_eff)
-        # (j+k)^beta for j < J and k < K is the sliding window k of one vector
-        windows = np.lib.stride_tricks.sliding_window_view(
-            _powers(f.beta, 0, K_eff + J_eff - 1), J_eff
-        )
-        ks = np.arange(K_eff, dtype=np.float64)
-        blocks = [
-            _power_image(f, n, ks[s : s + 1024], J_eff, row_n, windows[s : s + 1024])
-            for s in range(0, K_eff, 1024)
-        ]
-        lo_img, hi_img = (np.concatenate(ends) for ends in zip(*blocks))
-        base = weights.float_row(1, K_eff)
-        lo_sum, lo_err = weights.row_dot(1, base, lo_img**p, _POW_ULPS)
-        hi_sum, hi_err = weights.row_dot(1, base, hi_img**p, _POW_ULPS)
-        # k-tail: A^n f(k) <= C_n k^beta for k >= 1 since (j+k)^beta <= ((1+j)k)^beta
-        c_n = float(_power_image(f, n, 1, J_eff, row_n, _powers(f.beta, 1, J_eff))[1])
-        outer_tail = _pad_up(c_n**p * weights.power_tail_bound(q, K_eff))
-        return _root_enclosure(
-            _pad_down(lo_sum - lo_err), _pad_up(_pad_up(hi_sum + hi_err) + outer_tail), p
-        )
-    return _norm_sum_enclosure(*_image_levels(f, n, J, lim), p)
+    if f.beta >= 0.5:
+        raise NotSummableError("image diverges pointwise: needs beta < 1/2")
+    q = f.beta * p
+    if q >= 0.5:
+        raise NotInLpError(f"image outside the space: beta*p = {q} >= 1/2")
+    K_eff = _IMAGE_SIZE if K is None else K
+    J_eff = _IMAGE_SIZE if J is None else J
+    if K_eff < 1:
+        raise ValueError("need K >= 1")
+    row_n = weights.float_row(n, J_eff)
+    # (j+k)^beta for j < J and k < K is the sliding window k of one vector
+    windows = np.lib.stride_tricks.sliding_window_view(
+        _powers(f.beta, 0, K_eff + J_eff - 1), J_eff
+    )
+    ks = np.arange(K_eff, dtype=np.float64)
+    blocks = [
+        _power_image(f, n, ks[s : s + 1024], J_eff, row_n, windows[s : s + 1024])
+        for s in range(0, K_eff, 1024)
+    ]
+    lo_img, hi_img = (np.concatenate(ends) for ends in zip(*blocks))
+    base = weights.float_row(1, K_eff)
+    lo_sum, lo_err = weights.row_dot(1, base, lo_img**p, _POW_ULPS)
+    hi_sum, hi_err = weights.row_dot(1, base, hi_img**p, _POW_ULPS)
+    # k-tail: A^n f(k) <= C_n k^beta for k >= 1 since (j+k)^beta <= ((1+j)k)^beta
+    c_n = float(_power_image(f, n, 1, J_eff, row_n, _powers(f.beta, 1, J_eff))[1])
+    outer_tail = _pad_up(c_n**p * weights.power_tail_bound(q, K_eff))
+    return _root_enclosure(
+        _pad_down(lo_sum - lo_err), _pad_up(_pad_up(hi_sum + hi_err) + outer_tail), p
+    )
 
 
-@lru_cache(maxsize=64)
-def _image_levels(f: EventuallyConstant, n: int, J: Optional[int], lim: Limits) -> tuple:
-    """(masses, lo_abs, hi_abs) for ||A^n f||_p, whatever p.
+def image_p_norms(f: EventuallyConstant, n: int, ps, J: Optional[int] = None) -> tuple:
+    """image_p_norm(f, n, p, J=J) for each p in ps, for an eventually-constant f.
 
-    The image is c on the mass T(L) past the table, and A^n f(k), bracketed
-    by its enclosure from _image, on alpha_k for each k < L; alpha_k is
-    N^1_k / 2^(2k+1) rounded once, from one pass over the base numerators.
+    The sum over k closes exactly: the image is c on the mass T(L) past the
+    table, and A^n f(k), bracketed by its enclosure from _image, on alpha_k
+    for each k < L; alpha_k is N^1_k / 2^(2k+1) rounded once, from one pass
+    over the base numerators.  None of it depends on p, so one image serves
+    every p.  At n = 0 this is p_norms(f, ps).
     """
+    ps = [check_exponent(p) for p in ps]
+    if n < 0:
+        raise ValueError("need n >= 0")
+    if J is not None and J < 0:
+        raise ValueError("truncation must be >= 0")
+    if n == 0:
+        return p_norms(f, ps)
+    lim = current_limits()
     L, c = f.starts[-1], f.levels[-1]
     masses = [weights._run_mass(L, None, lim)]
     masses += [N / (1 << (2 * k + 1)) for k, N in zip(range(L), weights._numerators(1))]
@@ -642,7 +674,7 @@ def _image_levels(f: EventuallyConstant, n: int, J: Optional[int], lim: Limits) 
     for a, b in zip(lo, hi):
         lo_abs.append(0.0 if a <= 0.0 <= b else min(abs(a), abs(b)))
         hi_abs.append(max(abs(a), abs(b)))
-    return tuple(masses), tuple(lo_abs), tuple(hi_abs)
+    return tuple(_norm_sum_enclosure(masses, lo_abs, hi_abs, p) for p in ps)
 
 
 def _float_or_exact(x: int, d: int) -> Real:

@@ -1,11 +1,15 @@
 """Report plumbing: the CSV and JSON writers, lossless printing, atomic writes.
 
-Rows reach the files as the experiments made them.  Exact rationals print as
+Rows reach the CSV as the experiments made them.  Exact rationals print as
 num/den (or a bare integer), floats with 17 significant digits so they
-round-trip; write_json alone fixes the report schema.  Files are written to
-a temp name in the target directory and renamed into place, so readers never
-see a partial file.  wallTimeSeconds is the one report field that varies
-between reruns; every other byte is a pure function of the run configuration.
+round-trip.  This module alone fixes the report schema.  Under schema 2 the
+rows live in the CSV only: a command that writes one names it in its JSON
+report by file name, row count and SHA-256 (the "csv" block that write_csv
+returns), and a command with no CSV has no such block.  Files are written
+to a temp name in the target directory and renamed into place, so readers
+never see a partial file.  wallTimeSeconds is the one report field that
+varies between reruns; every other byte is a pure function of the run
+configuration.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import tempfile
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def format_value(v) -> str:
@@ -47,13 +51,24 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+# csv prints these with str(), which is format_value's text for exactly them
+_PRINTED_AS_IS = frozenset((int, Fraction, str))
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> dict:
+    """Write the CSV; return its report block: file name, row count and SHA-256."""
+    import hashlib  # here, not at the top: commands that write no CSV skip its import
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_value(v) for v in row])
-    _atomic_write(path, buf.getvalue())
+    count = 0
+    for count, row in enumerate(rows, 1):
+        writer.writerow([v if type(v) in _PRINTED_AS_IS else format_value(v) for v in row])
+    data = buf.getvalue()
+    _atomic_write(path, data)
+    digest = hashlib.sha256(data.encode()).hexdigest()
+    return {"name": os.path.basename(path), "rowCount": count, "sha256": digest}
 
 
 def _json_default(v):
@@ -64,15 +79,16 @@ def _json_default(v):
 
 
 def write_json(
-    path: str, command: str, parameters: dict, rows, verdicts: dict, seconds: float
+    path: str, command: str, parameters: dict, csv_block, verdicts: dict, seconds: float
 ) -> None:
-    """<command>'s report: the one place the JSON schema is written down."""
-    report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": command,
-        "parameters": parameters,
-        "rows": rows,
-        "verdicts": verdicts,
-        "wallTimeSeconds": round(seconds, 6),
-    }
+    """<command>'s report: the one place the JSON schema is written down.
+
+    csv_block is what write_csv returned for the command's CSV, or None when
+    the command writes none.
+    """
+    report = {"schemaVersion": SCHEMA_VERSION, "command": command, "parameters": parameters}
+    if csv_block:
+        report["csv"] = csv_block
+    report["verdicts"] = verdicts
+    report["wallTimeSeconds"] = round(seconds, 6)
     _atomic_write(path, json.dumps(report, indent=2, default=_json_default) + "\n")

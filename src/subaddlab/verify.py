@@ -29,9 +29,9 @@ from .lpspace import (
     cesaro_A,
     cesaro_T,
     contraction_bound_check,
-    image_p_norm,
+    image_p_norms,
     norm_bound_check,
-    p_norm,
+    p_norms,
 )
 
 DEFAULT_SEED = 104729
@@ -131,8 +131,12 @@ def check_sato_closed_form() -> bool:
         rows = experiments.sato_norm_growth(a, 2, 100)
         if not experiments.sato_verdicts(a, rows)["closed_form_matches_product"]:
             return False
-    # entrywise subadditivity: (A^(n+m))_ij <= (A^n)_ij + (A^m)_ij
-    powers = [astuple(experiments.sato_power(n, 1)) for n in range(101)]
+    # entrywise subadditivity: (A^(n+m))_ij <= (A^n)_ij + (A^m)_ij, on the
+    # entries 0, 1 and n as ints; a non-integer entry fails the check
+    entries = [astuple(experiments.sato_power(n, 1)) for n in range(101)]
+    if any(x.denominator != 1 for power in entries for x in power):
+        return False
+    powers = [tuple(x.numerator for x in power) for power in entries]
     return all(
         x <= y + z
         for n in range(51)
@@ -206,10 +210,11 @@ def check_norm_upper_bound() -> bool:
         length = int(rng.integers(1, 13))
         vals = tuple(Fraction(int(v), 4) for v in rng.integers(-8, 9, size=length))
         f = FiniteTable(vals)
-        for p in (1.1, 1.5, 2.0, 3.0):
-            nf = p_norm(f, p)
-            for n in range(1, 13):
-                img = image_p_norm(f, n, p)
+        ps = (1.1, 1.5, 2.0, 3.0)
+        nfs = p_norms(f, ps)
+        # one image of f per n serves all four p
+        for n in range(1, 13):
+            for p, img, nf in zip(ps, image_p_norms(f, n, ps), nfs):
                 if not norm_bound_check(img, nf, (n + 1) ** (1.0 / p)).ok:
                     return False
     return True

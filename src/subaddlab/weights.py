@@ -73,6 +73,10 @@ _RATIO_EXACT_MAX = 60_000_000
 # float rows are built, stepped and summed in slices of this many entries
 # (whole SUM_BLOCK blocks)
 _SLICE = 1 << 15
+# float_row's work ceiling, in entry steps (derived in _check_step_work): a
+# step of a row of length J counts J + _STEP_OVERHEAD of them
+_STEP_OVERHEAD = 5_000
+_STEP_WORK_MAX = 1 << 30
 _LOG_PI = math.log(math.pi)
 
 
@@ -248,6 +252,24 @@ def _check_ratio_exact(J: int, n: int) -> None:
         raise ResourceLimitError("float row too long for exact float ratios")
 
 
+def _check_step_work(n: int, J: int) -> None:
+    """Refuse row n of length J when stepping to it would grind.
+
+    Row n costs n - 1 steps of length J.  On the reference box (2 cores,
+    Python 3.11, numpy 2.4) a step takes about 8 us plus 1.5 ns per entry,
+    that is 1.5 ns times J + _STEP_OVERHEAD entry steps (8 us / 1.5 ns is
+    about 5,000).  Past _STEP_WORK_MAX = 2^30 entry steps, about 1.6 s
+    there, this raises a ResourceLimitError.  The rows the lab builds stay
+    far below: n = 100 at J = 2,000 (backend_agreement) is 7e5 entry steps,
+    and n = 32 at J = 2^20 (the divergence sweep) is 3.3e7.
+    """
+    if (n - 1) * (J + _STEP_OVERHEAD) > _STEP_WORK_MAX:
+        raise ResourceLimitError(
+            f"float row n = {n} of length {J} takes more than "
+            f"{_STEP_WORK_MAX} entry steps to build"
+        )
+
+
 @lru_cache(maxsize=1)
 def _base_row(J: int) -> np.ndarray:
     row = np.empty(J)
@@ -358,10 +380,15 @@ def float_rows(J: int):
 
 
 def float_row(n: int, J: int) -> np.ndarray:
-    """alpha^n_0 .. alpha^n_{J-1} in float64 (read-only); see float_rows."""
+    """alpha^n_0 .. alpha^n_{J-1} in float64 (read-only); see float_rows.
+
+    A row whose stepping cost passes the ceiling of _check_step_work is
+    refused before any step.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     _check_ratio_exact(J, n)
+    _check_step_work(n, J)
     for m, row in float_rows(J):
         if m == n:
             return row

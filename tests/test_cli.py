@@ -6,6 +6,7 @@ by comparing whole files across reruns, JSON modulo the timing field.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -13,6 +14,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,7 +51,7 @@ def test_alpha_exact_rows(tmp_path):
         "1,3,5/128,exact",
     ]
     rep = read_json(tmp_path, "alpha.json")
-    assert rep["schemaVersion"] == 1
+    assert rep["schemaVersion"] == 2
     assert rep["command"] == "alpha"
     assert all(rep["verdicts"].values())
     assert isinstance(rep["wallTimeSeconds"], float)
@@ -93,6 +95,12 @@ def test_alpha_single_row_and_log_backend(tmp_path):
 def test_alpha_usage_and_resource_errors(tmp_path):
     assert run(tmp_path, "alpha", "--n", "0") == 2
     assert run(tmp_path, "alpha", "--n", "1", "--jmax", "3000", "--backend", "exact") == 3
+
+
+def test_far_log_row_exits_3_without_grinding(tmp_path):
+    t0 = time.perf_counter()
+    assert run(tmp_path, "alpha", "--n", "1000000", "--backend", "log") == 3
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_resource_ceiling_env(tmp_path, monkeypatch):
@@ -185,9 +193,23 @@ def test_probe_command(tmp_path):
     assert run(tmp_path, "probe", "--nmax", "2", "--jmax", "3") == 2
 
 
+PROBE_CSV = """\
+n,j,ratio
+2,3,7/10
+2,4,3/4
+2,5,11/14
+2,6,13/16
+2,7,5/6
+2,8,17/20
+3,6,91/144
+3,7,2/3
+3,8,153/220
+"""
+
+# schema 2: the rows live in probe.csv, which the JSON names by row count and digest
 PROBE_JSON = """\
 {
-  "schemaVersion": 1,
+  "schemaVersion": 2,
   "command": "probe",
   "parameters": {
     "c0": "3/2",
@@ -199,53 +221,11 @@ PROBE_JSON = """\
       6
     ]
   },
-  "rows": [
-    [
-      2,
-      3,
-      "7/10"
-    ],
-    [
-      2,
-      4,
-      "3/4"
-    ],
-    [
-      2,
-      5,
-      "11/14"
-    ],
-    [
-      2,
-      6,
-      "13/16"
-    ],
-    [
-      2,
-      7,
-      "5/6"
-    ],
-    [
-      2,
-      8,
-      "17/20"
-    ],
-    [
-      3,
-      6,
-      "91/144"
-    ],
-    [
-      3,
-      7,
-      "2/3"
-    ],
-    [
-      3,
-      8,
-      "153/220"
-    ]
-  ],
+  "csv": {
+    "name": "probe.csv",
+    "rowCount": 9,
+    "sha256": "05f0c0d9bae650f38e7ed4f86700c846b8d23873827dd68ddbc1ae106b04a6f9"
+  },
   "verdicts": {
     "min_positive": true
   },
@@ -257,6 +237,7 @@ PROBE_JSON = """\
 def test_probe_json_bytes(tmp_path):
     # Fraction parameters and rows print as num/den, the argmin tuple as a list
     assert run(tmp_path, "probe", "--c0", "3/2", "--nmax", "3", "--jmax", "8") == 0
+    assert read_csv(tmp_path, "probe.csv") == PROBE_CSV
     text = (tmp_path / "probe.json").read_text()
     masked = re.sub(r'"wallTimeSeconds": [0-9.e+-]+', '"wallTimeSeconds": T', text)
     assert masked == PROBE_JSON
@@ -350,6 +331,25 @@ def test_report_aggregates_everything(tmp_path, monkeypatch):
     assert summary["command"] == "report"
     assert len(summary["verdicts"]) >= 30
     assert all(summary["verdicts"].values())
+
+
+def test_report_jsons_name_their_csvs(tmp_path):
+    # schema 2: each JSON report names its CSV by row count and SHA-256 and
+    # holds no rows; verify.json and summary.json write no CSV
+    assert run(tmp_path, "report", "--seed", "2") == 0
+    reports = {p.name: json.loads(p.read_text()) for p in tmp_path.glob("*.json")}
+    assert len(reports) == 9
+    for name, rep in reports.items():
+        assert rep["schemaVersion"] == 2 and "rows" not in rep, name
+        if name in ("verify.json", "summary.json"):
+            assert "csv" not in rep, name
+            continue
+        block = rep["csv"]
+        assert block["name"] == name.replace(".json", ".csv")
+        data = (tmp_path / block["name"]).read_bytes()
+        assert block["rowCount"] == len(data.splitlines()) - 1, name
+        assert block["sha256"] == hashlib.sha256(data).hexdigest(), name
+    assert reports["probe.json"]["csv"]["rowCount"] == 21362
 
 
 @pytest.mark.parametrize(

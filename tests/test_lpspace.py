@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,8 +34,10 @@ from subaddlab.lpspace import (
     check_exponent,
     contraction_bound_check,
     image_p_norm,
+    image_p_norms,
     norm_bound_check,
     p_norm,
+    p_norms,
 )
 
 
@@ -437,11 +440,36 @@ def test_image_norm_past_the_exact_limit_against_exact_sum(monkeypatch):
     rows = []
     float_row = weights.float_row
     monkeypatch.setattr(weights, "float_row", lambda *a: rows.append(a) or float_row(*a))
-    lpspace._image_levels.cache_clear()
     e = image_p_norm(IndicatorGE(m), n, 2.0)
     assert Fraction(e.lower) ** 2 <= exact <= Fraction(e.upper) ** 2
     # one prefix row serves every k
     assert len(rows) <= 1
+
+
+def test_several_exponent_norms_equal_the_one_exponent_calls():
+    # one image per n, and one mass list per f, serve every p to the bit
+    ps = (1.1, 1.5, 2.0, 3.0)
+    rng = np.random.default_rng(0xA1FA)  # verify.check_norm_upper_bound's tables
+    fs = []
+    for _ in range(100):
+        length = int(rng.integers(1, 13))
+        fs.append(FiniteTable(tuple(Fraction(int(v), 4) for v in rng.integers(-8, 9, size=length))))
+    fs += [IndicatorGE(3), IndicatorWindow(1, 5), FiniteTable((0.3, -1.25, 2.5))]
+    fs.append(FiniteTable((10**400,)))  # ends past the float range are Fractions
+    assert any(isinstance(e.upper, Fraction) for e in p_norms(fs[-1], ps))
+    for f in fs:
+        assert list(map(repr, p_norms(f, ps))) == [repr(p_norm(f, p)) for p in ps]
+        for n in range(13):
+            for J in (None, 3):  # J = 3 truncates every window
+                many = image_p_norms(f, n, ps, J=J)
+                one = [image_p_norm(f, n, p, J=J) for p in ps]
+                assert list(map(repr, many)) == list(map(repr, one)), (f, n, J)
+    with pytest.raises(ValueError):
+        image_p_norms(IndicatorGE(3), 1, (2.0, 1.0))
+    with pytest.raises(ValueError):
+        image_p_norms(IndicatorGE(3), -1, ps)
+    with pytest.raises(ValueError, match="truncation must be >= 0"):
+        image_p_norms(IndicatorGE(3), 1, ps, J=-1)
 
 
 def test_image_norm_n_zero_reduces_to_p_norm():

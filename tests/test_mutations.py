@@ -22,7 +22,6 @@ ROW_CACHES = (
     weights._prefix_exact.cache_clear,
     weights._head_row.cache_clear,
     weights._base_row.cache_clear,
-    lpspace._image_levels.cache_clear,
     experiments._divergence_rows.clear,
     experiments._survival_rows.cache_clear,
     experiments._probe.cache_clear,
@@ -46,6 +45,14 @@ MUTATIONS = (
         "_exact_image",
         "rem, d = D - C[W], q * D",
         "rem, d = 0 * C[W], q * D",
+    ),
+    (
+        "exact_image_drops_first_run",
+        "barycenter_residual_zero",
+        lpspace,
+        "_exact_image",
+        "sum(terms, ",
+        "sum(terms[1:], ",
     ),
     (
         "image_run_offset_off_by_one",

@@ -7,6 +7,7 @@ multiplication over Fractions.  Pinned rationals are frozen literals.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -390,6 +391,19 @@ def test_exact_row_resource_limit(monkeypatch):
     monkeypatch.setenv("SUBADDLAB_MAX_J", "100")
     with pytest.raises(ResourceLimitError):
         weights.float_row(1, 200)
+
+
+def test_float_row_refuses_a_row_that_would_grind():
+    # the longest rows the lab builds: backend_agreement's sweep to n = 100 at
+    # J = 2,000 and the divergence sweep to n = 32 at J = 2^20
+    weights._check_step_work(100, 2000)
+    weights._check_step_work(32, 1 << 20)
+    with pytest.raises(ResourceLimitError):
+        weights._check_step_work(10**6, 16)
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        weights.float_row(10**6, 16)
+    assert time.perf_counter() - t0 < 0.1  # refused before any step
 
 
 def test_convolve_examples():
