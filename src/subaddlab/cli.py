@@ -147,10 +147,7 @@ def _run_alpha(args):
 
 def _run_verify(args):
     bias = args.inject_float_bias
-    if args.suite == "core":
-        verdicts = verify.core_suite(bias=bias)
-    else:
-        verdicts = verify.full_suite(seed=args.seed, bias=bias)
+    verdicts = verify.run_suite(args.suite, seed=args.seed, bias=bias)
     parameters = {
         "suite": args.suite,
         "seed": args.seed,

@@ -68,8 +68,8 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
     within the exact limit, else from the compensated prefix of row n of
     one float_rows sweep, stepped once through n.  They do not depend on p,
     and are kept per (n_max, limits) for the process, so every p of one
-    process reads one computation; the row ceiling is checked on every
-    call, ahead of the memo.  The fit is ordinary
+    process reads one computation; the row and stepping ceilings are
+    checked on every call, ahead of the memo.  The fit is ordinary
     least squares on (log n, log R(n)) for n >= fit_from (default
     n_max//4, at least 2).
     """
@@ -78,6 +78,7 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
         raise ValueError("need n_max >= 8 for a meaningful fit")
     lim = current_limits()
     lim.check_row_length(n_max * n_max)
+    weights._check_step_work(n_max, n_max * n_max)
     if fit_from is None:
         fit_from = max(2, n_max // 4)
     if fit_from > n_max - 1:
@@ -196,7 +197,8 @@ def pointwise_divergence(f, k: int = 0, n_max: int = 32, J: int = 1 << 20):
     exponent's (j+k)^beta, built once.  Rows are kept per (f, k, n_max, J)
     for the process, and a sweep runs only for the exponents not kept yet,
     so a repeat (the blowup command after verify, in one report) costs
-    nothing.  The row ceiling is checked on every call, ahead of the memo.
+    nothing.  The row and stepping ceilings are checked on every call,
+    ahead of the memo.
     """
     fs = f if isinstance(f, tuple) else (f,)
     if not fs or not all(isinstance(g, PowerGrowth) and 0 < g.beta < 0.5 for g in fs):
@@ -205,6 +207,7 @@ def pointwise_divergence(f, k: int = 0, n_max: int = 32, J: int = 1 << 20):
         raise ValueError("need k >= 0 and J >= 0")
     current_limits().check_row_length(J)
     J = max(J, 1)
+    weights._check_step_work(n_max, J)
     keys = {g: (g, k, n_max, J) for g in fs}
     missing = [g for g, key in keys.items() if key not in _divergence_rows]
     if missing:

@@ -28,10 +28,6 @@ SCHEMA_VERSION = 2
 def format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(v, int):
-        return str(v)
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)
@@ -51,7 +47,7 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-# csv prints these with str(), which is format_value's text for exactly them
+# csv prints these with str(), which is format_value's text for them
 _PRINTED_AS_IS = frozenset((int, Fraction, str))
 
 

@@ -9,6 +9,7 @@ checks draw from fixed seeds, so a verdict flip always means a real change.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import astuple
 from fractions import Fraction
@@ -65,30 +66,10 @@ def check_exact_table() -> bool:
     return bool(ok)
 
 
-def check_closed_form_vs_convolution() -> bool:
-    return weights.scan_convolution_agreement(6, 200).ok
-
-
-def check_subadditivity() -> bool:
-    return weights.scan_subadditivity(24, 400).ok
-
-
-def check_normalized_monotonicity() -> bool:
-    return weights.scan_normalized_monotonicity(20, 200).ok
-
-
-def check_tail_identity() -> bool:
-    return weights.scan_tail_identity(300).ok
-
-
 def check_asymptotic_constant() -> bool:
     k = 10**6
     val = math.exp(weights.alpha_pow_log(1, k) + 1.5 * math.log(k))
     return abs(val / weights.ASYMPTOTIC_CONSTANT - 1.0) <= 0.01
-
-
-def check_backend_agreement(bias: float = 0.0) -> bool:
-    return weights.scan_backend_agreement(bias=bias).ok
 
 
 def check_pgf_point_checks() -> bool:
@@ -155,11 +136,10 @@ def check_sato_norms() -> bool:
 
 def check_normalized_decay() -> bool:
     rows = experiments.normalized_decay_check(2, 10**4)
-    vals = [v for _, v in rows]
     ok = abs(rows[2][1] - 2.0 / 3.0) <= 1e-15
     ok &= abs(rows[98][1] - 10.0 / 99.0) <= 1e-15
-    ok &= all(b < a for a, b in zip(vals, vals[1:]))
-    ok &= vals[-1] <= 0.0101
+    ok &= all(b[1] < a[1] for a, b in itertools.pairwise(rows))
+    ok &= rows[-1][1] <= 0.0101
     return bool(ok)
 
 
@@ -301,12 +281,12 @@ def check_mc_agreement(seed: int = DEFAULT_SEED) -> bool:
 
 CORE_CHECKS = (
     ("exact_table", check_exact_table),
-    ("closed_form_vs_convolution", check_closed_form_vs_convolution),
-    ("subadditivity", check_subadditivity),
-    ("normalized_monotonicity", check_normalized_monotonicity),
-    ("tail_identity", check_tail_identity),
+    ("closed_form_vs_convolution", lambda: weights.scan_convolution_agreement(6, 200).ok),
+    ("subadditivity", lambda: weights.scan_subadditivity(24, 400).ok),
+    ("normalized_monotonicity", lambda: weights.scan_normalized_monotonicity(20, 200).ok),
+    ("tail_identity", lambda: weights.scan_tail_identity(300).ok),
     ("asymptotic_constant", check_asymptotic_constant),
-    ("backend_agreement", check_backend_agreement),
+    ("backend_agreement", lambda bias: weights.scan_backend_agreement(bias=bias).ok),
     ("pgf_point_checks", check_pgf_point_checks),
     ("barycenter_residual_zero", check_barycenter_residual_zero),
     ("cesaro_identities", check_cesaro_identities),
@@ -330,15 +310,12 @@ FULL_CHECKS = (
 )
 
 
-def core_suite(bias: float = 0.0) -> dict:
-    out = {}
-    for name, fn in CORE_CHECKS:
-        out[name] = fn(bias) if name == "backend_agreement" else fn()
-    return out
+def run_suite(suite: str = "core", seed: int = DEFAULT_SEED, bias: float = 0.0) -> dict:
+    """{name: verdict} over CORE_CHECKS, then FULL_CHECKS too unless suite is "core".
 
-
-def full_suite(seed: int = DEFAULT_SEED, bias: float = 0.0) -> dict:
-    out = core_suite(bias=bias)
-    for name, fn in FULL_CHECKS:
-        out[name] = fn(seed) if name == "mc_agreement" else fn()
-    return out
+    The float bias reaches backend_agreement and the seed mc_agreement; every
+    other check takes no argument.
+    """
+    checks = CORE_CHECKS if suite == "core" else CORE_CHECKS + FULL_CHECKS
+    args = {"backend_agreement": (bias,), "mc_agreement": (seed,)}
+    return {name: fn(*args.get(name, ())) for name, fn in checks}

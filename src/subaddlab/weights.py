@@ -255,6 +255,9 @@ def _check_ratio_exact(J: int, n: int) -> None:
 def _check_step_work(n: int, J: int) -> None:
     """Refuse row n of length J when stepping to it would grind.
 
+    float_row checks each row, and the experiments' float_rows sweeps check
+    the last row they step to.
+
     Row n costs n - 1 steps of length J.  On the reference box (2 cores,
     Python 3.11, numpy 2.4) a step takes about 8 us plus 1.5 ns per entry,
     that is 1.5 ns times J + _STEP_OVERHEAD entry steps (8 us / 1.5 ns is

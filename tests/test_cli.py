@@ -5,6 +5,7 @@ Each command writes into a fresh tmp directory; CSV pins are byte-level
 by comparing whole files across reruns, JSON modulo the timing field.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subaddlab import cli, experiments, reporting, weights
+from subaddlab import cli, experiments, reporting, verify, weights
 
 
 def run(tmp_path, *argv):
@@ -103,6 +104,21 @@ def test_far_log_row_exits_3_without_grinding(tmp_path):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("blowup", "--nmax", "100000"),
+        ("growth", "--nmax", "1400"),
+        ("simulate", "--fn", "table", "--n", "100000", "--trials", "100000"),
+    ],
+    ids=["blowup_sweep", "growth_sweep", "simulate_draws"],
+)
+def test_long_sweeps_and_draw_counts_exit_3_without_grinding(tmp_path, argv):
+    t0 = time.perf_counter()
+    assert run(tmp_path, *argv) == 3
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_resource_ceiling_env(tmp_path, monkeypatch):
     monkeypatch.setenv("SUBADDLAB_MAX_J", "100")
     assert run(tmp_path, "alpha", "--n", "1", "--jmax", "200", "--backend", "log") == 3
@@ -114,11 +130,23 @@ def test_verify_core_and_fault_injection(tmp_path, capsys):
     assert "[PASS] verify" in out
     rep = read_json(tmp_path, "verify.json")
     assert all(rep["verdicts"].values())
-    assert len(rep["verdicts"]) >= 16
+    assert list(rep["verdicts"]) == [name for name, _ in verify.CORE_CHECKS]
     # a 1e-9 perturbation of the float path must flip backend agreement
     assert run(tmp_path, "verify", "--suite", "core", "--inject-float-bias", "1e-9") == 1
     rep = read_json(tmp_path, "verify.json")
     assert rep["verdicts"]["backend_agreement"] is False
+
+
+def test_check_table_matches_the_benchmark_names():
+    # bench/run.py times each check as verify.<name>.s under these names
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "run.py").read_text())
+    [bench_names] = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "VERIFY_CHECKS" for t in node.targets)
+    ]
+    assert [name for name, _ in verify.CORE_CHECKS + verify.FULL_CHECKS] == list(bench_names)
 
 
 @pytest.mark.parametrize("bias", ["nan", "inf"])

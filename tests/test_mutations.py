@@ -129,7 +129,7 @@ def clean_caches():
 
 
 def failed_checks(bias=0.0):
-    return sorted(name for name, ok in verify.core_suite(bias=bias).items() if not ok)
+    return sorted(name for name, ok in verify.run_suite("core", bias=bias).items() if not ok)
 
 
 def test_unmutated_core_suite_passes(clean_caches):
