@@ -192,12 +192,12 @@ def pointwise_divergence(f, k: int = 0, n_max: int = 32, J: int = 1 << 20):
 
     Each lower end is that of apply_A_pow(f, n, k, J=J).  f is one
     PowerGrowth, or a tuple of them, for which a tuple of row tuples comes
-    back in f's order: one sweep serves several exponents, stepping a single
-    float row through n = 1..n_max once and summing it against each
-    exponent's (j+k)^beta, built once.  Rows are kept per (f, k, n_max, J)
-    for the process, and a sweep runs only for the exponents not kept yet,
-    so a repeat (the blowup command after verify, in one report) costs
-    nothing.  The row and stepping ceilings are checked on every call,
+    back in f's order: one weights.row_dots sweep serves several exponents,
+    stepping each slice of the row through n = 1..n_max once and summing it
+    against each exponent's (j+k)^beta, made once per slice.  Rows are kept
+    per (f, k, n_max, J) for the process, and a sweep runs only for the
+    exponents not kept yet, so a repeat (the blowup command after verify, in
+    one report) costs nothing.  The row and stepping ceilings are checked on every call,
     ahead of the memo.
     """
     fs = f if isinstance(f, tuple) else (f,)
@@ -225,18 +225,21 @@ _divergence_rows: dict = {}
 
 
 def _divergence_sweep(fs, k: int, n_max: int, J: int) -> list:
-    """pointwise_divergence's rows for each f in fs, from one float_rows(J) pass."""
+    """pointwise_divergence's rows for each f in fs, from one weights.row_dots pass.
+
+    The exponents' powers are stacked as one weight with a line per f, made
+    a slice at a time, so the pass keeps no row or power vector of length J
+    beside the cached base row.
+    """
     rows = [[(0, float(f(k)))] for f in fs]
     if n_max >= 1:
-        # the base row float_rows caches comes first, so the power vectors,
-        # freed after the sweep, do not sit below it in the heap
-        sweep = weights.float_rows(J)
-        powers = [_powers(f.beta, k, J) for f in fs]
-        for n, row in sweep:
-            for f, out, w in zip(fs, rows, powers):
-                out.append((n, float(_power_image(f, n, k, J, row, w)[0])))
-            if n == n_max:
-                break
+
+        def powers(a, b):
+            return np.array([_powers(f.beta, k + a, b - a) for f in fs])
+
+        for n, (s, err) in enumerate(weights.row_dots(n_max, J, powers, _POW_ULPS), 1):
+            for i, (f, out) in enumerate(zip(fs, rows)):
+                out.append((n, float(_power_image(f, n, k, J, s[i], err[i])[0])))
     return [tuple(r) for r in rows]
 
 

@@ -22,11 +22,12 @@ depend on the exponent, so image_p_norms and p_norms read every p off one
 image and one mass list; image_p_norm and p_norm, for such f, are their
 one-exponent case.  Infinite sums are returned as
 Enclosure(lower, upper) pairs, exact whenever the function and the backend
-allow it.  For PowerGrowth, _power_image sums one float row with the
-derived allowance of weights.row_dot (about 1e-13 relative, whatever the
-row length) plus a certified tail bound, and apply_A_pow, image_p_norm and
-experiments.pointwise_divergence all read it.  A float norm sum has the
-derived allowance of _norm_sum_enclosure.
+allow it.  For PowerGrowth, _power_image adds a certified tail bound to a
+float row sum with the derived allowance of weights.row_dot (about 1e-13
+relative, whatever the row length); apply_A_pow and
+experiments.pointwise_divergence take that sum from weights.row_dots, slice
+by slice, and image_p_norm from row_dot on one row.  A float norm sum has
+the derived allowance of _norm_sum_enclosure.
 
 A truncated enclosure (apply_A_pow with J given) is the sum over j < J plus
 a bracket on the discarded remainder: the discarded mass times
@@ -38,6 +39,7 @@ enclosure contains the true value for any sign pattern.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -375,7 +377,10 @@ def apply_A_pow(
         raise ValueError("truncation must be >= 0")
     if isinstance(f, PowerGrowth):
         J = max(min(current_limits().max_j, _POWER_CAP) if J is None else J, 1)
-        lo, hi = _power_image(f, n, k, J, weights.float_row(n, J), _powers(f.beta, k, J))
+        ((s, err),) = weights.row_dots(
+            n, J, lambda a, b: _powers(f.beta, k + a, b - a), _POW_ULPS, n_min=n
+        )
+        lo, hi = _power_image(f, n, k, J, s, err)
         return Enclosure(float(lo), float(hi))
     if J is None and k >= f.starts[-1]:
         return Enclosure.point(Fraction(f.levels[-1]))
@@ -396,16 +401,16 @@ def _powers(beta: float, k: int, J: int) -> np.ndarray:
     return out
 
 
-def _power_image(f: PowerGrowth, n: int, k, J: int, row, powers) -> tuple:
+def _power_image(f: PowerGrowth, n: int, k, J: int, s, err) -> tuple:
     """Ends (lo, hi) of the enclosure of A^n(k^beta)(k), n >= 1 and J >= 1.
 
-    row = float_row(n, J) and powers = _powers(f.beta, k, J); k may be an
-    array of ks, with one line of powers per k, and the ends are then arrays.
-    The sum over j < J is weights.row_dot's, and the tail uses
-    alpha^n_j <= n alpha_j and (j+k)^beta <= (1+k/J)^beta j^beta for j >= J,
-    so it is at most n (1+k/J)^beta power_tail_bound(beta, J).
+    (s, err) is the sum over j < J: weights.row_dot(n, float_row(n, J),
+    _powers(f.beta, k, J), _POW_ULPS), or its twin weights.row_dots.  k may
+    be an array of ks, with one line of powers per k, and the ends are then
+    arrays.  The tail uses alpha^n_j <= n alpha_j and
+    (j+k)^beta <= (1+k/J)^beta j^beta for j >= J, so it is at most
+    n (1+k/J)^beta power_tail_bound(beta, J).
     """
-    s, err = weights.row_dot(n, row, powers, _POW_ULPS)
     tail = n * (1.0 + k / J) ** f.beta * weights.power_tail_bound(f.beta, J)
     lo = np.maximum(np.nextafter(s - err, -np.inf), 0.0)
     return lo, np.nextafter(np.nextafter(s + err, np.inf) + tail, np.inf)
@@ -447,11 +452,18 @@ def _image(f, n: int, k0: int, k1: int, J, backend: str, lim, value=Fraction, ro
     return tuple(np.concatenate(ends) for ends in zip(*parts)) if parts else (np.empty(0),) * 2
 
 
-def _runs(f: EventuallyConstant, levels, ks, W) -> tuple:
-    """(vs, lo, hi) for the runs [a, b) of f at a level v = levels[i] != 0 that meet a window.
+# _runs forms at most about this many (run, k) cells at a time
+_RUN_CELLS = 1 << 16
+
+
+def _runs(f: EventuallyConstant, levels, ks, W):
+    """Yield (vs, lo, hi) for the runs [a, b) of f at a level v = levels[i] != 0 that meet a window.
 
     vs lists those levels in run order; lo and hi hold the offsets a - k and
-    b - k clipped to [0, W], one line per run and one column per k.
+    b - k clipped to [0, W], one line per run and one column per k.  The
+    runs come in order, in blocks of at most max(1, _RUN_CELLS // len(ks))
+    lines, so a long table never holds a (runs x ks) array; a short one
+    (norm_upper_bound's) is one block.
     """
     end = int((ks + W).max())  # no window reaches past this
     runs = [
@@ -459,9 +471,11 @@ def _runs(f: EventuallyConstant, levels, ks, W) -> tuple:
         for a, b, v in zip(f.starts, f.starts[1:] + (end,), levels)
         if v and a < end and b > ks[0]
     ]
-    a, b = (np.array([r[i] for r in runs], dtype=np.int64).reshape(-1, 1) for i in (0, 1))
-    vs = [v for _, _, v in runs]
-    return vs, np.minimum(np.maximum(a - ks, 0), W), np.minimum(np.maximum(b - ks, 0), W)
+    size = max(1, _RUN_CELLS // len(ks))
+    for block in (runs[i : i + size] for i in range(0, len(runs), size)):
+        a, b = (np.array([r[i] for r in block], dtype=np.int64).reshape(-1, 1) for i in (0, 1))
+        vs = [v for _, _, v in block]
+        yield vs, np.minimum(np.maximum(a - ks, 0), W), np.minimum(np.maximum(b - ks, 0), W)
 
 
 def _rest(f: EventuallyConstant, levels, ks, J: Optional[int], dtype) -> tuple:
@@ -487,20 +501,21 @@ def _exact_image(f, n, ks, W, J, lim: Limits, value) -> tuple:
     levels = [x.numerator * (q // x.denominator) for x in fracs]
     C, D = weights._exact_prefix(n, int(W.max()), lim)
     C = np.array(C, dtype=object)
-    vs, lo, hi = _runs(f, levels, ks, W)
-    # every run's term at every k in one pass of exact integers, one line per
-    # run; in place, so each run's difference is replaced by its term
-    terms = C[hi]
-    terms -= C[lo]
-    terms *= np.array(vs, dtype=object).reshape(-1, 1)
+    total = 0
+    for vs, lo, hi in _runs(f, levels, ks, W):
+        # a block's run terms at every k in one pass of exact integers, one
+        # line per run; in place, so each run's difference is replaced by its
+        # term, and the lines are summed onto the running total
+        terms = C[hi]
+        terms -= C[lo]
+        terms *= np.array(vs, dtype=object).reshape(-1, 1)
+        total = sum(terms, total)
     rem, d = D - C[W], q * D
     to_value = np.frompyfunc(value, 2, 1)
 
     def ends(level):
-        # the lines are summed onto the remainder term, which a function with
-        # no run in the windows returns as it is; an indicator's remainder
-        # level, 1, needs no pass over the numerators
-        return to_value(sum(terms, rem if type(level) is int and level == 1 else level * rem), d)
+        # an indicator's remainder level, 1, needs no pass over the numerators
+        return to_value(total + (rem if type(level) is int and level == 1 else level * rem), d)
 
     lows, highs = _rest(f, levels, ks, J, object)
     lo = ends(lows)
@@ -532,7 +547,7 @@ def _float_image(f, n, ks, W, J, row) -> tuple:
     levels = [float(v) for v in f.levels]
     mass = weights._float_prefix(n, int(W.max()), row)
     s = comp = size = err = runs = 0
-    for v, lo, hi in zip(*_runs(f, levels, ks, W)):
+    for v, lo, hi in (run for block in _runs(f, levels, ks, W) for run in zip(*block)):
         m, m_err = mass(lo, hi)
         t = v * m
         s, e = weights._two_sum(s, t)
@@ -627,14 +642,14 @@ def image_p_norm(
     J_eff = _IMAGE_SIZE if J is None else J
     if K_eff < 1:
         raise ValueError("need K >= 1")
-    row_n = weights.float_row(n, J_eff)
+    dot = functools.partial(weights.row_dot, n, weights.float_row(n, J_eff), w_ulps=_POW_ULPS)
     # (j+k)^beta for j < J and k < K is the sliding window k of one vector
     windows = np.lib.stride_tricks.sliding_window_view(
         _powers(f.beta, 0, K_eff + J_eff - 1), J_eff
     )
     ks = np.arange(K_eff, dtype=np.float64)
     blocks = [
-        _power_image(f, n, ks[s : s + 1024], J_eff, row_n, windows[s : s + 1024])
+        _power_image(f, n, ks[s : s + 1024], J_eff, *dot(windows[s : s + 1024]))
         for s in range(0, K_eff, 1024)
     ]
     lo_img, hi_img = (np.concatenate(ends) for ends in zip(*blocks))
@@ -642,7 +657,7 @@ def image_p_norm(
     lo_sum, lo_err = weights.row_dot(1, base, lo_img**p, _POW_ULPS)
     hi_sum, hi_err = weights.row_dot(1, base, hi_img**p, _POW_ULPS)
     # k-tail: A^n f(k) <= C_n k^beta for k >= 1 since (j+k)^beta <= ((1+j)k)^beta
-    c_n = float(_power_image(f, n, 1, J_eff, row_n, _powers(f.beta, 1, J_eff))[1])
+    c_n = float(_power_image(f, n, 1, J_eff, *dot(_powers(f.beta, 1, J_eff)))[1])
     outer_tail = _pad_up(c_n**p * weights.power_tail_bound(q, K_eff))
     return _root_enclosure(
         _pad_down(lo_sum - lo_err), _pad_up(_pad_up(hi_sum + hi_err) + outer_tail), p

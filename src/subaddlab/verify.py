@@ -217,7 +217,7 @@ def check_growth_slopes() -> bool:
 
 
 # blowup_curve(2.0)'s exponent 2/(5p) and the faster one pointwise_divergence
-# needs; one float_rows pass at J = 2^20 makes the rows of both
+# needs; one weights.row_dots pass at J = 2^20 makes the rows of both
 _DIVERGENCE_EXPONENTS = (PowerGrowth(0.2), PowerGrowth(0.32))
 
 

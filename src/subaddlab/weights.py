@@ -27,10 +27,11 @@ callers that read the limits once per public call.
 exact integers get too wide: a base row from the exact numerators and a
 Stirling series, stepped in n by an exact ratio, under one derived
 per-entry bound (row_error) that does not grow with the row length.  A
-weighted sum over a row is a block_sum (row_dot); the masses of many
-segments of one row come from its compensated prefix sums (_float_prefix),
-the float twin of exact_prefix.  The 40-digit log-gamma values
-(alpha_pow_log, run_mass) stand in for exact binomials past the exact
+weighted sum over a row is a block_sum (row_dot), and row_dots forms
+those of rows n = 1, 2, ... slice by slice, with no full-length row; the
+masses of many segments of one row come from its compensated prefix sums
+(_float_prefix), the float twin of exact_prefix.  The 40-digit log-gamma
+values (alpha_pow_log, run_mass) stand in for exact binomials past the exact
 limit.  Binomials are never formed from factorial tables.  All public
 functions are pure, and cached rows fill idempotently, so concurrent
 callers see behavior as if nothing were cached.
@@ -255,8 +256,8 @@ def _check_ratio_exact(J: int, n: int) -> None:
 def _check_step_work(n: int, J: int) -> None:
     """Refuse row n of length J when stepping to it would grind.
 
-    float_row checks each row, and the experiments' float_rows sweeps check
-    the last row they step to.
+    float_row and row_dots check each row they step to, and the experiments'
+    float_rows sweeps check the last one.
 
     Row n costs n - 1 steps of length J.  On the reference box (2 cores,
     Python 3.11, numpy 2.4) a step takes about 8 us plus 1.5 ns per entry,
@@ -294,13 +295,18 @@ def _base_prefix(J: int) -> np.ndarray:
     return _base_row(_longest_base)[:J]
 
 
-def _step(row: np.ndarray, j0: float, n: int, num: np.ndarray, den: np.ndarray) -> None:
+def _step_scratch(size: int) -> tuple:
+    """(2i for i < size, and two scratch rows of that length) for _step."""
+    return 2.0 * np.arange(size), np.empty(size), np.empty(size)
+
+
+def _step(row: np.ndarray, j0: float, n: int, two_i, num, den) -> None:
     """alpha^n -> alpha^(n+1) in place, by (n+1)(2j+n) / (n(2j+2(n+1))), j = j0, j0 + 1, ...
 
     Numerator and denominator are exact float integers, formed slice by
-    slice in the short scratch rows num and den from 2i, i < len(num).
+    slice in the short scratch rows num and den from two_i = 2i,
+    i < len(num) (_step_scratch).
     """
-    two_i = 2.0 * np.arange(len(num))
     for start in range(0, len(row), len(num)):
         stop = min(start + len(num), len(row))
         a, b, two_j = num[: stop - start], den[: stop - start], two_i[: stop - start]
@@ -321,8 +327,7 @@ def _rows(j, base: np.ndarray):
     """
     j0 = float(j[0]) if len(j) else 0.0
     J = int(j0) + len(j)
-    size = min(len(j), _SLICE) or 1
-    num, den = np.empty(size), np.empty(size)
+    scratch = _step_scratch(min(len(j), _SLICE) or 1)
     row = base
     n = 1
     while True:
@@ -332,7 +337,7 @@ def _rows(j, base: np.ndarray):
         _check_ratio_exact(J, n)
         if n == 1:
             row = row.copy()
-        _step(row, j0, n, num, den)
+        _step(row, j0, n, *scratch)
         n += 1
 
 
@@ -350,8 +355,10 @@ def float_rows(J: int):
     ResourceLimitError past that).  Cost: row n takes n - 1 vector steps of
     length J.  The base row of the longest J built so far is kept, and
     shorter requests read a prefix of it.  A yielded row is read-only and is
-    overwritten by the next step, so one row is alive at a time; copy it to
-    keep it.
+    overwritten by the next step, so a pass keeps one full-length row beside
+    the base row; copy it to keep it.  This serves the callers that need
+    whole rows (prefix sums, 4096-wide windows); weighted sums of long rows
+    come from row_dots, which keeps no full-length row at all.
 
     The error bound (row_error), in units of u = 2^-53, with numpy's float64
     log and exp taken to be within 4 ulps:
@@ -447,10 +454,58 @@ def row_dot(n: int, row: np.ndarray, w: Optional[np.ndarray] = None, w_ulps: flo
     """
     s, negative = _sliced_block_sum(row, w)
     a = _sliced_block_sum(row, w, np.abs)[0] if negative else s
+    return s, _dot_error(n, a, row.shape[-1], w_ulps, w)
+
+
+def _dot_error(n: int, a, length: int, w_ulps: float, w: Optional[np.ndarray]):
+    """row_dot's err, given a = block_sum(|row * w|) over length terms.
+
+    w may be any array with the weights' largest |w|; it is read only where
+    row entries can underflow (row_error's tiny).
+    """
     rel, tiny = row_error(n)
     big = float(np.abs(w).max()) if tiny and w is not None and w.size else 1.0
-    err = (rel + (w_ulps + SUM_BLOCK + 4) * U) * a + 2 * row.shape[-1] * (tiny * big + TINY)
-    return s, err
+    return (rel + (w_ulps + SUM_BLOCK + 4) * U) * a + 2 * length * (tiny * big + TINY)
+
+
+def row_dots(n_max: int, J: int, w_at, w_ulps: float = 0, n_min: int = 1) -> list:
+    """[row_dot(n, float_row(n, J), w, w_ulps) for n = n_min..n_max], to the bit.
+
+    The weights are w >= 0, given slice by slice: w_at(start, stop) returns
+    w[..., start:stop], one line per sum when w has a leading axis.  No row
+    or weight vector as long as J is built: each _SLICE-entry slice of the
+    cached base row is copied into scratch and stepped through
+    n = 2..n_max while it stays in cache, its weights are made once, and
+    the block parts of its products go to a per-n list.  Each n then closes
+    as row_dot does.  The slices hold whole SUM_BLOCK blocks, and _step acts
+    on each j alone, so every product, block and fsum is row_dot's
+    (_sliced_block_sum).  With w >= 0, sum |row * w| is s itself.  The
+    row, ratio and stepping ceilings (float_row's) are checked before any
+    step.
+    """
+    if n_min < 1 or n_max < n_min or J < 0:
+        raise ValueError("need 1 <= n_min <= n_max and J >= 0")
+    _check_ratio_exact(J, n_max)
+    _check_step_work(n_max, J)
+    current_limits().check_row_length(J)
+    base = _base_prefix(J)
+    scratch = _step_scratch(min(J, _SLICE) or 1)
+    buf = np.empty(len(scratch[0]))
+    parts, tops = [[] for _ in range(n_min, n_max + 1)], []
+    for start in range(0, J or 1, _SLICE):
+        stop = min(start + _SLICE, J)
+        row, w = buf[: stop - start], w_at(start, stop)
+        row[:] = base[start:stop]
+        if w.size:
+            tops.append(w.max())
+        for n in range(1, n_max + 1):
+            if n > 1:
+                _step(row, float(start), n - 1, *scratch)
+            if n >= n_min:
+                parts[n - n_min].append(_block_parts(row * w))
+    sums = (_fsum_lines(np.concatenate(p, axis=-1)) for p in parts)
+    tops = np.array(tops)
+    return [(s, _dot_error(n, s, J, w_ulps, tops)) for n, s in enumerate(sums, n_min)]
 
 
 def _sliced_block_sum(row: np.ndarray, w: Optional[np.ndarray], fn=None) -> tuple:

@@ -323,9 +323,9 @@ def test_report_aggregates_everything(tmp_path, monkeypatch):
     for cache in caches:
         cache.cache_clear()
     experiments._divergence_rows.clear()
-    # (J, last n stepped) of every float_rows pass
+    # (J, last n stepped) of every float_rows and row_dots pass
     passes = []
-    float_rows = weights.float_rows
+    float_rows, row_dots = weights.float_rows, weights.row_dots
 
     def counted(J):
         rec = [J, 0]
@@ -334,7 +334,12 @@ def test_report_aggregates_everything(tmp_path, monkeypatch):
             rec[1] = n
             yield n, row
 
+    def counted_dots(n_max, J, *args, **kwargs):
+        passes.append([J, n_max])
+        return row_dots(n_max, J, *args, **kwargs)
+
     monkeypatch.setattr(weights, "float_rows", counted)
+    monkeypatch.setattr(weights, "row_dots", counted_dots)
     assert run(tmp_path, "report", "--trials", "20000") == 0
     # one 2^20 pass to n = 32 serves both divergence exponents and the blowup
     # command; the pass to n = 4 is mc_agreement's k^0.2 enclosure

@@ -8,6 +8,7 @@ the comments next to each assertion.
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from subaddlab import lpspace, weights
 from subaddlab.errors import NotInLpError, NotSummableError, ResourceLimitError
-from subaddlab.limits import current_limits
+from subaddlab.limits import Limits, current_limits
 from subaddlab.lpspace import (
     BoundCheck,
     Enclosure,
@@ -258,10 +259,14 @@ def test_p_norm_power_growth():
 
 def test_power_sums_without_truncation_build_one_row_at_the_cap(monkeypatch):
     # J or K omitted truncates a k^beta sum at min(SUBADDLAB_MAX_J, 2^21),
-    # from one float row: no shorter row is tried first
+    # from one pass over a float row (float_rows for p_norm, row_dots for
+    # apply_A_pow): no shorter row is tried first
     rows = []
-    float_rows = weights.float_rows
+    float_rows, row_dots = weights.float_rows, weights.row_dots
     monkeypatch.setattr(weights, "float_rows", lambda J: rows.append(J) or float_rows(J))
+    monkeypatch.setattr(
+        weights, "row_dots", lambda n, J, *a, **kw: rows.append(J) or row_dots(n, J, *a, **kw)
+    )
     cap = min(current_limits().max_j, 1 << 21)
     apply_A_pow(PowerGrowth(0.2), 1, 0)
     p_norm(PowerGrowth(0.2), 2)
@@ -444,6 +449,31 @@ def test_image_norm_past_the_exact_limit_against_exact_sum(monkeypatch):
     assert Fraction(e.lower) ** 2 <= exact <= Fraction(e.upper) ** 2
     # one prefix row serves every k
     assert len(rows) <= 1
+
+
+def test_long_table_image_is_formed_in_blocks_of_runs(monkeypatch):
+    # a 3,000-level table has about 2,800 runs against 3,000 ks; one
+    # (runs x ks) array of big-integer terms traced about 1 GiB
+    values = np.random.default_rng(7).integers(-8, 9, size=3000)
+    f = FiniteTable(tuple(Fraction(int(v), 4) for v in values))
+    tracemalloc.start()
+    try:
+        e = image_p_norm(f, 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert 0 < e.lower <= e.upper
+    # run blocks give the same ends, exact and float, as one block of all runs;
+    # below an exact limit of 100, J = None mixes both kinds of k, J = 150
+    # takes the float prefix and J = 30 the exact one
+    g, lim = FiniteTable(tuple(Fraction(int(v), 4) for v in values[:200])), Limits(exact_limit=100)
+    truncations = (None, 150, 30)
+    ends = [lpspace._image(g, 2, 0, 205, J, "auto", lim) for J in truncations]
+    monkeypatch.setattr(lpspace, "_RUN_CELLS", 1)
+    for J, (lo, hi) in zip(truncations, ends):
+        lo1, hi1 = lpspace._image(g, 2, 0, 205, J, "auto", lim)
+        assert lo1.tolist() == lo.tolist() and hi1.tolist() == hi.tolist()
 
 
 def test_several_exponent_norms_equal_the_one_exponent_calls():

@@ -8,6 +8,7 @@ multiplication over Fractions.  Pinned rationals are frozen literals.
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subaddlab import lpspace, weights
+from subaddlab import experiments, lpspace, weights
 from subaddlab.errors import NotSummableError, ResourceLimitError
 
 
@@ -404,6 +405,66 @@ def test_float_row_refuses_a_row_that_would_grind():
     with pytest.raises(ResourceLimitError):
         weights.float_row(10**6, 16)
     assert time.perf_counter() - t0 < 0.1  # refused before any step
+
+
+def test_sliced_row_dots_equal_row_dot_to_the_bit():
+    # stepping each slice through n while it is in cache forms every product,
+    # block and fsum that row_dot forms on the full row
+    betas = (0.2, 0.32)
+    for J in (100, 3 * (1 << 15) + 77):
+        for k in (0, 5):
+            W = np.array([lpspace._powers(b, k, J) for b in betas])
+
+            def w_at(a, b):
+                return np.array([lpspace._powers(beta, k + a, b - a) for beta in betas])
+
+            sums = weights.row_dots(40, J, w_at, lpspace._POW_ULPS)
+            assert len(sums) == 40
+            for n, (s, err) in enumerate(sums, 1):
+                s_ref, err_ref = weights.row_dot(n, weights.float_row(n, J), W, lpspace._POW_ULPS)
+                assert s.tolist() == s_ref.tolist() and err.tolist() == err_ref.tolist()
+            # n_min keeps only the last sums, and a 1-D weight gives scalars
+            ((s, err),) = weights.row_dots(40, J, lambda a, b: w_at(a, b)[0], lpspace._POW_ULPS, 40)
+            assert (s, err) == (sums[-1][0][0], sums[-1][1][0])
+
+
+def test_sliced_row_dots_refuse_before_any_step(monkeypatch):
+    steps = []
+    step = weights._step
+    monkeypatch.setattr(weights, "_step", lambda *a: steps.append(a) or step(*a))
+
+    def ones(a, b):
+        return np.ones(b - a)
+
+    with pytest.raises(ResourceLimitError, match="entry steps"):
+        weights.row_dots(10**6, 16, ones)
+    with pytest.raises(ResourceLimitError, match="exact float ratios"):
+        weights.row_dots(2, 30_000_001, ones)
+    monkeypatch.setenv("SUBADDLAB_MAX_J", "100")
+    with pytest.raises(ResourceLimitError, match="row length"):
+        weights.row_dots(2, 200, ones)
+    assert steps == []
+    weights.row_dots(2, 100, ones)
+    assert len(steps) == 1
+
+
+def test_long_power_sums_keep_no_full_length_vector():
+    # with the base row cached, the 2^20 divergence sweep and a k^0.2 image
+    # trace a few slices' worth of memory, not 8 MiB rows and power vectors
+    exponents = (lpspace.PowerGrowth(0.2), lpspace.PowerGrowth(0.32))
+    weights.float_row(1, 1 << 20)
+    experiments._divergence_rows.clear()
+    tracemalloc.start()
+    try:
+        experiments.pointwise_divergence(exponents, 0, 32)
+        sweep_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        lpspace.apply_A_pow(lpspace.PowerGrowth(0.2), 8, 0, J=1 << 20)
+        image_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sweep_peak < 6 * 2**20
+    assert image_peak < 4 * 2**20
 
 
 def test_convolve_examples():
