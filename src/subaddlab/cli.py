@@ -190,7 +190,7 @@ def _run_maximal(args):
         raise ValueError("--mgrid needs positive integers")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("--mgrid must be strictly increasing")
-    ratios = [experiments.maximal_ratio_T(m, args.p) for m in grid]
+    ratios = experiments.maximal_ratios(grid, args.p)
     parameters = {"p": args.p, "mGrid": grid}
     rows = tuple(zip(grid, ratios))
     return parameters, ("m", "ratio"), rows, experiments.maximal_verdicts(ratios)

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import weights
-from .errors import EmptyGridError, NotInLpError
+from .errors import EmptyGridError, NotInLpError, ResourceLimitError
 from .limits import Limits, current_limits
 from .lpspace import EventuallyConstant, IndicatorGE, PowerGrowth
 from .lpspace import _POW_ULPS, _image, _power_image, _powers, _root_enclosure, check_exponent
@@ -66,10 +66,10 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
     desk scale.  The survival values P(S_n + k >= n^2) = A^n f_n(k) are the
     lower ends of lpspace._image: exact (rounded once) while the row is
     within the exact limit, else from the compensated prefix of row n of
-    one float_rows sweep, stepped once through n.  They do not depend on p,
-    and are kept per (n_max, limits) for the process, so every p of one
-    process reads one computation; the row and stepping ceilings are
-    checked on every call, ahead of the memo.  The fit is ordinary
+    one whole float row of length n_max^2, stepped once through n.  They do
+    not depend on p, and are kept per (n_max, limits) for the process, so
+    every p of one process reads one computation; the row and stepping
+    ceilings are checked on every call, ahead of the memo.  The fit is ordinary
     least squares on (log n, log R(n)) for n >= fit_from (default
     n_max//4, at least 2).
     """
@@ -116,8 +116,7 @@ def _survival_rows(n_max: int, lim: Limits) -> tuple:
     both _run_mass and _image.  T(n^2) is a Fraction, or a float padded up
     by an ulp past the exact limit.  The survival arrays are read-only.
     """
-    rows = []
-    sweep = weights.float_rows(n_max * n_max)  # one row stepped in n serves every float n
+    rows, sweep = [], None
     for n in range(1, n_max + 1):
         m = n * n
         t_m = weights._run_mass(m, None, lim)
@@ -126,8 +125,13 @@ def _survival_rows(n_max: int, lim: Limits) -> tuple:
         # lower ends of A^n f_n(k) = P(S_n >= m - k), k < m, from one row
         # kind: past the exact limit the float prefix serves every k, since
         # exact rows for the short windows cost more than the sums they tighten
+        # exactness ends at one n for good (n^2 + n grows); from there one
+        # whole row of length n_max^2, stepped once in n, serves every n
         backend = "auto" if weights._exact_ok(n, m, lim) else "log"
-        ends = _image(witness_fn(n), n, 0, m, None, backend, lim, operator.truediv, next(sweep)[1])
+        if backend == "log":
+            sweep = sweep or weights._stepped(n_max * n_max, n_max, n, n_max * n_max)
+        row = next(sweep)[2] if sweep else None
+        ends = _image(witness_fn(n), n, 0, m, None, backend, lim, operator.truediv, row)
         surv = ends[0].astype(float)
         surv.flags.writeable = False
         rows.append((n, t_m, surv))
@@ -228,8 +232,7 @@ def _divergence_sweep(fs, k: int, n_max: int, J: int) -> list:
     """pointwise_divergence's rows for each f in fs, from one weights.row_dots pass.
 
     The exponents' powers are stacked as one weight with a line per f, made
-    a slice at a time, so the pass keeps no row or power vector of length J
-    beside the cached base row.
+    a slice at a time, so the pass keeps no row or power vector of length J.
     """
     rows = [[(0, float(f(k)))] for f in fs]
     if n_max >= 1:
@@ -293,7 +296,20 @@ def lower_bound_probe(c0=1, n_max: int = 12, j_max: int = 2000) -> ProbeReport:
         raise ValueError("need c0 >= 1")
     if n_max < 2:
         raise ValueError("need n_max >= 2")
-    return _probe(Fraction(c0), n_max, j_max)
+    c0 = Fraction(c0)
+    # row n holds j = ceil(n^2 / c0)..j_max, so rows n <= t hold at most
+    # (t - 1)(j_max + 1) - sum_{2<=n<=t} n^2 / c0 entries and later ones none
+    t = max(1, min(n_max, math.isqrt(max(0, math.floor(c0 * j_max)))))
+    if n_max + (t - 1) * (j_max + 1) - (t * (t + 1) * (2 * t + 1) - 6) / (6 * c0) > _PROBE_ROWS_MAX:
+        raise ResourceLimitError(f"the probe grid takes more than {_PROBE_ROWS_MAX} rows")
+    return _probe(c0, n_max, j_max)
+
+
+# lower_bound_probe's ceiling on its rows plus its n_max outer steps: about
+# 3.6 us per row (its exact ratio and its CSV line; 549,362 rows took 2.0 s
+# on 2 cores with Python 3.11 and numpy 2.4) puts 2^19 near 1.9 s; the desk
+# grid (and verify's) has 21,362 rows
+_PROBE_ROWS_MAX = 1 << 19
 
 
 @lru_cache(maxsize=4)
@@ -336,6 +352,20 @@ def maximal_profile(m: int) -> tuple:
     return tuple(Fraction(m, 2 * m - k) if k < m else Fraction(1) for k in range(2 * m))
 
 
+# maximal_ratios' ceiling on the sum of m^2 over the grid: maximal_ratio_T(m)
+# walks the base numerators to 2m, the k-th about 2k bits wide, at about
+# 1.5 ns times m^2 (m = 32,000 took 1.6 s on 2 cores with Python 3.11), so
+# 2^30 is about 1.6 s; the desk grid 4, 16, 64, 256 (verify's too) is 69,904
+_MAXIMAL_WORK_MAX = 1 << 30
+
+
+def maximal_ratios(grid, p) -> list:
+    """[maximal_ratio_T(m, p) for m in grid], refused before any work past _MAXIMAL_WORK_MAX."""
+    if sum(m * m for m in grid) > _MAXIMAL_WORK_MAX:
+        raise ResourceLimitError(f"maximal windows with sum m^2 above {_MAXIMAL_WORK_MAX}")
+    return [maximal_ratio_T(m, p) for m in grid]
+
+
 def maximal_ratio_T(m: int, p) -> float:
     """||sup_n M_n(T)(g_m)||_p / ||g_m||_p for the window witness g_m.
 
@@ -350,9 +380,7 @@ def maximal_ratio_T(m: int, p) -> float:
 @lru_cache(maxsize=32)
 def _maximal_ratio(m: int, p: float, lim: Limits) -> float:
     sup = maximal_profile(m)
-    num = math.fsum(
-        float(weights.alpha_exact(k)) * float(s) ** p for k, s in enumerate(sup) if s
-    )
+    num = math.fsum(a * float(s) ** p for a, s in zip(weights._alpha_floats(), sup) if s)
     den = float(weights._run_mass(m, 2 * m, lim))
     return (num / den) ** (1.0 / p)
 
@@ -410,12 +438,20 @@ def _sato_products(a: Fraction):
         m21, m22 = m21, m21 * a + m22
 
 
+# sato_norm_growth's ceiling on n_max: a row and its check in sato_verdicts
+# take about 12 us (10^5 rows took 1.3 s on 2 cores with Python 3.11), so
+# 2^17 rows are about 1.6 s; the desk default is 32 and verify's largest 100
+_SATO_ROWS_MAX = 1 << 17
+
+
 def sato_norm_growth(a, p, n_max: int):
     """Rows (n, ||A^n e2||_p) = (n, ((n a)^p + 1)^(1/p)), strictly increasing."""
     p = check_exponent(p)
     a = Fraction(a)
     if a <= 0:
         raise ValueError("need a > 0")
+    if n_max > _SATO_ROWS_MAX:
+        raise ResourceLimitError(f"more than {_SATO_ROWS_MAX} Sato rows")
     try:
         return tuple(
             (n, (float(n * a) ** p + 1.0) ** (1.0 / p)) for n in range(n_max + 1)

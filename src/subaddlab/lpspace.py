@@ -435,9 +435,9 @@ def _image(f, n: int, k0: int, k1: int, J, backend: str, lim, value=Fraction, ro
     exact ratio x / d, a Fraction by default.  The other ks take the
     compensated float prefix of weights._float_prefix, which bounds each
     segment mass; their ends are floats.  Each kind reads one prefix row;
-    a caller that steps rows in n may pass row = float_row(n, N) for an N
-    past every window.  The arrays are float64 when every k took the float
-    prefix, else objects.
+    a caller that steps rows in n may pass row n of a float row longer than
+    every window, which the float prefix reads.  The arrays are float64
+    when every k took the float prefix, else objects.
     """
     ks = np.arange(k0, k1)
     W = np.full(len(ks), J) if J is not None else np.maximum(f.starts[-1] - ks, 0)
@@ -669,9 +669,9 @@ def image_p_norms(f: EventuallyConstant, n: int, ps, J: Optional[int] = None) ->
 
     The sum over k closes exactly: the image is c on the mass T(L) past the
     table, and A^n f(k), bracketed by its enclosure from _image, on alpha_k
-    for each k < L; alpha_k is N^1_k / 2^(2k+1) rounded once, from one pass
-    over the base numerators.  None of it depends on p, so one image serves
-    every p.  At n = 0 this is p_norms(f, ps).
+    for each k < L; alpha_k is rounded once, from one pass over the base
+    numerators (weights._alpha_floats).  None of it depends on p, so one
+    image serves every p.  At n = 0 this is p_norms(f, ps).
     """
     ps = [check_exponent(p) for p in ps]
     if n < 0:
@@ -683,7 +683,7 @@ def image_p_norms(f: EventuallyConstant, n: int, ps, J: Optional[int] = None) ->
     lim = current_limits()
     L, c = f.starts[-1], f.levels[-1]
     masses = [weights._run_mass(L, None, lim)]
-    masses += [N / (1 << (2 * k + 1)) for k, N in zip(range(L), weights._numerators(1))]
+    masses += itertools.islice(weights._alpha_floats(), L)
     lo_abs, hi_abs = [abs(c)], [abs(c)]
     lo, hi = (ends.tolist() for ends in _image(f, n, 0, L, J, "auto", lim, _float_or_exact))
     for a, b in zip(lo, hi):

@@ -247,7 +247,7 @@ def check_probe_positive() -> bool:
 
 def check_maximal_growth() -> bool:
     grid = (4, 16, 64, 256)
-    ratios = [experiments.maximal_ratio_T(m, 2.0) for m in grid]
+    ratios = experiments.maximal_ratios(grid, 2.0)
     return all(experiments.maximal_verdicts(ratios).values())
 
 

@@ -23,14 +23,16 @@ which rows the exact backend takes.  exact_ok, exact_prefix and run_mass
 read the resource limits; each has a private twin that takes them, for
 callers that read the limits once per public call.
 
-"log" carries value-domain float64 rows (float_rows) for index ranges where
-exact integers get too wide: a base row from the exact numerators and a
+"log" carries value-domain float64 rows for index ranges where exact
+integers get too wide: a base row from the exact numerators and a
 Stirling series, stepped in n by an exact ratio, under one derived
-per-entry bound (row_error) that does not grow with the row length.  A
-weighted sum over a row is a block_sum (row_dot), and row_dots forms
-those of rows n = 1, 2, ... slice by slice, with no full-length row; the
-masses of many segments of one row come from its compensated prefix sums
-(_float_prefix), the float twin of exact_prefix.  The 40-digit log-gamma
+per-entry bound (row_error) that does not grow with the row length.  One
+generator, _stepped, makes every float row, slice by slice, each slice
+stepped through n while it is in cache; float_row assembles one whole row
+from it.  A weighted sum over a row is a block_sum (row_dot), and row_dots
+forms those of rows n = 1, 2, ... from the slices, with no full-length row;
+the masses of many segments of one row come from its compensated prefix
+sums (_float_prefix), the float twin of exact_prefix.  The 40-digit log-gamma
 values (alpha_pow_log, run_mass) stand in for exact binomials past the exact
 limit.  Binomials are never formed from factorial tables.  All public
 functions are pure, and cached rows fill idempotently, so concurrent
@@ -67,14 +69,14 @@ TINY = math.ulp(0.0)
 SUM_BLOCK = 1024
 # the base float row is rounded from exact numerators below this index
 _HEAD = 1024
-# relative error of a base-row entry in units of U, derived in float_rows
+# relative error of a base-row entry in units of U, derived in _stepped
 _BASE_ULPS = 96
 # the float row ratios stay exact integers while 2J + n is at most this
 _RATIO_EXACT_MAX = 60_000_000
 # float rows are built, stepped and summed in slices of this many entries
 # (whole SUM_BLOCK blocks)
 _SLICE = 1 << 15
-# float_row's work ceiling, in entry steps (derived in _check_step_work): a
+# _stepped's work ceiling, in entry steps (derived in _check_step_work): a
 # step of a row of length J counts J + _STEP_OVERHEAD of them
 _STEP_OVERHEAD = 5_000
 _STEP_WORK_MAX = 1 << 30
@@ -213,11 +215,11 @@ def _log_tail_series(x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
     Each lgamma remainder is bounded by its first omitted term (DLMF
     5.11(ii)), so the truncation error is at most
     1/(1260 (2m)^5) + 2/(1260 m^5) < 1e-17.  This is the one definition of
-    log T in the package: float_rows reads it for m < 3e7 and the sampler
-    (mc._invert_tails) for m up to 2^62.
+    log T in the package: the float rows (_stepped) read it for m < 3e7 and
+    the sampler (mc._invert_tails) for m up to 2^62.
 
     Rounding, in units of u = 2^-53 with np.log within 4 ulps, for
-    log m < 18 (float_rows) and, in brackets, log m < 44 (the sampler): x
+    log m < 18 (the float rows) and, in brackets, log m < 44 (the sampler): x
     is m rounded once, moving log m by 0 (u); np.log(x) errs by 4 ulps of a
     number below 32 (64), 128u (256u); _LOG_PI carries u, and adding it
     rounds once, 16u (32u); halving is exact, so -log(pi m)/2 errs by at
@@ -230,11 +232,16 @@ def _log_tail_series(x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
     return -0.5 * (log_x + _LOG_PI) - r * (0.125 - r * r / 192.0)
 
 
+def _alpha_floats():
+    """Yield alpha_0, alpha_1, ..., each rounded once from its exact numerator."""
+    # int true division rounds correctly
+    return (N / (1 << (2 * j + 1)) for j, N in enumerate(_numerators(1)))
+
+
 @lru_cache(maxsize=1)
 def _head_row() -> np.ndarray:
-    """alpha_j for j < _HEAD, each rounded once from its exact numerator."""
-    # int true division rounds correctly
-    return np.array([N / (1 << (2 * j + 1)) for j, N in enumerate(_row_exact(1, _HEAD))])
+    """alpha_j for j < _HEAD (_alpha_floats)."""
+    return np.fromiter(_alpha_floats(), np.float64, _HEAD)
 
 
 def _base_values(j: np.ndarray) -> np.ndarray:
@@ -248,16 +255,11 @@ def _base_values(j: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_ratio_exact(J: int, n: int) -> None:
-    if 2 * J + n > _RATIO_EXACT_MAX:
-        raise ResourceLimitError("float row too long for exact float ratios")
-
-
 def _check_step_work(n: int, J: int) -> None:
     """Refuse row n of length J when stepping to it would grind.
 
-    float_row and row_dots check each row they step to, and the experiments'
-    float_rows sweeps check the last one.
+    _stepped checks the last row it steps to, and pointwise_divergence and
+    growth_curve the last row of their sweep, ahead of their memo.
 
     Row n costs n - 1 steps of length J.  On the reference box (2 cores,
     Python 3.11, numpy 2.4) a step takes about 8 us plus 1.5 ns per entry,
@@ -274,91 +276,44 @@ def _check_step_work(n: int, J: int) -> None:
         )
 
 
-@lru_cache(maxsize=1)
-def _base_row(J: int) -> np.ndarray:
-    row = np.empty(J)
-    # in slices, so the temporaries stay small
-    for start in range(0, J, _SLICE):
-        stop = min(start + _SLICE, J)
-        row[start:stop] = _base_values(np.arange(start, stop, dtype=np.float64))
-    row.flags.writeable = False
-    return row
-
-
-_longest_base = 0
-
-
-def _base_prefix(J: int) -> np.ndarray:
-    """alpha_0 .. alpha_{J-1}: a prefix of the longest base row built so far."""
-    global _longest_base
-    _longest_base = max(_longest_base, J)
-    return _base_row(_longest_base)[:J]
-
-
-def _step_scratch(size: int) -> tuple:
-    """(2i for i < size, and two scratch rows of that length) for _step."""
-    return 2.0 * np.arange(size), np.empty(size), np.empty(size)
-
-
 def _step(row: np.ndarray, j0: float, n: int, two_i, num, den) -> None:
     """alpha^n -> alpha^(n+1) in place, by (n+1)(2j+n) / (n(2j+2(n+1))), j = j0, j0 + 1, ...
 
-    Numerator and denominator are exact float integers, formed slice by
-    slice in the short scratch rows num and den from two_i = 2i,
-    i < len(num) (_step_scratch).
+    Numerator and denominator are exact float integers, formed in the
+    scratch rows num and den from two_i = 2i, i < len(row); the caller makes
+    the three, at least as long as row, once for many steps.
     """
-    for start in range(0, len(row), len(num)):
-        stop = min(start + len(num), len(row))
-        a, b, two_j = num[: stop - start], den[: stop - start], two_i[: stop - start]
-        off = 2 * (j0 + start)
-        np.add(two_j, off + n, out=a)
-        a *= n + 1
-        np.add(two_j, off + 2 * (n + 1), out=b)
-        b *= n
-        a /= b
-        row[start:stop] *= a
+    m = len(row)
+    a, b, two_j = num[:m], den[:m], two_i[:m]
+    np.add(two_j, 2 * j0 + n, out=a)
+    a *= n + 1
+    np.add(two_j, 2 * j0 + 2 * (n + 1), out=b)
+    b *= n
+    a /= b
+    row *= a
 
 
-def _rows(j, base: np.ndarray):
-    """(n, row) for n = 1, 2, ... at the consecutive indices j, from the base values there.
+def _stepped(J: int, n_max: int, n_min: int = 1, size: int = _SLICE):
+    """Yield (start, n, row) with row[i] = alpha^n_(start+i) in float64, j < J.
 
-    j is a range or an array of consecutive integers; only j[0] and len(j)
-    are read, so no index vector is kept beside the row.
-    """
-    j0 = float(j[0]) if len(j) else 0.0
-    J = int(j0) + len(j)
-    scratch = _step_scratch(min(len(j), _SLICE) or 1)
-    row = base
-    n = 1
-    while True:
-        view = row.view()
-        view.flags.writeable = False
-        yield n, view
-        _check_ratio_exact(J, n)
-        if n == 1:
-            row = row.copy()
-        _step(row, j0, n, *scratch)
-        n += 1
-
-
-def float_rows(J: int):
-    """Yield (n, row) for n = 1, 2, ...: row[j] is alpha^n_j in float64, j < J.
+    Each size-entry slice of the row (by default _SLICE, whole SUM_BLOCK
+    blocks) is made and stepped through n = 1..n_max while it stays in
+    cache, and yielded for n >= n_min: slice by slice, and within a slice n
+    by n; with size >= J the whole row is one slice.  A yielded row is a
+    read-only view that the next step overwrites; copy it to keep it.  The
+    row, ratio and stepping ceilings are checked here, before any
+    allocation or step.
 
     The base row (n = 1) is N^1_j / 2^(2j+1) rounded once from the exact
     numerators below index 1024, and exp(log T(j)) / (2(j+1)) from 1024 on,
-    with log T the Stirling series _log_tail_series.  Each next power
-    multiplies by the exact ratio
+    with log T the Stirling series _log_tail_series (_base_values).  Each
+    next power multiplies by the exact ratio
 
         alpha^(n+1)_j / alpha^n_j = (n+1)(2j+n) / (n(2j+2(n+1))),
 
     whose two factors are float integers below 2^53 while 2J + n <= 6e7 (a
     ResourceLimitError past that).  Cost: row n takes n - 1 vector steps of
-    length J.  The base row of the longest J built so far is kept, and
-    shorter requests read a prefix of it.  A yielded row is read-only and is
-    overwritten by the next step, so a pass keeps one full-length row beside
-    the base row; copy it to keep it.  This serves the callers that need
-    whole rows (prefix sums, 4096-wide windows); weighted sums of long rows
-    come from row_dots, which keeps no full-length row at all.
+    length J.
 
     The error bound (row_error), in units of u = 2^-53, with numpy's float64
     log and exp taken to be within 4 ulps:
@@ -382,32 +337,47 @@ def float_rows(J: int):
     (beyond (1 + u)^(2n)), and after n steps the absolute error is at most
     n 2^-1074: the second term of row_error.
     """
-    if J < 0:
-        raise ValueError("need J >= 0")
+    if n_min < 1 or n_max < n_min or J < 0:
+        raise ValueError("need 1 <= n_min <= n_max and J >= 0")
+    if 2 * J + n_max > _RATIO_EXACT_MAX:
+        raise ResourceLimitError("float row too long for exact float ratios")
+    _check_step_work(n_max, J)
     current_limits().check_row_length(J)
-    _check_ratio_exact(J, 1)
-    return _rows(range(J), _base_prefix(J))
+    size = min(J, size) or 1
+    scratch = 2.0 * np.arange(size), np.empty(size), np.empty(size)
+
+    def walk():
+        for start in range(0, J or 1, size):
+            row = _base_values(np.arange(start, min(start + size, J), dtype=np.float64))
+            view = row.view()
+            view.flags.writeable = False
+            for n in range(1, n_max + 1):
+                if n > 1:
+                    _step(row, float(start), n - 1, *scratch)
+                if n >= n_min:
+                    yield start, n, view
+
+    return walk()
 
 
 def float_row(n: int, J: int) -> np.ndarray:
-    """alpha^n_0 .. alpha^n_{J-1} in float64 (read-only); see float_rows.
+    """alpha^n_0 .. alpha^n_{J-1} in float64 (read-only), from _stepped.
 
-    A row whose stepping cost passes the ceiling of _check_step_work is
-    refused before any step.
+    A row past a ceiling of _stepped is refused before any allocation or
+    step.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    _check_ratio_exact(J, n)
-    _check_step_work(n, J)
-    for m, row in float_rows(J):
-        if m == n:
-            return row
+    slices = _stepped(J, n, n)
+    out = np.empty(J)
+    for start, _, row in slices:
+        out[start : start + len(row)] = row
+    out.flags.writeable = False
+    return out
 
 
 def row_error(n: int) -> tuple[float, float]:
     """(rel, tiny) with |float_row(n, J)[j] - alpha^n_j| <= rel alpha^n_j + tiny.
 
-    Derived in float_rows; tiny is 0 unless entries can underflow.
+    Derived in _stepped; tiny is 0 unless entries can underflow.
     """
     return (_BASE_ULPS + 2 * n) * U, (0.0 if n <= 1021 else n * TINY)
 
@@ -473,36 +443,20 @@ def row_dots(n_max: int, J: int, w_at, w_ulps: float = 0, n_min: int = 1) -> lis
 
     The weights are w >= 0, given slice by slice: w_at(start, stop) returns
     w[..., start:stop], one line per sum when w has a leading axis.  No row
-    or weight vector as long as J is built: each _SLICE-entry slice of the
-    cached base row is copied into scratch and stepped through
-    n = 2..n_max while it stays in cache, its weights are made once, and
-    the block parts of its products go to a per-n list.  Each n then closes
-    as row_dot does.  The slices hold whole SUM_BLOCK blocks, and _step acts
-    on each j alone, so every product, block and fsum is row_dot's
-    (_sliced_block_sum).  With w >= 0, sum |row * w| is s itself.  The
-    row, ratio and stepping ceilings (float_row's) are checked before any
-    step.
+    or weight vector as long as J is built: the rows come slice by slice
+    from _stepped, each slice's weights are made once, and the block parts
+    of its products go to a per-n list.  Each n then closes as row_dot
+    does.  The slices hold whole SUM_BLOCK blocks, and _step acts on each j
+    alone, so every product, block and fsum is row_dot's
+    (_sliced_block_sum).  With w >= 0, sum |row * w| is s itself.
     """
-    if n_min < 1 or n_max < n_min or J < 0:
-        raise ValueError("need 1 <= n_min <= n_max and J >= 0")
-    _check_ratio_exact(J, n_max)
-    _check_step_work(n_max, J)
-    current_limits().check_row_length(J)
-    base = _base_prefix(J)
-    scratch = _step_scratch(min(J, _SLICE) or 1)
-    buf = np.empty(len(scratch[0]))
     parts, tops = [[] for _ in range(n_min, n_max + 1)], []
-    for start in range(0, J or 1, _SLICE):
-        stop = min(start + _SLICE, J)
-        row, w = buf[: stop - start], w_at(start, stop)
-        row[:] = base[start:stop]
-        if w.size:
-            tops.append(w.max())
-        for n in range(1, n_max + 1):
-            if n > 1:
-                _step(row, float(start), n - 1, *scratch)
-            if n >= n_min:
-                parts[n - n_min].append(_block_parts(row * w))
+    for start, n, row in _stepped(J, n_max, n_min):
+        if n == n_min:
+            w = w_at(start, start + len(row))
+            if w.size:
+                tops.append(w.max())
+        parts[n - n_min].append(_block_parts(row * w))
     sums = (_fsum_lines(np.concatenate(p, axis=-1)) for p in parts)
     tops = np.array(tops)
     return [(s, _dot_error(n, s, J, w_ulps, tops)) for n, s in enumerate(sums, n_min)]
@@ -541,11 +495,11 @@ def _two_sum(a, b):
 def _float_prefix(n: int, J: int, row: Optional[np.ndarray] = None):
     """mass(lo, hi) -> (m, err) with |m - sum_{lo<=j<hi} alpha^n_j| <= err.
 
-    One float_row(n, J) (row[:J] when row, a longer float_row(n, .), is
-    given) and its compensated prefix sums (Ogita, Rump and
-    Oishi, "Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005)
-    serve every segment; lo and hi are integers or integer arrays with
-    0 <= lo <= hi <= J, and m and err have their shape.
+    One float_row(n, J), or the first J entries of row n of a longer one,
+    and its compensated prefix sums (Ogita, Rump and Oishi, "Accurate sum
+    and dot product", SIAM J. Sci. Comput. 26, 2005) serve every segment;
+    lo and hi are integers or integer arrays with 0 <= lo <= hi <= J, and
+    m and err have their shape.
 
     With x the row (x >= 0) and u = 2^-53: s_0 = 0 and
     s_i = fl(s_(i-1) + x_(i-1)) (np.cumsum adds in order); TwoSum gives
@@ -793,32 +747,37 @@ class AgreementResult:
 
 
 def scan_backend_agreement(bias: float = 0.0, tolerance: float = 1e-9) -> AgreementResult:
-    """Cross-validate the float routes with the exact one on j + n in [500, 2000].
+    """Float routes vs exact on j + n in [500, 2000]; the engine vs log at (7, 2^15 + 500).
 
-    The 40-digit log value alpha_pow_log is compared at each point, and the
-    float row engine (float_rows, 2,000 points long) at each point with
-    n <= 100, which keeps the sweep to 100 steps.  bias is a fault-injection
-    hook: it is added to every log-domain value, and every engine entry is
-    scaled by e^bias, before comparison, so a nonzero bias must trip the
-    verdict.
+    On j + n in [500, 2000] the 40-digit log value alpha_pow_log is compared
+    with the exact weight at each point, and the float row engine
+    (_stepped, 2,000 points long, one slice) at each point with n <= 100,
+    which keeps the sweep to 100 steps.  One more point, (7, _SLICE + 500),
+    lies in the second slice of a longer float_row; its reference is the
+    unbiased 40-digit log value, not the exact one (its binomial alone takes
+    about 40 ms), so there the engine is checked against log, and the log
+    route only against its own biased value; the other points tie log to
+    exact.
+    bias is a fault-injection hook: it is added to every log-domain value,
+    and every engine entry is scaled by e^bias, before comparison, so a
+    nonzero bias must trip the verdict.
     """
     points = {(1, 500), (1, 2000 - 1), (2, 1998), (1000, 1000)}
     for n in (1, 2, 3, 7, 20, 100, 500):
         for j in (0, 1, 5, 50, 199, 450, 500, 900, 1400, 1900):
             if 500 <= j + n <= 2000:
                 points.add((n, j))
-    engine = {}
-    for n, row in float_rows(2000):
-        engine.update({(m, j): float(row[j]) for m, j in points if m == n})
-        if n == 100:
-            break
+    rows = _stepped(2000, 100)
+    engine = {(m, j): float(row[j]) for _, n, row in rows for m, j in points if m == n}
+    engine[7, _SLICE + 500] = float(float_row(7, _SLICE + 501)[-1])
+    points.add((7, _SLICE + 500))
     try:
         scale = math.exp(bias)
     except OverflowError:
         scale = math.inf
     worst = 0.0
     for n, j in sorted(points):
-        exact = float(alpha_pow_exact(n, j))
+        exact = float(alpha_pow_exact(n, j)) if j < _SLICE else math.exp(alpha_pow_log(n, j))
         try:
             approx = math.exp(alpha_pow_log(n, j) + bias)
         except OverflowError:

@@ -110,8 +110,18 @@ def test_far_log_row_exits_3_without_grinding(tmp_path):
         ("blowup", "--nmax", "100000"),
         ("growth", "--nmax", "1400"),
         ("simulate", "--fn", "table", "--n", "100000", "--trials", "100000"),
+        ("sato", "--nmax", "1000000000"),
+        ("probe", "--jmax", "100000000"),
+        ("maximal", "--mgrid", "1000000"),
     ],
-    ids=["blowup_sweep", "growth_sweep", "simulate_draws"],
+    ids=[
+        "blowup_sweep",
+        "growth_sweep",
+        "simulate_draws",
+        "sato_rows",
+        "probe_grid",
+        "maximal_window",
+    ],
 )
 def test_long_sweeps_and_draw_counts_exit_3_without_grinding(tmp_path, argv):
     t0 = time.perf_counter()
@@ -323,23 +333,12 @@ def test_report_aggregates_everything(tmp_path, monkeypatch):
     for cache in caches:
         cache.cache_clear()
     experiments._divergence_rows.clear()
-    # (J, last n stepped) of every float_rows and row_dots pass
+    # (J, last n stepped) of every pass that steps float rows
     passes = []
-    float_rows, row_dots = weights.float_rows, weights.row_dots
-
-    def counted(J):
-        rec = [J, 0]
-        passes.append(rec)
-        for n, row in float_rows(J):
-            rec[1] = n
-            yield n, row
-
-    def counted_dots(n_max, J, *args, **kwargs):
-        passes.append([J, n_max])
-        return row_dots(n_max, J, *args, **kwargs)
-
-    monkeypatch.setattr(weights, "float_rows", counted)
-    monkeypatch.setattr(weights, "row_dots", counted_dots)
+    stepped = weights._stepped
+    monkeypatch.setattr(
+        weights, "_stepped", lambda J, n_max, *a: passes.append((J, n_max)) or stepped(J, n_max, *a)
+    )
     assert run(tmp_path, "report", "--trials", "20000") == 0
     # one 2^20 pass to n = 32 serves both divergence exponents and the blowup
     # command; the pass to n = 4 is mc_agreement's k^0.2 enclosure

@@ -10,6 +10,7 @@ exact floats, since they depend on documented truncation choices.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,37 @@ def test_memoized_experiments_still_check_the_row_ceiling(monkeypatch):
         experiments.pointwise_divergence(PowerGrowth(0.2), 0, 4, 4096)
 
 
+def test_growth_past_the_exact_limit_steps_one_row_once(monkeypatch):
+    # exact rows end at n = 6 (n^2 + n - 1 <= 50); rows 7..20 come from one
+    # row of length 20^2 stepped once in n, with the bits of their own rows
+    monkeypatch.setenv("SUBADDLAB_EXACT_LIMIT", "50")
+    lim, passes, stepped = current_limits(), [], weights._stepped
+    monkeypatch.setattr(weights, "_stepped", lambda *a: passes.append(a) or stepped(*a))
+    rows = experiments._survival_rows.__wrapped__(20, lim)
+    assert passes == [(400, 20, 7, 400)]
+    monkeypatch.setattr(weights, "_stepped", stepped)
+    for n, _, surv in rows:
+        backend = "auto" if n <= 6 else "log"
+        lo = _image(IndicatorGE(n * n), n, 0, n * n, None, backend, lim, operator.truediv)[0]
+        assert surv.tolist() == lo.astype(float).tolist(), n
+
+
+def test_growth_ceiling_counts_one_sweep_of_the_longest_row(monkeypatch):
+    # n_max = 1000 is 999 steps of length 10^6, under the stepping ceiling;
+    # 1400 is past it and refused before any row is made
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(experiments, "_survival_rows", reached)
+    with pytest.raises(Reached):
+        experiments.growth_curve(2, 1000)
+    with pytest.raises(ResourceLimitError):
+        experiments.growth_curve(2, 1400)
+
+
 def test_pointwise_divergence_validation():
     with pytest.raises(ValueError):
         experiments.pointwise_divergence(IndicatorGE(1))
@@ -193,6 +225,19 @@ def test_maximal_ratio_values():
     ratios = [experiments.maximal_ratio_T(m, 2) for m in (4, 16, 64, 256)]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] > 5.0  # unbounded in m: already past 5 at m = 256
+
+
+def test_maximal_ratio_weights_are_the_correctly_rounded_alpha_k():
+    # the numerator recurrence rounded once gives float(alpha_exact(k)) to the bit
+    for m in (4, 16, 64, 256, 1000):
+        sup = experiments.maximal_profile(m)
+        den = float(weights.tail_exact(m) - weights.tail_exact(2 * m))
+        for p in (1.25, 2.0, 3.0):
+            terms = (float(weights.alpha_exact(k)) * float(s) ** p for k, s in enumerate(sup))
+            ratio = (math.fsum(terms) / den) ** (1.0 / p)
+            assert experiments.maximal_ratio_T(m, p) == ratio, (m, p)
+    with pytest.raises(ResourceLimitError):
+        experiments.maximal_ratios((4, 40_000), 2.0)
 
 
 def test_sato_closed_form_matches_product_oracle():

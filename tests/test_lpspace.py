@@ -259,14 +259,11 @@ def test_p_norm_power_growth():
 
 def test_power_sums_without_truncation_build_one_row_at_the_cap(monkeypatch):
     # J or K omitted truncates a k^beta sum at min(SUBADDLAB_MAX_J, 2^21),
-    # from one pass over a float row (float_rows for p_norm, row_dots for
+    # from one pass over a float row (float_row for p_norm, row_dots for
     # apply_A_pow): no shorter row is tried first
     rows = []
-    float_rows, row_dots = weights.float_rows, weights.row_dots
-    monkeypatch.setattr(weights, "float_rows", lambda J: rows.append(J) or float_rows(J))
-    monkeypatch.setattr(
-        weights, "row_dots", lambda n, J, *a, **kw: rows.append(J) or row_dots(n, J, *a, **kw)
-    )
+    stepped = weights._stepped
+    monkeypatch.setattr(weights, "_stepped", lambda J, *a: rows.append(J) or stepped(J, *a))
     cap = min(current_limits().max_j, 1 << 21)
     apply_A_pow(PowerGrowth(0.2), 1, 0)
     p_norm(PowerGrowth(0.2), 2)

@@ -21,7 +21,6 @@ ROW_CACHES = (
     weights._row_exact.cache_clear,
     weights._prefix_exact.cache_clear,
     weights._head_row.cache_clear,
-    weights._base_row.cache_clear,
     experiments._divergence_rows.clear,
     experiments._survival_rows.cache_clear,
     experiments._probe.cache_clear,
@@ -69,6 +68,14 @@ MUTATIONS = (
         "_step",
         "2 * (n + 1)",
         "2 * (n + 2)",
+    ),
+    (
+        "stepped_slice_offset_dropped",
+        "backend_agreement",
+        weights,
+        "_stepped",
+        "_step(row, float(start), n - 1, *scratch)",
+        "_step(row, 0.0, n - 1, *scratch)",
     ),
     (
         "integer_convolution_index_shift",

@@ -222,6 +222,11 @@ def mp_alpha_pow(n, j):
         )
 
 
+def step_scratch(size):
+    """weights._step's 2i vector and scratch rows for rows of this length."""
+    return 2.0 * np.arange(size), np.empty(size), np.empty(size)
+
+
 def within_row_bound(value, n, j):
     rel, tiny = weights.row_error(n)
     ref = mp_alpha_pow(n, j)
@@ -234,34 +239,33 @@ def within_row_bound(value, n, j):
 )
 @settings(max_examples=150, deadline=None)
 def test_property_float_entry_within_derived_bound(n, j):
-    # the engine's base values and steps, run at the one index j
-    at = np.array([float(j)])
-    for m, row in weights._rows(at, weights._base_values(at)):
-        if m == n:
-            break
+    # the engine's base value and steps, run at the one index j
+    row = weights._base_values(np.array([float(j)]))
+    for m in range(1, n):
+        weights._step(row, float(j), m, *step_scratch(1))
     assert within_row_bound(row[0], n, j)
 
 
 def test_long_float_rows_within_derived_bound():
     J = 1 << 20
     picks = (0, 1, 1023, 1024, 1025, 4095, 65536, 500_000, J - 2, J - 1)
-    for n, row in weights.float_rows(J):
-        if n in (1, 2, 32):
-            assert all(within_row_bound(row[j], n, j) for j in picks), n
-        if n == 32:
-            break
+    for n in (1, 2, 32):
+        row = weights.float_row(n, J)
+        assert all(within_row_bound(row[j], n, j) for j in picks), n
     # the per-entry bound does not grow with J
     assert weights.row_error(32)[0] < 2e-14
 
 
-def test_float_rows_sweep_matches_float_row():
-    rows = {}
-    for n, row in weights.float_rows(3000):
-        rows[n] = row.copy()
-        if n == 9:
-            break
-    for n in (1, 2, 9):
-        assert np.array_equal(rows[n], weights.float_row(n, 3000))
+def test_float_row_from_slices_matches_whole_row_stepping():
+    # float_row steps each slice of the row on its own; the whole base row
+    # stepped in one piece gives the same bits
+    J = 3 * (1 << 15) + 77
+    row = weights._base_values(np.arange(J, dtype=np.float64))
+    for n in range(1, 10):
+        if n > 1:
+            weights._step(row, 0.0, n - 1, *step_scratch(J))
+        if n in (1, 2, 9):
+            assert np.array_equal(weights.float_row(n, J), row), n
 
 
 def test_numpy_log_exp_power_within_assumed_ulps():
@@ -332,9 +336,17 @@ def test_float_row_is_read_only_and_a_prefix_when_long():
         row[0] = 0.0
     long_row = weights.float_row(1, (1 << 16) + 8)
     assert long_row.shape == ((1 << 16) + 8,)
-    # the longest base row serves shorter requests without a rebuild
     short = weights.float_row(1, 100)
-    assert np.shares_memory(short, long_row) and np.array_equal(short, long_row[:100])
+    assert np.array_equal(short, long_row[:100])
+
+
+def test_stepped_rows_are_read_only_views():
+    # a yielded row is the slice the next step overwrites; writing to it
+    # would corrupt every later n of that slice
+    for _, _, row in weights._stepped((1 << 15) + 10, 3):
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row *= 2.0
 
 
 def test_backend_agreement_scan_and_fault_injection():
@@ -449,10 +461,9 @@ def test_sliced_row_dots_refuse_before_any_step(monkeypatch):
 
 
 def test_long_power_sums_keep_no_full_length_vector():
-    # with the base row cached, the 2^20 divergence sweep and a k^0.2 image
-    # trace a few slices' worth of memory, not 8 MiB rows and power vectors
+    # the 2^20 divergence sweep and a k^0.2 image trace a few slices' worth
+    # of memory, not 8 MiB rows and power vectors
     exponents = (lpspace.PowerGrowth(0.2), lpspace.PowerGrowth(0.32))
-    weights.float_row(1, 1 << 20)
     experiments._divergence_rows.clear()
     tracemalloc.start()
     try:
