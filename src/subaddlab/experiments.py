@@ -56,6 +56,10 @@ class GrowthResult:
         return 0.85 / self.p, 1.15 / self.p
 
 
+# growth_curve's charge per window entry, in entry steps (derived there)
+_WINDOW_STEPS = 28
+
+
 def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthResult:
     """Certified lower bounds on R(n) = ||A^n f_n||_p / ||f_n||_p and a slope fit.
 
@@ -72,13 +76,22 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
     ceilings are checked on every call, ahead of the memo.  The fit is ordinary
     least squares on (log n, log R(n)) for n >= fit_from (default
     n_max//4, at least 2).
+
+    The stepping ceiling charges the sweep and the windows: row n's image
+    and norm sum read windows of n^2 entries.  In growth_curve(2, 550),
+    1.29 s in all, the sweep took 0.12 s, 0.75 ns per entry step, and the
+    other 1.17 s went to 5.5e7 float window entries, 21 ns each (2 cores,
+    Python 3.11, numpy 2.4).  So every window entry, n = 1 .. n_max, counts
+    as _WINDOW_STEPS = 28 entry steps: n_max = 250 charges 15% of the
+    ceiling, and n_max >= 470 is refused.
     """
     p = check_exponent(p)
     if n_max < 8:
         raise ValueError("need n_max >= 8 for a meaningful fit")
     lim = current_limits()
     lim.check_row_length(n_max * n_max)
-    weights._check_step_work(n_max, n_max * n_max)
+    windows = n_max * (n_max + 1) * (2 * n_max + 1) // 6  # sum of n^2
+    weights._check_step_work(n_max, n_max * n_max, _WINDOW_STEPS * windows)
     if fit_from is None:
         fit_from = max(2, n_max // 4)
     if fit_from > n_max - 1:

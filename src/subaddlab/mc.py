@@ -3,22 +3,22 @@
 Sampling is inverse-CDF, one uniform u per draw.  Below 1024 the index is
 decided exactly by a table of the CDF rounded up to doubles (_cdf_up): a
 double u passes an exact CDF value exactly when it passes the rounded-up
-one.  A guide table of 2^16 cells (_guide) starts each draw at most two
-edges below its index, so a table draw costs O(1).  Beyond 1024 the draw
-is resolved in the log domain through the closed tail
-T(J) = binom(2J,J) 4^(-J), nearly always in a bracket of five integers
-around its asymptotic answer, so a tail draw costs a few steps.  Path
-simulation of the first-passage construction would have infinite expected
-cost per sample.
+one.  A guide table of 2^16 cells (_guide) gives the index of a draw
+outright unless its cell holds a table edge, and then within two compare
+steps, so a table draw costs O(1).  Beyond 1024 the draw is resolved in the
+log domain through the closed tail T(J) = binom(2J,J) 4^(-J), nearly always
+by confirming its asymptotic answer with two tests, so a tail draw costs a
+few steps.  Path simulation of the first-passage construction would have
+infinite expected cost per sample.
 
-The tail draws of one call are inverted together by one vectorized
-bisection (_invert_tails) that decides T(m+1) < v = 1 - u as
-log T(m+1) < log v, with log T the Stirling series weights._log_tail_series,
-the one log T of the package.  That series is within 163u of log T for
-m < 2^63 (u = 2^-53; derived there) and np.log(v) within 256u (4 ulps of
-|log v| < 64, as v >= 2^-53), so a step can differ from the exact decision
-only where log T(m+1) is within d = 419u < 5e-14 of log v: every sampled
-m >= 1024 below _INDEX_CAP has T(m+1) < v e^d and T(m) >= v e^-d.
+The tail draws of one call are inverted together (_invert_tails), each test
+deciding T(m+1) < v = 1 - u as log T(m+1) < log v, with log T the Stirling
+series weights._log_tail_series, the one log T of the package.  That series
+is within 163u of log T for m < 2^63 (u = 2^-53; derived there) and
+np.log(v) within 256u (4 ulps of |log v| < 64, as v >= 2^-53), so a test
+can differ from the exact decision only where log T(m+1) is within
+d = 419u < 5e-14 of log v: every sampled m >= 1024 below _INDEX_CAP has
+T(m+1) < v e^d and T(m) >= v e^-d.
 
 The law has infinite mean, so nothing here normalizes sums; only
 expectations E f(S_n + k) with summable f are estimated.  Variance may still
@@ -45,9 +45,10 @@ _TABLE_SIZE = 1024
 _INDEX_CAP = 1 << 62
 _MOM_BLOCKS = 32
 _GUIDE_CELLS = 1 << 16
-# mc_apply_A's ceiling on max(n, 1) * trials: about 3.6e7 draws/s (n = 8,
-# 2e6 trials, tail inversion included, on 2 cores with Python 3.11 and numpy
-# 2.4) puts 2^28 draws near 7.5 s
+# mc_apply_A's ceiling on max(n, 1) * trials: about 2.1e8 draws/s at n = 8
+# and 5.9e7 at n = 1, where f is evaluated once per draw (tail inversion
+# included, on 2 cores with Python 3.11 and numpy 2.4), put 2^28 draws at
+# 1.3 to 4.6 s
 _DRAWS_MAX = 1 << 28
 
 
@@ -97,27 +98,37 @@ def _cdf_up() -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _guide() -> np.ndarray:
-    """guide[c] = #{j : F_up[j] <= c / 2^16} for c = 0 .. 2^16 (Chen and Asau 1974).
+    """g = #{j : F_up[j] <= c / 2^16} for each cell c = 0 .. 2^16, or ~g (Chen and Asau 1974).
 
-    A double u in [0, 1] lies in cell int(u 2^16), computed exactly as u is a
-    multiple of 2^-53; cell 2^16 holds u = 1.0 alone.  The cell's entry is
-    at most the index of u, which is reached by stepping up past the table
-    edges inside the cell; no cell holds more than two.
+    The entry is the flag ~g < 0 when a table edge F_up[j] lies strictly
+    inside the cell, between c / 2^16 and (c + 1) / 2^16; 933 cells are
+    flagged.  A double u in [0, 1] lies in cell int(u 2^16), computed
+    exactly as u is a multiple of 2^-53; cell 2^16 holds u = 1.0 alone.  g
+    is the index of every u in an unflagged cell.  In a flagged one the
+    index is reached by stepping up past the edges inside the cell, and no
+    cell holds more than two, so two steps reach it.
     """
+    F = _cdf_up()
     cells = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS  # exact
-    guide = np.searchsorted(_cdf_up(), cells, side="right")
+    guide = np.searchsorted(F, cells, side="right")
+    inner = np.append(np.searchsorted(F, cells[1:], side="left") > guide[:-1], False)
+    guide[inner] = ~guide[inner]
     guide.flags.writeable = False
     return guide
 
 
 def _table_index(u: np.ndarray) -> np.ndarray:
-    """#{j < 1024 : F_up[j] <= u} for each u in [0, 1], as int64; 1024 is the tail."""
-    F = _cdf_up()
-    idx = _guide()[(u * _GUIDE_CELLS).astype(np.intp)]
-    step = np.nonzero(F[idx] <= u)[0]
-    while step.size:
-        idx[step] += 1
-        step = step[F[idx[step]] <= u[step]]
+    """#{j < 1024 : F_up[j] <= u} for each u in [0, 1], as int64; 1024 is the tail.
+
+    u 2^16 <= 2^16 casts exactly to int32; only the draws in flagged cells,
+    about 1.4%, take the two compare steps.
+    """
+    idx = _guide().take((u * _GUIDE_CELLS).astype(np.int32))
+    edge = np.nonzero(idx < 0)[0]
+    F, ue, i = _cdf_up(), u[edge], ~idx[edge]
+    i += F[i] <= ue
+    i += F[i] <= ue
+    idx[edge] = i
     return idx
 
 
@@ -130,15 +141,13 @@ def _tail_below(m: np.ndarray, logv: np.ndarray) -> np.ndarray:
 def _invert_tails(u: np.ndarray) -> np.ndarray:
     """For each u >= 1/2, the smallest m >= 1024 with T(m+1) < 1 - u, as int64.
 
-    One bisection over the whole array, each draw in its own bracket
-    [lo, hi]: no m < lo passes the test below(m) (log T(m+1) < log v in
-    floats, v = 1 - u) and below(hi) holds, or hi is the cap.
+    Write below(m) for the test log T(m+1) < log v in floats, v = 1 - u.
 
-    Tight bracket.  With s = 1/(pi v^2), log T(m) ~ -log(pi m)/2 - 1/(8m)
+    Point guess.  With s = 1/(pi v^2), log T(m) ~ -log(pi m)/2 - 1/(8m)
     puts the answer near s - 1/4, so a draw with s < 2^42 first tries
-    [max(1024, m0 - 2), m0 + 2], m0 = floor(s - 5/4), and keeps it when its
-    two end tests confirm it.  It gives the same integer as any other
-    valid bracket, the wide one below included, because for such a draw
+    c = max(1024, floor(s - 1/4)) and takes it when below(c) holds and
+    below(c - 1) does not.  That is the answer, and the one any valid
+    bracket gives, the wide one below included, because for such a draw
     below is false up to one m and true from there on.  The float series is
     within 163u of log T and np.log(v) within 256u of log v (u = 2^-53), so
     - for m >= 2^43 > 2 s, log T(m+1) < log v + log(1/2)/2 < log v - 0.34,
@@ -148,12 +157,14 @@ def _invert_tails(u: np.ndarray) -> np.ndarray:
       decreasing in m and below switches at most once from false to true.
     Past s = 2^42 the float series is no longer monotone where below is in
     doubt, so the result may depend on the path of the bisection, and those
-    draws keep the wide bracket.
+    draws take the wide bracket.  So do the few whose two tests fail, where
+    the guess is off (0 to 3 in each 74,000 seeded tail draws).
 
-    Wide bracket, for every other draw: lo = 1024 and hi starts at
-    4 int(1/(pi v^2)), growing fourfold until the test holds there, clamped
-    at _INDEX_CAP so that lo + hi fits int64; a draw whose test fails at the
-    cap, or with v = 0, takes the cap.
+    Wide bracket, one bisection over all those draws, each in its own
+    [lo, hi]: no m < lo passes below(m), and below(hi) holds or hi is the
+    cap.  lo = 1024 and hi starts at 4 int(1/(pi v^2)), growing fourfold
+    until the test holds there, clamped at _INDEX_CAP so that lo + hi fits
+    int64; a draw whose test fails at the cap, or with v = 0, takes the cap.
     """
     out = np.full(u.shape, _INDEX_CAP, dtype=np.int64)
     v = 1.0 - u  # exact: u >= 1/2 here (Sterbenz)
@@ -161,19 +172,14 @@ def _invert_tails(u: np.ndarray) -> np.ndarray:
     v = v[pos]
     logv = np.log(v)
     s = 1.0 / (np.pi * v * v)
+    c = np.maximum(_TABLE_SIZE, np.floor(np.minimum(s, 2.0**42) - 0.25).astype(np.int64))
+    hit = (s < 2.0**42) & _tail_below(c, logv) & ~_tail_below(c - 1, logv)
+    out[pos[hit]] = c[hit]
+    miss = ~hit
+    pos, logv, s = pos[miss], logv[miss], s[miss]
     lo = np.full(pos.shape, _TABLE_SIZE, dtype=np.int64)
-    # the wide bracket's first hi, replaced by the tight bracket where it holds
     hi = np.maximum(2 * _TABLE_SIZE, 4 * np.minimum(s, _INDEX_CAP >> 2).astype(np.int64))
-    near = np.nonzero(s < 2.0**42)[0]
-    m0 = np.floor(s[near] - 1.25).astype(np.int64)
-    t_lo = np.maximum(_TABLE_SIZE, m0 - 2)
-    t_hi = np.maximum(t_lo, m0 + 2)
-    ok = _tail_below(t_hi, logv[near])
-    ok[ok] = (t_lo[ok] == _TABLE_SIZE) | ~_tail_below(t_lo[ok] - 1, logv[near[ok]])
-    tight = near[ok]
-    lo[tight], hi[tight] = t_lo[ok], t_hi[ok]
-    grow = np.setdiff1d(np.arange(pos.size), tight, assume_unique=True)
-    grow = grow[(hi[grow] < _INDEX_CAP) & ~_tail_below(hi[grow], logv[grow])]
+    grow = np.nonzero((hi < _INDEX_CAP) & ~_tail_below(hi, logv))[0]
     while grow.size:
         hi[grow] = 4 * np.minimum(hi[grow], _INDEX_CAP >> 2)
         grow = grow[(hi[grow] < _INDEX_CAP) & ~_tail_below(hi[grow], logv[grow])]
@@ -193,8 +199,8 @@ def _sample_array(gen: np.random.Generator, size: int) -> np.ndarray:
     """size iid draws from alpha, as int64; one uniform consumed per draw."""
     u = gen.random(size)
     idx = _table_index(u)
-    in_tail = idx == _TABLE_SIZE
-    idx[in_tail] = _invert_tails(u[in_tail])
+    tail = np.nonzero(idx == _TABLE_SIZE)[0]
+    idx[tail] = _invert_tails(u[tail])
     return idx
 
 
@@ -219,7 +225,7 @@ def _value_chunks(f: SeqFunction, n: int, k: int, trials: int, gen):
     for start in range(0, trials, rows):
         size = min(rows, trials - start)
         draws = _sample_array(gen, size * n).reshape(size, n)
-        s = draws.sum(axis=1)
+        s = np.einsum("ij->i", draws)  # the ints of sum(axis=1), some 3x faster on short rows
         if n * int(draws.max(initial=0)) >= 1 << 63:
             # the int64 sums may have wrapped: redo them in Python integers
             s = np.array([min(sum(r), _INDEX_CAP) for r in draws.tolist()], dtype=np.int64)

@@ -7,13 +7,14 @@ rows live in the CSV only: a command that writes one names it in its JSON
 report by file name, row count and SHA-256 (the "csv" block that write_csv
 returns), and a command with no CSV has no such block.  Files are written
 to a temp name in the target directory and renamed into place, so readers
-never see a partial file.  wallTimeSeconds is the one report field that
-varies between reruns; every other byte is a pure function of the run
-configuration.
+never see a partial file, though an old one is briefly absent.
+wallTimeSeconds is the one report field that varies between reruns; every
+other byte is a pure function of the run configuration.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -34,12 +35,22 @@ def format_value(v) -> str:
 
 
 def _atomic_write(path: str, data: str) -> None:
+    """Write data to a temp file beside path, then rename it to path.
+
+    Readers never see a partial file, but path is briefly absent: an old
+    file there is removed just before the rename.  On ext4 a rename over an
+    existing file flushes the new file's delayed blocks: rewriting eight
+    200 kB files took 0.35-0.65 s a round renaming over the old ones, and
+    under 1 ms removing them first.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(data)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -255,11 +255,13 @@ def _base_values(j: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_step_work(n: int, J: int) -> None:
-    """Refuse row n of length J when stepping to it would grind.
+def _check_step_work(n: int, J: int, extra: int = 0) -> None:
+    """Refuse row n of length J when stepping to it, plus extra work, would grind.
 
     _stepped checks the last row it steps to, and pointwise_divergence and
-    growth_curve the last row of their sweep, ahead of their memo.
+    growth_curve the last row of their sweep, ahead of their memo.  extra
+    is further work in entry steps: growth_curve charges the windows it
+    reads off its rows.
 
     Row n costs n - 1 steps of length J.  On the reference box (2 cores,
     Python 3.11, numpy 2.4) a step takes about 8 us plus 1.5 ns per entry,
@@ -269,10 +271,10 @@ def _check_step_work(n: int, J: int) -> None:
     far below: n = 100 at J = 2,000 (backend_agreement) is 7e5 entry steps,
     and n = 32 at J = 2^20 (the divergence sweep) is 3.3e7.
     """
-    if (n - 1) * (J + _STEP_OVERHEAD) > _STEP_WORK_MAX:
+    if (n - 1) * (J + _STEP_OVERHEAD) + extra > _STEP_WORK_MAX:
         raise ResourceLimitError(
             f"float row n = {n} of length {J} takes more than "
-            f"{_STEP_WORK_MAX} entry steps to build"
+            f"{_STEP_WORK_MAX} entry steps to build{' and use' if extra else ''}"
         )
 
 

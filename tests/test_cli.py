@@ -109,6 +109,7 @@ def test_far_log_row_exits_3_without_grinding(tmp_path):
     [
         ("blowup", "--nmax", "100000"),
         ("growth", "--nmax", "1400"),
+        ("growth", "--nmax", "1000"),
         ("simulate", "--fn", "table", "--n", "100000", "--trials", "100000"),
         ("sato", "--nmax", "1000000000"),
         ("probe", "--jmax", "100000000"),
@@ -117,6 +118,7 @@ def test_far_log_row_exits_3_without_grinding(tmp_path):
     ids=[
         "blowup_sweep",
         "growth_sweep",
+        "growth_windows",
         "simulate_draws",
         "sato_rows",
         "probe_grid",
@@ -382,6 +384,24 @@ def test_report_jsons_name_their_csvs(tmp_path):
         assert block["rowCount"] == len(data.splitlines()) - 1, name
         assert block["sha256"] == hashlib.sha256(data).hexdigest(), name
     assert reports["probe.json"]["csv"]["rowCount"] == 21362
+
+
+def test_report_rerun_into_its_outdir(tmp_path):
+    # a second report over the first one's files writes the same bytes,
+    # JSON up to its timing, and leaves no temp file behind
+    def outputs():
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for name in [n for n in files if n.endswith(".json")]:
+            rep = json.loads(files[name])
+            del rep["wallTimeSeconds"]
+            files[name] = rep
+        return files
+
+    assert run(tmp_path, "report", "--seed", "2") == 0
+    first = outputs()
+    assert run(tmp_path, "report", "--seed", "2") == 0
+    assert outputs() == first
+    assert len(first) == 16 and not any(n.startswith(".tmp-") for n in first)
 
 
 @pytest.mark.parametrize(

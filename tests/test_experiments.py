@@ -135,8 +135,10 @@ def test_growth_past_the_exact_limit_steps_one_row_once(monkeypatch):
 
 
 def test_growth_ceiling_counts_one_sweep_of_the_longest_row(monkeypatch):
-    # n_max = 1000 is 999 steps of length 10^6, under the stepping ceiling;
-    # 1400 is past it and refused before any row is made
+    # the ceiling charges one sweep of the n_max^2 row plus the windows of
+    # n^2 entries read off it: 469 is just under it and reached; 1000, whose
+    # sweep alone is under it, and 1400, whose sweep alone is past it, are
+    # refused before any row is made
     class Reached(Exception):
         pass
 
@@ -145,9 +147,11 @@ def test_growth_ceiling_counts_one_sweep_of_the_longest_row(monkeypatch):
 
     monkeypatch.setattr(experiments, "_survival_rows", reached)
     with pytest.raises(Reached):
-        experiments.growth_curve(2, 1000)
-    with pytest.raises(ResourceLimitError):
-        experiments.growth_curve(2, 1400)
+        experiments.growth_curve(2, 469)
+    weights._check_step_work(1000, 1000 * 1000)
+    for n_max in (470, 1000, 1400):
+        with pytest.raises(ResourceLimitError, match="build and use"):
+            experiments.growth_curve(2, n_max)
 
 
 def test_pointwise_divergence_validation():

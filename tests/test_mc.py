@@ -128,8 +128,13 @@ def test_guide_lookup_matches_searchsorted():
     assert u.max() == 1.0
     want = np.searchsorted(mc._cdf_up(), u, side="right")
     assert np.array_equal(mc._table_index(u), want)
-    # no cell holds more than two table edges, so a draw takes at most two steps
-    assert np.diff(mc._guide()).max() == 2
+    # no cell holds more than two table edges strictly inside it, so a draw
+    # takes at most two steps, and the guide flags exactly the cells with one
+    F = mc._cdf_up()[:-1] * mc._GUIDE_CELLS
+    cell = np.floor(F).astype(np.int64)
+    held = np.bincount(cell[F > cell], minlength=mc._GUIDE_CELLS + 1)
+    assert held.max() == 2
+    assert np.array_equal(mc._guide() < 0, held > 0)
 
 
 def test_bitwise_determinism():
@@ -259,14 +264,20 @@ def uniforms_around(s, count):
 
 
 def test_tight_bracket_matches_wide_bisection():
-    # 2^16 seeded tail uniforms, then uniforms either side of the tight
-    # bracket's limit s = 2^42, where the two brackets give the same integers
+    # 2^16 seeded tail uniforms, the 74,005 of a 2^22-draw run of seed 2,
+    # then uniforms either side of the point guess's limit s = 2^42, where
+    # it and the wide bracket give the same integers
     u = tail_uniforms(5, 1 << 22)[: 1 << 16]
     assert len(u) == 1 << 16
-    u = np.concatenate([u, uniforms_around(2.0**42, 64)])
+    u = np.concatenate([u, tail_uniforms(2, 1 << 22), uniforms_around(2.0**42, 64)])
     s = 1.0 / (np.pi * (1.0 - u) ** 2)
-    assert (s < 2.0**42).sum() > (1 << 16) and (s >= 2.0**42).sum() >= 32
-    assert np.array_equal(mc._invert_tails(u), wide_bisection(u))
+    assert (s < 2.0**42).sum() > (1 << 17) and (s >= 2.0**42).sum() >= 32
+    want = wide_bisection(u)
+    assert np.array_equal(mc._invert_tails(u), want)
+    # some seeded answers miss the guess m0 + 1, so the fallback is exercised
+    near = s < 2.0**42
+    guess = np.maximum(mc._TABLE_SIZE, np.floor(s[near] - 1.25).astype(np.int64) + 1)
+    assert (want[near] != guess).any()
 
 
 def adversarial_uniforms():
@@ -321,6 +332,16 @@ def test_power_estimate_pinned():
     assert repr(est) == (
         "McEstimate(mean=2.8869134842941, half_width=0.0018969703938819696, "
         "trials=2000000, method='mean')"
+    )
+
+
+def test_median_of_means_estimate_pinned():
+    # 70,001 trials of 3 steps come in uneven chunks and blocks, so this also
+    # pins the walk sums of partial chunks
+    est = mc.mc_apply_A(PowerGrowth(0.3), 3, 0, 70_001, mc.make_generator(4))
+    assert repr(est) == (
+        "McEstimate(mean=2.9706612702111888, half_width=0.02386430649962467, "
+        "trials=70001, method='median-of-means')"
     )
 
 
