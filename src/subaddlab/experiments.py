@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -99,11 +98,14 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
             f"need fit_from <= n_max - 1 = {n_max - 1} for a two-point fit, got {fit_from}"
         )
     rows = []
+    # row n's norm sum reads the first n^2 entries of one base row: the bits
+    # of float_row(1, n^2), as every entry is made on its own (_base_values)
+    base = weights.float_row(1, n_max * n_max)
     for n, t_m, surv in _survival_rows(n_max, lim):
         m = n * n
         norm_fn = float(t_m) ** (1.0 / p)
         # surv**p is np.power of the float lower bounds surv
-        q_sum, q_err = weights.row_dot(1, weights.float_row(1, m), surv**p, _POW_ULPS)
+        q_sum, q_err = weights.row_dot(1, base[:m], surv**p, _POW_ULPS)
         norm_lower = _root_enclosure(q_sum - q_err, q_sum, p).lower
         ratio = norm_lower / norm_fn
         rows.append(
@@ -144,8 +146,8 @@ def _survival_rows(n_max: int, lim: Limits) -> tuple:
         if backend == "log":
             sweep = sweep or weights._stepped(n_max * n_max, n_max, n, n_max * n_max)
         row = next(sweep)[2] if sweep else None
-        ends = _image(witness_fn(n), n, 0, m, None, backend, lim, operator.truediv, row)
-        surv = ends[0].astype(float)
+        lo = _image(witness_fn(n), (n,), 0, m, None, backend, lim, True, row)[0][0]
+        surv = lo.astype(float)
         surv.flags.writeable = False
         rows.append((n, t_m, surv))
     return tuple(rows)

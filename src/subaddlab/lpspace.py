@@ -17,17 +17,18 @@ So one prefix row serves every k.  _image evaluates A^n f over a range of k
 from one exact prefix (integers over one power of two) or one compensated
 float prefix (weights._float_prefix: a few u of each segment's own mass
 beside weights.row_error), and apply_A_pow, image_p_norm and
-experiments.growth_curve all read it.  Neither the image nor the masses
-depend on the exponent, so image_p_norms and p_norms read every p off one
-image and one mass list; image_p_norm and p_norm, for such f, are their
-one-exponent case.  Infinite sums are returned as
-Enclosure(lower, upper) pairs, exact whenever the function and the backend
-allow it.  For PowerGrowth, _power_image adds a certified tail bound to a
-float row sum with the derived allowance of weights.row_dot (about 1e-13
-relative, whatever the row length); apply_A_pow and
-experiments.pointwise_divergence take that sum from weights.row_dots, slice
-by slice, and image_p_norm from row_dot on one row.  A float norm sum has
-the derived allowance of _norm_sum_enclosure.
+experiments.growth_curve all read it; for many n, the exact prefixes share
+one pass of integers over one denominator.  Neither the image nor the
+masses depend on the exponent, so image_p_norm_table and p_norms read every
+p off one image line and one mass list; image_p_norms is the table's one-n
+case, and image_p_norm and p_norm, for such f, the one-exponent case.
+Infinite sums are returned as Enclosure(lower, upper) pairs, exact whenever
+the function and the backend allow it.  For PowerGrowth, _power_image adds
+a certified tail bound to a float row sum with the derived allowance of
+weights.row_dot (about 1e-13 relative, whatever the row length);
+apply_A_pow and experiments.pointwise_divergence take that sum from
+weights.row_dots, slice by slice, and image_p_norm from row_dot on one row.
+A float norm sum has the derived allowance of _norm_sum_enclosure.
 
 A truncated enclosure (apply_A_pow with J given) is the sum over j < J plus
 a bracket on the discarded remainder: the discarded mass times
@@ -158,12 +159,6 @@ def _pad_up(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
-def _abs_pow(v: Real, p: float) -> Real:
-    """|v|^p, exact when |v| is 0 or 1."""
-    a = abs(v)
-    return a if a in (0, 1) else float(a) ** p
-
-
 @dataclass(frozen=True)
 class Enclosure:
     """A certified bracket [lower, upper] around a (possibly infinite) sum."""
@@ -213,13 +208,10 @@ class Enclosure:
 
 def _root_enclosure(lo, hi, p: float) -> Enclosure:
     """Map a nonnegative enclosure through x -> x^(1/p), padding outward."""
-    lo_f = max(0.0, float(lo))
-    hi_f = max(0.0, float(hi))
-    r_lo = lo_f ** (1.0 / p)
-    r_hi = hi_f ** (1.0 / p)
+    r_lo = max(0.0, float(lo)) ** (1.0 / p)
+    r_hi = max(0.0, float(hi)) ** (1.0 / p)
     for _ in range(4):
-        r_lo = _pad_down(r_lo)
-        r_hi = _pad_up(r_hi)
+        r_lo, r_hi = math.nextafter(r_lo, -math.inf), math.nextafter(r_hi, math.inf)
     return Enclosure(max(0.0, r_lo), r_hi)
 
 
@@ -232,9 +224,9 @@ def _norm_sum_enclosure(masses, lo_abs, hi_abs, p: float) -> Enclosure:
     """Root enclosure of (sum_i masses[i] |v_i|^p)^(1/p) for |v_i| in [lo_abs[i], hi_abs[i]].
 
     The sums are fsums of nonnegative float terms mass * |v|^p.  Each term's
-    relative error, in units of u = 2^-53 (half an ulp): the mass, a
-    run_mass float within one ulp (2) or an exact mass or alpha_k rounded on
-    use (1); |v|^p, where float(|v|) rounds once (1) and the power
+    relative error, in units of u = 2^-53 (half an ulp): the mass, a float
+    (the caller rounds an exact mass or alpha_k once, 1; a run_mass float is
+    within one ulp, 2); |v|^p, where float(|v|) rounds once (1) and the power
     multiplies that p-fold, and pow is within one ulp (2); the product (1).
     So a term is within (p + 5) u; fsum rounds the nonnegative sum once (1)
     and padding its ends rounds twice more (2), (p + 8) u in all, which
@@ -276,13 +268,12 @@ def _times_pow2(x: float, e: int) -> Real:
 
 def _root_of_sums(masses, lo_abs, hi_abs, p: float, e) -> Enclosure:
     """_norm_sum_enclosure with the bases |v| (e None) or |v| 2^-e; see there."""
-
-    def power(a):
-        return _abs_pow(a, p) if e is None else float(abs(Fraction(a)) / 2**e) ** p
-
-    lo_terms = [m * power(a) for m, a in zip(masses, lo_abs)]
+    if e is not None:
+        lo_abs, hi_abs = ([float(Fraction(a) / 2**e) for a in v] for v in (lo_abs, hi_abs))
+    # an int, Fraction or float base a: a ** p is float(a) ** p
+    lo_terms = [m * a**p for m, a in zip(masses, lo_abs)]
     # equal bases give equal terms: a norm of f, or of an exact image, has one list
-    hi_terms = lo_terms if hi_abs == lo_abs else [m * power(a) for m, a in zip(masses, hi_abs)]
+    hi_terms = lo_terms if hi_abs == lo_abs else [m * a**p for m, a in zip(masses, hi_abs)]
     pad = (p + _NORM_SUM_ULPS) * 2.0**-53
     tiny = math.ulp(0.0) * (len(hi_terms) + 1)
     lo = math.fsum(lo_terms) * (1 - pad) - tiny
@@ -336,6 +327,7 @@ def p_norms(f: EventuallyConstant, ps) -> tuple:
     ):
         mass = sum((m for m, a in zip(masses, levels) if a), Fraction(0))
         return tuple(_root_enclosure(mass, mass, p) for p in ps)
+    masses = [float(m) for m in masses]
     return tuple(_norm_sum_enclosure(masses, levels, levels, p) for p in ps)
 
 
@@ -384,8 +376,8 @@ def apply_A_pow(
         return Enclosure(float(lo), float(hi))
     if J is None and k >= f.starts[-1]:
         return Enclosure.point(Fraction(f.levels[-1]))
-    lo, hi = (ends.tolist() for ends in _image(f, n, k, k + 1, J, backend, current_limits()))
-    return Enclosure(lo[0], hi[0])
+    lo, hi = (ends.tolist() for ends in _image(f, (n,), k, k + 1, J, backend, current_limits()))
+    return Enclosure(lo[0][0], hi[0][0])
 
 
 # the error of np.power in float64, in units of u = 2^-53 (4 ulps)
@@ -416,8 +408,8 @@ def _power_image(f: PowerGrowth, n: int, k, J: int, s, err) -> tuple:
     return lo, np.nextafter(np.nextafter(s + err, np.inf) + tail, np.inf)
 
 
-def _image(f, n: int, k0: int, k1: int, J, backend: str, lim, value=Fraction, row=None):
-    """Ends (lo, hi) of the enclosures of A^n f(k) for k0 <= k < k1 (n >= 1), as arrays.
+def _image(f, ns, k0: int, k1: int, J, backend: str, lim, floats=False, row=None):
+    """Ends (lo, hi) of the enclosures of A^n f(k) for n in ns (each >= 1) and k0 <= k < k1.
 
     Each k sums f over the window [k, k + W), W = J, or W = max(L - k, 0)
     when J is omitted (every level past L is c), and brackets the rest.
@@ -431,39 +423,55 @@ def _image(f, n: int, k0: int, k1: int, J, backend: str, lim, value=Fraction, ro
     J given they are min(0, inf) and max(0, sup) of the levels not yet
     summed.  A k takes the exact prefix, integers over one power of two
     (weights.exact_prefix), when exact_ok(n, W) holds on the "auto"
-    backend, and every k does on "exact"; its ends are value(x, d) for the
-    exact ratio x / d, a Fraction by default.  The other ks take the
-    compensated float prefix of weights._float_prefix, which bounds each
-    segment mass; their ends are floats.  Each kind reads one prefix row;
-    a caller that steps rows in n may pass row n of a float row longer than
-    every window, which the float prefix reads.  The arrays are float64
-    when every k took the float prefix, else objects.
+    backend, and every k does on "exact"; its ends are the exact ratios
+    x / d, as Fractions, or with floats as the floats they round to (a
+    Fraction past the float range).  The other ks take the compensated
+    float prefix of weights._float_prefix, which bounds each segment mass;
+    their ends are floats.  When every k of every n is exact, one
+    _exact_image pass forms them all; else each n is formed on its own.  A
+    caller that steps rows in n may pass, with one n, row n of a float row
+    longer than every window, which the float prefix reads.  lo and hi hold
+    one line per n; they are float64 when every end was formed in float64
+    (by the float prefix, or as floats by the int64 pass), else objects.
     """
     ks = np.arange(k0, k1)
+    if not len(ks):
+        return (np.empty((len(ns), 0)),) * 2
     W = np.full(len(ks), J) if J is not None else np.maximum(f.starts[-1] - ks, 0)
-    if backend == "auto":
-        cut = int(np.count_nonzero((W > 0) & (W - 1 + n > lim.exact_limit)))
-    else:
-        cut = 0 if backend == "exact" else len(ks)
-    # W does not grow with k, so the exact ks are the last ones
-    parts = [_float_image(f, n, ks[:cut], W[:cut], J, row)] if cut else []
-    if cut < len(ks):
-        parts.append(_exact_image(f, n, ks[cut:], W[cut:], J, lim, value))
-    return tuple(np.concatenate(ends) for ends in zip(*parts)) if parts else (np.empty(0),) * 2
+    w = int(W.max())
+
+    def cut(n):  # W does not grow with k, so the exact ks are the last ones
+        if backend != "auto":
+            return 0 if backend == "exact" else len(ks)
+        if w - 1 + n <= lim.exact_limit:
+            return 0
+        return int(np.count_nonzero((W > 0) & (W - 1 + n > lim.exact_limit)))
+
+    cuts = [cut(n) for n in ns]
+    if not any(cuts):
+        return _exact_image(f, ns, ks, W, J, lim, floats)
+    lines = []
+    for n, c in zip(ns, cuts):
+        parts = [_float_image(f, n, ks[:c], W[:c], J, row)] if c else []
+        if c < len(ks):
+            parts.append([e[0] for e in _exact_image(f, [n], ks[c:], W[c:], J, lim, floats)])
+        lines.append(tuple(np.concatenate(e) for e in zip(*parts)))
+    return tuple(np.stack(e) for e in zip(*lines))
 
 
 # _runs forms at most about this many (run, k) cells at a time
 _RUN_CELLS = 1 << 16
 
 
-def _runs(f: EventuallyConstant, levels, ks, W):
+def _runs(f: EventuallyConstant, levels, ks, W, width: int = 1):
     """Yield (vs, lo, hi) for the runs [a, b) of f at a level v = levels[i] != 0 that meet a window.
 
     vs lists those levels in run order; lo and hi hold the offsets a - k and
     b - k clipped to [0, W], one line per run and one column per k.  The
-    runs come in order, in blocks of at most max(1, _RUN_CELLS // len(ks))
-    lines, so a long table never holds a (runs x ks) array; a short one
-    (norm_upper_bound's) is one block.
+    runs come in order, in blocks of at most
+    max(1, _RUN_CELLS // (len(ks) width)) lines, so a long table never
+    holds a (runs x ks x width) array, width the caller's terms per cell;
+    a short one (norm_upper_bound's) is one block.
     """
     end = int((ks + W).max())  # no window reaches past this
     runs = [
@@ -471,7 +479,7 @@ def _runs(f: EventuallyConstant, levels, ks, W):
         for a, b, v in zip(f.starts, f.starts[1:] + (end,), levels)
         if v and a < end and b > ks[0]
     ]
-    size = max(1, _RUN_CELLS // len(ks))
+    size = max(1, _RUN_CELLS // (len(ks) * width))
     for block in (runs[i : i + size] for i in range(0, len(runs), size)):
         a, b = (np.array([r[i] for r in block], dtype=np.int64).reshape(-1, 1) for i in (0, 1))
         vs = [v for _, _, v in block]
@@ -491,33 +499,56 @@ def _rest(f: EventuallyConstant, levels, ks, J: Optional[int], dtype) -> tuple:
     return tuple(np.array(r, dtype=dtype)[at] for r in rest)
 
 
-def _exact_image(f, n, ks, W, J, lim: Limits, value) -> tuple:
-    """_image's exact ends: (partial + level R) / D, as integers over d = q D.
+# the int64 pass of _exact_image is exact while every integer in it is below this
+_INT64_EXACT = 1 << 53
 
-    q is the lcm of the levels' denominators and D that of one prefix row.
+
+def _exact_image(f, ns, ks, W, J, lim: Limits, floats: bool) -> tuple:
+    """_image's exact ends for every n in ns, one line per n, from one pass.
+
+    The levels are integers over q, the lcm of their denominators.  Row n's
+    prefix C^n, over 2^(2w + n) with w = max(W), is scaled by 2^(n_max - n)
+    onto the one denominator D = 2^(2w + n_max), n_max = max(ns).  Each end
+    is then the integer x = partial + level (D - C[W]) over d = q D, and
+    one pass forms the (run, k, n) terms of every line.
+
+    The pass runs in int64 when max(M, q) D < 2^53, M the largest |level|
+    as an integer over q; else on Python ints in object arrays.  In int64
+    every integer formed is exact and below 2^53 in magnitude: a prefix
+    entry or difference is at most D; a run term v (C[b] - C[a]) at most M
+    times that run's share of the window's mass, so every partial sum over
+    the disjoint runs is at most M C[W], and x at most M D.  x and d are
+    then exact floats too, so float(x) / float(d), one IEEE division, is
+    x / d correctly rounded: the float that int / int gives.
     """
     fracs = [_exact_value(v) for v in f.levels]
     q = math.lcm(*(x.denominator for x in fracs))
     levels = [x.numerator * (q // x.denominator) for x in fracs]
-    C, D = weights._exact_prefix(n, int(W.max()), lim)
-    C = np.array(C, dtype=object)
-    total = 0
-    for vs, lo, hi in _runs(f, levels, ks, W):
-        # a block's run terms at every k in one pass of exact integers, one
-        # line per run; in place, so each run's difference is replaced by its
-        # term, and the lines are summed onto the running total
+    w, n_max = int(W.max()), max(ns)
+    D = 1 << (2 * w + n_max)
+    dtype = np.int64 if max(*map(abs, levels), q) * D < _INT64_EXACT else object
+    # one column per n, each row's prefix scaled onto the denominator D
+    C = np.array([weights._exact_prefix(n, w, lim)[0] for n in ns], dtype=dtype).T
+    C *= np.array([1 << (n_max - n) for n in ns], dtype=dtype)
+    total = np.zeros((len(ks), len(ns)), dtype=dtype)
+    for vs, lo, hi in _runs(f, levels, ks, W, len(ns)):
+        # a block's run terms at every k and n in one pass, one (k, n) plane
+        # per run; in place, so each run's difference is replaced by its
+        # term, and the planes are summed onto the running total
         terms = C[hi]
         terms -= C[lo]
-        terms *= np.array(vs, dtype=object).reshape(-1, 1)
+        terms *= np.array(vs, dtype=dtype).reshape(-1, 1, 1)
         total = sum(terms, total)
     rem, d = D - C[W], q * D
-    to_value = np.frompyfunc(value, 2, 1)
+    total, rem = total.T, rem.T  # one line per n
+    to_value = np.frompyfunc(_float_or_exact if floats else Fraction, 2, 1)
 
     def ends(level):
         # an indicator's remainder level, 1, needs no pass over the numerators
-        return to_value(total + (rem if type(level) is int and level == 1 else level * rem), d)
+        x = total + (rem if type(level) is int and level == 1 else level * rem)
+        return x / float(d) if floats and dtype is np.int64 else to_value(x, d)
 
-    lows, highs = _rest(f, levels, ks, J, object)
+    lows, highs = _rest(f, levels, ks, J, dtype)
     lo = ends(lows)
     return lo, (lo if J is None else ends(highs))
 
@@ -665,31 +696,49 @@ def image_p_norm(
 
 
 def image_p_norms(f: EventuallyConstant, n: int, ps, J: Optional[int] = None) -> tuple:
-    """image_p_norm(f, n, p, J=J) for each p in ps, for an eventually-constant f.
+    """image_p_norm(f, n, p, J=J) for each p in ps: image_p_norm_table's one-n case."""
+    return image_p_norm_table(f, (n,), ps, J)[0]
+
+
+def image_p_norm_table(f: EventuallyConstant, ns, ps, J: Optional[int] = None) -> tuple:
+    """(image_p_norms(f, n, ps, J) for n in ns), for an eventually-constant f.
 
     The sum over k closes exactly: the image is c on the mass T(L) past the
     table, and A^n f(k), bracketed by its enclosure from _image, on alpha_k
     for each k < L; alpha_k is rounded once, from one pass over the base
     numerators (weights._alpha_floats).  None of it depends on p, so one
-    image serves every p.  At n = 0 this is p_norms(f, ps).
+    image line serves every p, and one _image pass forms the lines of every
+    n >= 1.  That pass runs in int64 while max(M, q) 2^(2w + n_max) < 2^53,
+    with w = L (J omitted) or J, q the lcm of the levels' denominators and
+    M the largest |level| as an integer over q (derived in _exact_image).
+    At n = 0 this is p_norms(f, ps).
     """
     ps = [check_exponent(p) for p in ps]
-    if n < 0:
+    ns = list(ns)
+    if any(n < 0 for n in ns):
         raise ValueError("need n >= 0")
     if J is not None and J < 0:
         raise ValueError("truncation must be >= 0")
-    if n == 0:
-        return p_norms(f, ps)
-    lim = current_limits()
-    L, c = f.starts[-1], f.levels[-1]
-    masses = [weights._run_mass(L, None, lim)]
-    masses += itertools.islice(weights._alpha_floats(), L)
-    lo_abs, hi_abs = [abs(c)], [abs(c)]
-    lo, hi = (ends.tolist() for ends in _image(f, n, 0, L, J, "auto", lim, _float_or_exact))
-    for a, b in zip(lo, hi):
-        lo_abs.append(0.0 if a <= 0.0 <= b else min(abs(a), abs(b)))
-        hi_abs.append(max(abs(a), abs(b)))
-    return tuple(_norm_sum_enclosure(masses, lo_abs, hi_abs, p) for p in ps)
+    image_ns = [n for n in ns if n]
+    if image_ns:
+        lim = current_limits()
+        L, c = f.starts[-1], f.levels[-1]
+        masses = [float(weights._run_mass(L, None, lim))]
+        masses += itertools.islice(weights._alpha_floats(), L)
+        lines = zip(*(ends.tolist() for ends in _image(f, image_ns, 0, L, J, "auto", lim, True)))
+    rows = []
+    for n in ns:
+        if n == 0:
+            rows.append(p_norms(f, ps))
+            continue
+        lo, hi = next(lines)
+        lo_abs, hi_abs = [abs(c), *map(abs, lo)], [abs(c), *map(abs, hi)]
+        if lo != hi:  # an exact image (J omitted) has lo == hi
+            for i, (a, b) in enumerate(zip(lo, hi), 1):
+                x, y = lo_abs[i], hi_abs[i]
+                lo_abs[i], hi_abs[i] = 0.0 if a <= 0.0 <= b else min(x, y), max(x, y)
+        rows.append(tuple(_norm_sum_enclosure(masses, lo_abs, hi_abs, p) for p in ps))
+    return tuple(rows)
 
 
 def _float_or_exact(x: int, d: int) -> Real:

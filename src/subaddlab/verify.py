@@ -30,9 +30,8 @@ from .lpspace import (
     cesaro_A,
     cesaro_T,
     contraction_bound_check,
-    image_p_norms,
+    image_p_norm_table,
     norm_bound_check,
-    p_norms,
 )
 
 DEFAULT_SEED = 104729
@@ -144,9 +143,8 @@ def check_normalized_decay() -> bool:
 
 
 def _exact_images(f, ns, K: int) -> dict:
-    """{n: A^n f(k) for k < K} for each n in ns, one exact _image (Fractions) per n."""
-    lim = current_limits()
-    return {n: _image(f, n, 0, K, None, "exact", lim)[0] for n in ns}
+    """{n: A^n f(k) for k < K} for each n in ns, from one exact _image pass (Fractions)."""
+    return dict(zip(ns, _image(f, ns, 0, K, None, "exact", current_limits())[0]))
 
 
 def check_operator_subadditivity() -> bool:
@@ -191,10 +189,10 @@ def check_norm_upper_bound() -> bool:
         vals = tuple(Fraction(int(v), 4) for v in rng.integers(-8, 9, size=length))
         f = FiniteTable(vals)
         ps = (1.1, 1.5, 2.0, 3.0)
-        nfs = p_norms(f, ps)
-        # one image of f per n serves all four p
-        for n in range(1, 13):
-            for p, img, nf in zip(ps, image_p_norms(f, n, ps), nfs):
+        # one image pass of f serves every n and all four p; row 0 is ||f||_p
+        nfs, *imgs = image_p_norm_table(f, range(13), ps)
+        for n, row in enumerate(imgs, 1):
+            for p, img, nf in zip(ps, row, nfs):
                 if not norm_bound_check(img, nf, (n + 1) ** (1.0 / p)).ok:
                     return False
     return True

@@ -10,12 +10,11 @@ exact floats, since they depend on documented truncation choices.
 """
 
 import math
-import operator
 from fractions import Fraction
 
 import pytest
 
-from subaddlab import experiments, weights
+from subaddlab import experiments, lpspace, weights
 from subaddlab.limits import current_limits
 from subaddlab.errors import EmptyGridError, NotInLpError, ResourceLimitError
 from subaddlab.lpspace import IndicatorGE, PowerGrowth, _image, apply_A_pow
@@ -30,12 +29,12 @@ def test_witness_fn():
 def test_witness_image_by_hand():
     # prefix sums of (1/4, 1/8, 5/64, 7/128): A^2 f(k) = P(S_2 >= 4 - k) is
     # 1 - prefix(4 - k), the survival growth_curve reads for n = 2
-    lo, hi = _image(IndicatorGE(4), 2, 0, 4, None, "auto", current_limits())
+    lo, hi = (e[0] for e in _image(IndicatorGE(4), (2,), 0, 4, None, "auto", current_limits()))
     expected = [Fraction(63, 128), Fraction(35, 64), Fraction(5, 8), Fraction(3, 4)]
     assert list(lo) == list(hi) == expected
     # the float prefix, which growth_curve takes past the exact limit, must
     # bracket the true survival (lower ends are lower bounds)
-    lo, hi = _image(IndicatorGE(2100), 2, 0, 2100, None, "log", current_limits())
+    lo, hi = (e[0] for e in _image(IndicatorGE(2100), (2,), 0, 2100, None, "log", current_limits()))
     exact = 1 - sum(weights.exact_row(2, 1998), Fraction(0))
     assert 0.0 <= lo[2100 - 1998] <= exact <= hi[2100 - 1998]
 
@@ -119,6 +118,31 @@ def test_memoized_experiments_still_check_the_row_ceiling(monkeypatch):
         experiments.pointwise_divergence(PowerGrowth(0.2), 0, 4, 4096)
 
 
+def test_growth_norm_sums_read_one_base_row(monkeypatch):
+    # every n reads the first n^2 entries of one float_row(1, n_max^2): the
+    # rows equal those of a float_row(1, n^2) per n, bit for bit, and the
+    # base values are made once per call (the survival rows are memoized)
+    lim, base_values = current_limits(), weights._base_values
+    for n_max in (32, 100):
+        for p in (1.25, 2.0, 3.0):
+            experiments.growth_curve(p, n_max)
+            calls = []
+            monkeypatch.setattr(
+                weights, "_base_values", lambda j: calls.append(len(j)) or base_values(j)
+            )
+            rows = experiments.growth_curve(p, n_max).rows
+            monkeypatch.setattr(weights, "_base_values", base_values)
+            assert calls == [n_max * n_max]
+            survival = experiments._survival_rows(n_max, lim)
+            for row, (n, t_m, surv) in zip(rows, survival, strict=True):
+                row_n = weights.float_row(1, n * n)
+                q_sum, q_err = weights.row_dot(1, row_n, surv**p, lpspace._POW_ULPS)
+                norm_lower = lpspace._root_enclosure(q_sum - q_err, q_sum, p).lower
+                norm_fn = float(t_m) ** (1.0 / p)
+                old = (n, norm_fn, norm_lower, norm_lower / norm_fn, (n + 1) ** (1.0 / p))
+                assert repr(row) == repr(experiments.GrowthRow(*old))
+
+
 def test_growth_past_the_exact_limit_steps_one_row_once(monkeypatch):
     # exact rows end at n = 6 (n^2 + n - 1 <= 50); rows 7..20 come from one
     # row of length 20^2 stepped once in n, with the bits of their own rows
@@ -130,7 +154,7 @@ def test_growth_past_the_exact_limit_steps_one_row_once(monkeypatch):
     monkeypatch.setattr(weights, "_stepped", stepped)
     for n, _, surv in rows:
         backend = "auto" if n <= 6 else "log"
-        lo = _image(IndicatorGE(n * n), n, 0, n * n, None, backend, lim, operator.truediv)[0]
+        lo = _image(IndicatorGE(n * n), (n,), 0, n * n, None, backend, lim, True)[0][0]
         assert surv.tolist() == lo.astype(float).tolist(), n
 
 

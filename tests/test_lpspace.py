@@ -365,7 +365,7 @@ def test_property_enclosure_soundness(table, c, n, k, J, backend):
         assert enc.lower == enc.upper == truth
     if n:
         # the all-k evaluation, one prefix row for k = 0..k, brackets it too
-        lo, hi = lpspace._image(f, n, 0, k + 1, J, backend, current_limits())
+        lo, hi = (e[0] for e in lpspace._image(f, (n,), 0, k + 1, J, backend, current_limits()))
         assert lo[k] <= truth <= hi[k]
         if J is None and backend == "exact":
             assert lo[k] == hi[k] == truth
@@ -466,10 +466,10 @@ def test_long_table_image_is_formed_in_blocks_of_runs(monkeypatch):
     # takes the float prefix and J = 30 the exact one
     g, lim = FiniteTable(tuple(Fraction(int(v), 4) for v in values[:200])), Limits(exact_limit=100)
     truncations = (None, 150, 30)
-    ends = [lpspace._image(g, 2, 0, 205, J, "auto", lim) for J in truncations]
+    ends = [lpspace._image(g, (2,), 0, 205, J, "auto", lim) for J in truncations]
     monkeypatch.setattr(lpspace, "_RUN_CELLS", 1)
     for J, (lo, hi) in zip(truncations, ends):
-        lo1, hi1 = lpspace._image(g, 2, 0, 205, J, "auto", lim)
+        lo1, hi1 = lpspace._image(g, (2,), 0, 205, J, "auto", lim)
         assert lo1.tolist() == lo.tolist() and hi1.tolist() == hi.tolist()
 
 
@@ -497,6 +497,73 @@ def test_several_exponent_norms_equal_the_one_exponent_calls():
         image_p_norms(IndicatorGE(3), -1, ps)
     with pytest.raises(ValueError, match="truncation must be >= 0"):
         image_p_norms(IndicatorGE(3), 1, ps, J=-1)
+
+
+def test_many_n_table_equals_the_one_n_calls_on_both_integer_paths(monkeypatch):
+    # one image pass for n = 0..12 gives the bits of thirteen one-n calls; the
+    # many-n pass scales every prefix onto 2^(2W + 12), so it takes int64
+    # where a one-n call may not, and object arrays past 2^53
+    ps = (1.1, 1.5, 2.0, 3.0)
+    rng = np.random.default_rng(0xA1FA)  # verify.check_norm_upper_bound's tables
+    fs = []
+    for _ in range(100):
+        length = int(rng.integers(1, 13))
+        fs.append(FiniteTable(tuple(Fraction(int(v), 4) for v in rng.integers(-8, 9, size=length))))
+    fs.append(FiniteTable((10**400,)))  # ends past the float range
+    # with J omitted, 2 * 2^(2 * 30 + n) >= 2^53 for every n: the object path
+    fs.append(FiniteTable(tuple(int(v) for v in np.random.default_rng(5).integers(-2, 3, size=30))))
+    # thirds: d = 3 D is no power of two, so an inexact float(x) would show
+    # in the rounded ends; with J omitted, 6 * 2^(2 * 26 + n) >= 2^53 for every n
+    thirds = np.random.default_rng(6).integers(-6, 7, size=26)
+    fs.append(FiniteTable(tuple(Fraction(int(v), 3) for v in thirds)))
+    kinds, exact_image = [], lpspace._exact_image
+
+    def spy(*args):
+        ends = exact_image(*args)
+        kinds.append(ends[0].dtype)
+        return ends
+
+    monkeypatch.setattr(lpspace, "_exact_image", spy)
+
+    def agree(fs, truncations):
+        for f in fs:
+            for J in truncations:
+                table = lpspace.image_p_norm_table(f, range(13), ps, J=J)
+                for n, row in enumerate(table):
+                    one = image_p_norms(f, n, ps, J=J)
+                    assert list(map(repr, row)) == list(map(repr, one)), (f, n, J)
+
+    agree(fs, (None, 3))
+    assert np.dtype(np.float64) in kinds and np.dtype(object) in kinds
+    # the exact ends are the term-by-term sums of exact weights, and each
+    # float end is its exact end rounded once, on both paths
+    lim = current_limits()
+    for f in fs[:-3] + fs[-2:]:
+        L = f.starts[-1]
+        for J in (None, 3):
+            for ns in (range(1, 2), range(1, 13)):
+                exact = lpspace._image(f, ns, 0, L, J, "auto", lim)
+                rounded = lpspace._image(f, ns, 0, L, J, "auto", lim, True)
+                for q, x in zip(exact, rounded):
+                    assert [[float(v) for v in line] for line in q.tolist()] == x.tolist()
+        # f vanishes from L on, so A^n f(k) sums alpha^n_j f(j + k) for j < L - k
+        rows = [weights.exact_row(n, L) for n in range(1, 13)]
+        sums = [
+            [sum((a * f(j + k) for j, a in enumerate(row[: L - k])), Fraction(0)) for k in range(L)]
+            for row in rows
+        ]
+        assert lpspace._image(f, range(1, 13), 0, L, None, "exact", lim)[0].tolist() == sums
+    huge = lpspace.image_p_norm_table(fs[-3], (1,), ps)[0]
+    assert any(isinstance(e.upper, Fraction) for e in huge)
+    # below an exact limit of 14, the n with W - 1 + n > 14 take the float
+    # prefix for their first ks, and every n is then formed on its own
+    monkeypatch.setenv("SUBADDLAB_EXACT_LIMIT", "14")
+    floats, float_image = [], lpspace._float_image
+    monkeypatch.setattr(
+        lpspace, "_float_image", lambda f, n, *a: floats.append(n) or float_image(f, n, *a)
+    )
+    agree([f for f in fs[:-3] if len(f.starts) > 8], (None, 12))
+    assert floats and min(floats) > 1
 
 
 def test_image_norm_n_zero_reduces_to_p_norm():

@@ -54,6 +54,17 @@ MUTATIONS = (
         "sum(terms[1:], ",
     ),
     (
+        # off by one for every n below the largest; a plain + 1 also hits the
+        # one-n calls, where barycenter_residual_zero raises on an inverted
+        # enclosure before any verdict is read
+        "many_n_scale_off_by_one",
+        "operator_subadditivity",
+        lpspace,
+        "_exact_image",
+        "1 << (n_max - n)",
+        "1 << (n_max - n + (n < n_max))",
+    ),
+    (
         "image_run_offset_off_by_one",
         "barycenter_residual_zero",
         lpspace,

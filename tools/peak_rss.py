@@ -1,11 +1,12 @@
-"""Peak resident memory of one subaddlab command, run in a child process.
+"""Peak resident memory and time of one subaddlab command, run in a child process.
 
     python tools/peak_rss.py [SUBADDLAB ARGS...]      (e.g. report --seed 2)
 
 Runs `python -m subaddlab ARGS` with this interpreter and prints its exit
-code and its peak resident size, ru_maxrss of the waited-for children, in
-MiB.  The figure is informational: nothing compares it with a threshold,
-and the script exits 0 whatever the command's exit code.
+code, its wall seconds, its CPU seconds (ru_utime + ru_stime) and its peak
+resident size (ru_maxrss) in MiB, each from the rusage of the waited-for
+children.  The figures are informational: nothing compares them with a
+threshold, and the script exits 0 whatever the command's exit code.
 """
 
 from __future__ import annotations
@@ -13,13 +14,20 @@ from __future__ import annotations
 import resource
 import subprocess
 import sys
+import time
 
 
 def main(argv) -> int:
     cmd = [sys.executable, "-m", "subaddlab", *argv[1:]]
+    start = time.perf_counter()
     rc = subprocess.run(cmd, stdout=subprocess.DEVNULL).returncode
-    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KiB on Linux
-    print(f"subaddlab {' '.join(argv[1:])}: exit {rc}, peak RSS {peak:.1f} MiB")
+    wall = time.perf_counter() - start
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    peak = usage.ru_maxrss / 1024  # KiB on Linux
+    print(
+        f"subaddlab {' '.join(argv[1:])}: exit {rc}, wall {wall:.2f} s, "
+        f"CPU {usage.ru_utime + usage.ru_stime:.2f} s, peak RSS {peak:.1f} MiB"
+    )
     return 0
 
 
