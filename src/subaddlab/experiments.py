@@ -21,8 +21,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import weights
-from .errors import EmptyGridError, NotInLpError, ResourceLimitError
-from .limits import Limits, current_limits
+from .errors import EmptyGridError, NotInLpError
+from .limits import Limits, check_work, current_limits
 from .lpspace import EventuallyConstant, IndicatorGE, PowerGrowth
 from .lpspace import _POW_ULPS, _image, _power_image, _powers, _root_enclosure, check_exponent
 
@@ -55,10 +55,6 @@ class GrowthResult:
         return 0.85 / self.p, 1.15 / self.p
 
 
-# growth_curve's charge per window entry, in entry steps (derived there)
-_WINDOW_STEPS = 28
-
-
 def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthResult:
     """Certified lower bounds on R(n) = ||A^n f_n||_p / ||f_n||_p and a slope fit.
 
@@ -71,18 +67,11 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
     within the exact limit, else from the compensated prefix of row n of
     one whole float row of length n_max^2, stepped once through n.  They do
     not depend on p, and are kept per (n_max, limits) for the process, so
-    every p of one process reads one computation; the row and stepping
-    ceilings are checked on every call, ahead of the memo.  The fit is ordinary
-    least squares on (log n, log R(n)) for n >= fit_from (default
-    n_max//4, at least 2).
-
-    The stepping ceiling charges the sweep and the windows: row n's image
-    and norm sum read windows of n^2 entries.  In growth_curve(2, 550),
-    1.29 s in all, the sweep took 0.12 s, 0.75 ns per entry step, and the
-    other 1.17 s went to 5.5e7 float window entries, 21 ns each (2 cores,
-    Python 3.11, numpy 2.4).  So every window entry, n = 1 .. n_max, counts
-    as _WINDOW_STEPS = 28 entry steps: n_max = 250 charges 15% of the
-    ceiling, and n_max >= 470 is refused.
+    every p of one process reads one computation; the row ceiling and the
+    work budget are checked on every call, ahead of the memo.  The work
+    charges the sweep and the windows of n^2 entries that row n's image and
+    norm sum read.  The fit is ordinary least squares on (log n, log R(n))
+    for n >= fit_from (default n_max//4, at least 2).
     """
     p = check_exponent(p)
     if n_max < 8:
@@ -90,7 +79,9 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
     lim = current_limits()
     lim.check_row_length(n_max * n_max)
     windows = n_max * (n_max + 1) * (2 * n_max + 1) // 6  # sum of n^2
-    weights._check_step_work(n_max, n_max * n_max, _WINDOW_STEPS * windows)
+    # 28 entry steps a window entry (limits docstring)
+    work = weights._step_work(n_max, n_max * n_max) + 28 * windows
+    check_work(work, f"growth to n = {n_max}, its rows to build and use")
     if fit_from is None:
         fit_from = max(2, n_max // 4)
     if fit_from > n_max - 1:
@@ -216,8 +207,8 @@ def pointwise_divergence(f, k: int = 0, n_max: int = 32, J: int = 1 << 20):
     against each exponent's (j+k)^beta, made once per slice.  Rows are kept
     per (f, k, n_max, J) for the process, and a sweep runs only for the
     exponents not kept yet, so a repeat (the blowup command after verify, in
-    one report) costs nothing.  The row and stepping ceilings are checked on every call,
-    ahead of the memo.
+    one report) costs nothing.  The row ceiling and the work budget are
+    checked on every call, ahead of the memo.
     """
     fs = f if isinstance(f, tuple) else (f,)
     if not fs or not all(isinstance(g, PowerGrowth) and 0 < g.beta < 0.5 for g in fs):
@@ -226,7 +217,7 @@ def pointwise_divergence(f, k: int = 0, n_max: int = 32, J: int = 1 << 20):
         raise ValueError("need k >= 0 and J >= 0")
     current_limits().check_row_length(J)
     J = max(J, 1)
-    weights._check_step_work(n_max, J)
+    check_work(weights._step_work(n_max, J), f"the divergence sweep to n = {n_max}, J = {J}")
     keys = {g: (g, k, n_max, J) for g in fs}
     missing = [g for g, key in keys.items() if key not in _divergence_rows]
     if missing:
@@ -315,16 +306,10 @@ def lower_bound_probe(c0=1, n_max: int = 12, j_max: int = 2000) -> ProbeReport:
     # row n holds j = ceil(n^2 / c0)..j_max, so rows n <= t hold at most
     # (t - 1)(j_max + 1) - sum_{2<=n<=t} n^2 / c0 entries and later ones none
     t = max(1, min(n_max, math.isqrt(max(0, math.floor(c0 * j_max)))))
-    if n_max + (t - 1) * (j_max + 1) - (t * (t + 1) * (2 * t + 1) - 6) / (6 * c0) > _PROBE_ROWS_MAX:
-        raise ResourceLimitError(f"the probe grid takes more than {_PROBE_ROWS_MAX} rows")
+    rows = n_max + (t - 1) * (j_max + 1) - (t * (t + 1) * (2 * t + 1) - 6) / (6 * c0)
+    # 2^11 entry steps a row (limits docstring)
+    check_work(rows * (1 << 11), "the probe grid")
     return _probe(c0, n_max, j_max)
-
-
-# lower_bound_probe's ceiling on its rows plus its n_max outer steps: about
-# 3.6 us per row (its exact ratio and its CSV line; 549,362 rows took 2.0 s
-# on 2 cores with Python 3.11 and numpy 2.4) puts 2^19 near 1.9 s; the desk
-# grid (and verify's) has 21,362 rows
-_PROBE_ROWS_MAX = 1 << 19
 
 
 @lru_cache(maxsize=4)
@@ -367,17 +352,10 @@ def maximal_profile(m: int) -> tuple:
     return tuple(Fraction(m, 2 * m - k) if k < m else Fraction(1) for k in range(2 * m))
 
 
-# maximal_ratios' ceiling on the sum of m^2 over the grid: maximal_ratio_T(m)
-# walks the base numerators to 2m, the k-th about 2k bits wide, at about
-# 1.5 ns times m^2 (m = 32,000 took 1.6 s on 2 cores with Python 3.11), so
-# 2^30 is about 1.6 s; the desk grid 4, 16, 64, 256 (verify's too) is 69,904
-_MAXIMAL_WORK_MAX = 1 << 30
-
-
 def maximal_ratios(grid, p) -> list:
-    """[maximal_ratio_T(m, p) for m in grid], refused before any work past _MAXIMAL_WORK_MAX."""
-    if sum(m * m for m in grid) > _MAXIMAL_WORK_MAX:
-        raise ResourceLimitError(f"maximal windows with sum m^2 above {_MAXIMAL_WORK_MAX}")
+    """[maximal_ratio_T(m, p) for m in grid], refused before any work past the work budget."""
+    # m^2 entry steps a window (limits docstring)
+    check_work(sum(m * m for m in grid), "maximal windows")
     return [maximal_ratio_T(m, p) for m in grid]
 
 
@@ -386,17 +364,11 @@ def maximal_ratio_T(m: int, p) -> float:
 
     The maximal function vanishes for k >= 2m, so both norms are finite sums
     closed by exact tails; maximal_profile gives the supremum over all n.
-    The ratio is kept per (m, p, limits) for the process, since the limits
-    pick run_mass's exact or float path.
     """
-    return _maximal_ratio(m, check_exponent(p), current_limits())
-
-
-@lru_cache(maxsize=32)
-def _maximal_ratio(m: int, p: float, lim: Limits) -> float:
+    p = check_exponent(p)
     sup = maximal_profile(m)
     num = math.fsum(a * float(s) ** p for a, s in zip(weights._alpha_floats(), sup) if s)
-    den = float(weights._run_mass(m, 2 * m, lim))
+    den = float(weights._run_mass(m, 2 * m, current_limits()))
     return (num / den) ** (1.0 / p)
 
 
@@ -453,20 +425,14 @@ def _sato_products(a: Fraction):
         m21, m22 = m21, m21 * a + m22
 
 
-# sato_norm_growth's ceiling on n_max: a row and its check in sato_verdicts
-# take about 12 us (10^5 rows took 1.3 s on 2 cores with Python 3.11), so
-# 2^17 rows are about 1.6 s; the desk default is 32 and verify's largest 100
-_SATO_ROWS_MAX = 1 << 17
-
-
 def sato_norm_growth(a, p, n_max: int):
     """Rows (n, ||A^n e2||_p) = (n, ((n a)^p + 1)^(1/p)), strictly increasing."""
     p = check_exponent(p)
     a = Fraction(a)
     if a <= 0:
         raise ValueError("need a > 0")
-    if n_max > _SATO_ROWS_MAX:
-        raise ResourceLimitError(f"more than {_SATO_ROWS_MAX} Sato rows")
+    # 2^13 entry steps a row (limits docstring)
+    check_work(n_max * (1 << 13), f"{n_max} Sato rows")
     try:
         return tuple(
             (n, (float(n * a) ** p + 1.0) ** (1.0 / p)) for n in range(n_max + 1)

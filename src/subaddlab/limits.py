@@ -1,8 +1,37 @@
-"""Resource ceilings, overridable through environment variables.
+"""Resource ceilings: two settings read from the environment, and one work budget.
 
 Exact rational arithmetic is used whenever the largest index involved stays
 at or below ``exact_limit``; beyond that the log-domain / float backends take
 over.  ``max_j`` caps the length of any weight row the package will build.
+
+Work that could grind is charged before any of it is done, in entry steps,
+and check_work refuses it past WORK_MAX = 2^30 of them.  On the reference
+box (2 cores, Python 3.11, numpy 2.4) a step of a float row of length J
+(weights._step) takes about 8 us plus 1.5 ns per entry, so an entry step is
+1.5 ns and the budget about 1.6 s.  Each caller charges its own work in
+entry steps, at the measured cost of its unit there:
+
+- stepping a float row of length J to row n (weights._stepped,
+  experiments.pointwise_divergence and growth_curve): (n - 1)(J + 5,000),
+  as n - 1 steps of J entries and 8 us / 1.5 ns = 5,000 more each;
+- a window entry that growth_curve reads off its rows: 28.  growth_curve(2,
+  550) took 1.29 s, of which its sweep took 0.12 s (0.75 ns per entry step)
+  and 5.5e7 window entries the other 1.17 s, 21 ns each; so growth --nmax
+  250 spends 15% of the budget and 470 and up is refused;
+- maximal_ratio_T(m): m^2, for its walk of the base numerators to 2m, the
+  k-th about 2k bits wide (m = 32,000 took 1.6 s);
+- a draw of mc_apply_A, max(n, 1) per walk: 4, from 2.1e8 draws/s at n = 8;
+  at n = 1, with f evaluated once per draw, it is 5.9e7 draws/s, and the
+  budget about 4.6 s;
+- a row of sato_norm_growth, with its check in sato_verdicts: 2^13, 12 us
+  (10^5 rows took 1.3 s);
+- a row of lower_bound_probe's grid, or one of its n_max outer steps: 2^11,
+  3.6 us for its exact ratio and CSV line (549,362 rows took 2.0 s).
+
+What the lab runs itself stays far below: backend_agreement's row n = 100
+at J = 2,000 is 7e5 entry steps, the divergence sweep to n = 32 at J = 2^20
+3.3e7, the desk probe grid of 21,362 rows 4.4e7 and the desk maximal grid
+4, 16, 64, 256 (verify's too) 69,904.
 """
 
 from __future__ import annotations
@@ -15,6 +44,14 @@ from .errors import ResourceLimitError
 
 _ENV_MAX_J = "SUBADDLAB_MAX_J"
 _ENV_EXACT = "SUBADDLAB_EXACT_LIMIT"
+# the work budget, in entry steps (module docstring)
+WORK_MAX = 1 << 30
+
+
+def check_work(steps, what: str) -> None:
+    """Refuse work of `steps` entry steps past WORK_MAX, before any of it is done."""
+    if steps > WORK_MAX:
+        raise ResourceLimitError(f"{what}: more than {WORK_MAX} entry steps of work")
 
 
 @dataclass(frozen=True)

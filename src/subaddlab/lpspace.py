@@ -20,8 +20,8 @@ beside weights.row_error), and apply_A_pow, image_p_norm and
 experiments.growth_curve all read it; for many n, the exact prefixes share
 one pass of integers over one denominator.  Neither the image nor the
 masses depend on the exponent, so image_p_norm_table and p_norms read every
-p off one image line and one mass list; image_p_norms is the table's one-n
-case, and image_p_norm and p_norm, for such f, the one-exponent case.
+p off one image line and one mass list; image_p_norm and p_norm, for such f,
+are their one-exponent cases (and image_p_norm the table's one-n case).
 Infinite sums are returned as Enclosure(lower, upper) pairs, exact whenever
 the function and the backend allow it.  For PowerGrowth, _power_image adds
 a certified tail bound to a float row sum with the derived allowance of
@@ -225,7 +225,7 @@ def _norm_sum_enclosure(masses, lo_abs, hi_abs, p: float) -> Enclosure:
 
     The sums are fsums of nonnegative float terms mass * |v|^p.  Each term's
     relative error, in units of u = 2^-53 (half an ulp): the mass, a float
-    (the caller rounds an exact mass or alpha_k once, 1; a run_mass float is
+    (the caller rounds an exact mass or alpha_k once, 1; a _run_mass float is
     within one ulp, 2); |v|^p, where float(|v|) rounds once (1) and the power
     multiplies that p-fold, and pow is within one ulp (2); the product (1).
     So a term is within (p + 5) u; fsum rounds the nonnegative sum once (1)
@@ -422,7 +422,7 @@ def _image(f, ns, k0: int, k1: int, J, backend: str, lim, floats=False, row=None
     identity A^n f(k) = c + sum_s (v_s - c)(P(b_s - k) - P(a_s - k)); with
     J given they are min(0, inf) and max(0, sup) of the levels not yet
     summed.  A k takes the exact prefix, integers over one power of two
-    (weights.exact_prefix), when exact_ok(n, W) holds on the "auto"
+    (weights._exact_prefix), when exact_ok(n, W) holds on the "auto"
     backend, and every k does on "exact"; its ends are the exact ratios
     x / d, as Fractions, or with floats as the floats they round to (a
     Fraction past the float range).  The other ks take the compensated
@@ -573,9 +573,15 @@ def _float_image(f, n, ks, W, J, row) -> tuple:
     |y| <= |s| + |a R~| (1 + u), B is taken as
     (err + t u |s| + |a| (m_err + (2 + t + i) u |R~|)) (1 + 8u), with t the
     roundings of y (1 when there is no run, s = 0, else 2) and i = 1 when a
-    level rounded.
+    level rounded.  A level past the float range is refused (ValueError).
     """
-    levels = [float(v) for v in f.levels]
+    try:
+        levels = [float(v) for v in f.levels]
+    except OverflowError:
+        raise ValueError(
+            "f has a level past the float range (about 1.8e308), so its image "
+            "past the exact limit cannot be formed in floats"
+        ) from None
     mass = weights._float_prefix(n, int(W.max()), row)
     s = comp = size = err = runs = 0
     for v, lo, hi in (run for block in _runs(f, levels, ks, W) for run in zip(*block)):
@@ -648,18 +654,18 @@ def image_p_norm(
 ) -> Enclosure:
     """Enclosure of ||A^n f||_p.
 
-    An eventually-constant f is image_p_norms' one-exponent case.  For
-    PowerGrowth the k-tail is bounded through A^n(f)(k) <= C_n k^beta with
-    C_n = sum_j alpha^n_j (1+j)^beta, and each image value for k < K is
-    _power_image's enclosure at truncation J; K and J omitted mean 4096 each
-    for n >= 1.  At n = 0 this is p_norm(f, p, K), so an omitted K there means
+    An eventually-constant f is image_p_norm_table's one-n, one-exponent
+    case.  For PowerGrowth the k-tail is bounded through
+    A^n(f)(k) <= C_n k^beta with C_n = sum_j alpha^n_j (1+j)^beta, and each
+    image value for k < K is _power_image's enclosure at truncation J; K and
+    J omitted mean 4096 each for n >= 1.  At n = 0 this is p_norm(f, p, K), so an omitted K there means
     p_norm's cap min(SUBADDLAB_MAX_J, 2^21).
     """
     p = check_exponent(p)
     if n < 0:
         raise ValueError("need n >= 0")
     if isinstance(f, EventuallyConstant):
-        return image_p_norms(f, n, (p,), J)[0]
+        return image_p_norm_table(f, (n,), (p,), J)[0][0]
     if J is not None and J < 1:
         raise ValueError("need J >= 1")
     if n == 0:
@@ -695,13 +701,8 @@ def image_p_norm(
     )
 
 
-def image_p_norms(f: EventuallyConstant, n: int, ps, J: Optional[int] = None) -> tuple:
-    """image_p_norm(f, n, p, J=J) for each p in ps: image_p_norm_table's one-n case."""
-    return image_p_norm_table(f, (n,), ps, J)[0]
-
-
 def image_p_norm_table(f: EventuallyConstant, ns, ps, J: Optional[int] = None) -> tuple:
-    """(image_p_norms(f, n, ps, J) for n in ns), for an eventually-constant f.
+    """Lines (image_p_norm(f, n, p, J=J) for p in ps) for n in ns, for an eventually-constant f.
 
     The sum over k closes exactly: the image is c on the mass T(L) past the
     table, and A^n f(k), bracketed by its enclosure from _image, on alpha_k

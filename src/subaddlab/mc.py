@@ -36,7 +36,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import weights
-from .errors import HeavyTailUnreliableError, ResourceLimitError
+from .errors import HeavyTailUnreliableError
+from .limits import check_work
 from .lpspace import PowerGrowth, SeqFunction
 
 _TABLE_SIZE = 1024
@@ -45,11 +46,6 @@ _TABLE_SIZE = 1024
 _INDEX_CAP = 1 << 62
 _MOM_BLOCKS = 32
 _GUIDE_CELLS = 1 << 16
-# mc_apply_A's ceiling on max(n, 1) * trials: about 2.1e8 draws/s at n = 8
-# and 5.9e7 at n = 1, where f is evaluated once per draw (tail inversion
-# included, on 2 cores with Python 3.11 and numpy 2.4), put 2^28 draws at
-# 1.3 to 4.6 s
-_DRAWS_MAX = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -255,17 +251,15 @@ def mc_apply_A(
 ) -> McEstimate:
     """Estimate A^n(f)(k) = E f(S_n + k) from `trials` simulated walks.
 
-    More than _DRAWS_MAX draws (max(n, 1) per walk) raise a
+    Draws (max(n, 1) per walk) past the work budget raise a
     ResourceLimitError before any is made.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
     if n < 0 or not 0 <= k <= _INDEX_CAP:
         raise ValueError(f"need n >= 0 and 0 <= k <= {_INDEX_CAP}")
-    if max(n, 1) * trials > _DRAWS_MAX:
-        raise ResourceLimitError(
-            f"{trials} walks of {n} steps take more than {_DRAWS_MAX} draws"
-        )
+    # 4 entry steps a draw (limits docstring)
+    check_work(4 * max(n, 1) * trials, f"{trials} walks of {n} steps")
     method = "mean"
     if isinstance(f, PowerGrowth):
         if f.beta >= 0.5:

@@ -16,11 +16,11 @@ tuple of Python ints with an implicit denominator 2^(2j+n), built by the
 exact integer recurrence N_{j+1} = N_j (2j+n)(2j+n+1) / ((j+1)(j+n+1)).
 The exact checks run on these integers: convolution is a plain integer
 convolution, subadditivity and monotonicity are integer comparisons, and
-prefix masses (exact_prefix) are integer prefix sums over the one
+prefix masses (_prefix_exact) are integer prefix sums over the one
 denominator 2^(2J+n).  Fractions are built only at the API boundary
 (exact_row, alpha_pow_exact, tail_exact).  exact_ok is the one rule for
-which rows the exact backend takes.  exact_ok, exact_prefix and run_mass
-read the resource limits; each has a private twin that takes them, for
+which rows the exact backend takes; it reads the resource limits, and its
+private twin _exact_ok, like _exact_prefix and _run_mass, takes them, for
 callers that read the limits once per public call.
 
 "log" carries value-domain float64 rows for index ranges where exact
@@ -32,8 +32,8 @@ stepped through n while it is in cache; float_row assembles one whole row
 from it.  A weighted sum over a row is a block_sum (row_dot), and row_dots
 forms those of rows n = 1, 2, ... from the slices, with no full-length row;
 the masses of many segments of one row come from its compensated prefix
-sums (_float_prefix), the float twin of exact_prefix.  The 40-digit log-gamma
-values (alpha_pow_log, run_mass) stand in for exact binomials past the exact
+sums (_float_prefix), the float twin of _exact_prefix.  The 40-digit log-gamma
+values (alpha_pow_log, _run_mass) stand in for exact binomials past the exact
 limit.  Binomials are never formed from factorial tables.  All public
 functions are pure, and cached rows fill idempotently, so concurrent
 callers see behavior as if nothing were cached.
@@ -53,7 +53,7 @@ import numpy as np
 from mpmath import libmp
 
 from .errors import NotSummableError, ResourceLimitError
-from .limits import Limits, current_limits
+from .limits import Limits, check_work, current_limits
 
 Weight = Union[Fraction, float]
 
@@ -76,10 +76,6 @@ _RATIO_EXACT_MAX = 60_000_000
 # float rows are built, stepped and summed in slices of this many entries
 # (whole SUM_BLOCK blocks)
 _SLICE = 1 << 15
-# _stepped's work ceiling, in entry steps (derived in _check_step_work): a
-# step of a row of length J counts J + _STEP_OVERHEAD of them
-_STEP_OVERHEAD = 5_000
-_STEP_WORK_MAX = 1 << 30
 _LOG_PI = math.log(math.pi)
 
 
@@ -193,16 +189,8 @@ def exact_row(n: int, J: int) -> tuple:
     return tuple(_dyadic(N, 2 * j + n) for j, N in enumerate(_row_exact(n, J)))
 
 
-def exact_prefix(n: int, J: int) -> tuple:
-    """Prefix masses of alpha^n over one denominator, as integers.
-
-    Returns (C, D) with sum_{j<i} alpha^n_j = C[i] / D for i = 0..J, where
-    D = 2^(2J+n) and C[i+1] = C[i] + N^n_i 4^(J-i).
-    """
-    return _exact_prefix(n, J, current_limits())
-
-
 def _exact_prefix(n: int, J: int, lim: Limits) -> tuple:
+    """_prefix_exact(n, J), refused past the row and exact limits of lim."""
     _check_exact(n, J, lim)
     return _prefix_exact(n, J)
 
@@ -255,27 +243,9 @@ def _base_values(j: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_step_work(n: int, J: int, extra: int = 0) -> None:
-    """Refuse row n of length J when stepping to it, plus extra work, would grind.
-
-    _stepped checks the last row it steps to, and pointwise_divergence and
-    growth_curve the last row of their sweep, ahead of their memo.  extra
-    is further work in entry steps: growth_curve charges the windows it
-    reads off its rows.
-
-    Row n costs n - 1 steps of length J.  On the reference box (2 cores,
-    Python 3.11, numpy 2.4) a step takes about 8 us plus 1.5 ns per entry,
-    that is 1.5 ns times J + _STEP_OVERHEAD entry steps (8 us / 1.5 ns is
-    about 5,000).  Past _STEP_WORK_MAX = 2^30 entry steps, about 1.6 s
-    there, this raises a ResourceLimitError.  The rows the lab builds stay
-    far below: n = 100 at J = 2,000 (backend_agreement) is 7e5 entry steps,
-    and n = 32 at J = 2^20 (the divergence sweep) is 3.3e7.
-    """
-    if (n - 1) * (J + _STEP_OVERHEAD) + extra > _STEP_WORK_MAX:
-        raise ResourceLimitError(
-            f"float row n = {n} of length {J} takes more than "
-            f"{_STEP_WORK_MAX} entry steps to build{' and use' if extra else ''}"
-        )
+def _step_work(n: int, J: int) -> int:
+    """Entry steps of stepping a float row of length J to row n (limits docstring)."""
+    return (n - 1) * (J + 5_000)
 
 
 def _step(row: np.ndarray, j0: float, n: int, two_i, num, den) -> None:
@@ -303,8 +273,8 @@ def _stepped(J: int, n_max: int, n_min: int = 1, size: int = _SLICE):
     cache, and yielded for n >= n_min: slice by slice, and within a slice n
     by n; with size >= J the whole row is one slice.  A yielded row is a
     read-only view that the next step overwrites; copy it to keep it.  The
-    row, ratio and stepping ceilings are checked here, before any
-    allocation or step.
+    ratio ceiling, the work budget and the row ceiling are checked here,
+    before any allocation or step.
 
     The base row (n = 1) is N^1_j / 2^(2j+1) rounded once from the exact
     numerators below index 1024, and exp(log T(j)) / (2(j+1)) from 1024 on,
@@ -315,7 +285,7 @@ def _stepped(J: int, n_max: int, n_min: int = 1, size: int = _SLICE):
 
     whose two factors are float integers below 2^53 while 2J + n <= 6e7 (a
     ResourceLimitError past that).  Cost: row n takes n - 1 vector steps of
-    length J.
+    length J, charged to the work budget as _step_work(n, J).
 
     The error bound (row_error), in units of u = 2^-53, with numpy's float64
     log and exp taken to be within 4 ulps:
@@ -343,7 +313,7 @@ def _stepped(J: int, n_max: int, n_min: int = 1, size: int = _SLICE):
         raise ValueError("need 1 <= n_min <= n_max and J >= 0")
     if 2 * J + n_max > _RATIO_EXACT_MAX:
         raise ResourceLimitError("float row too long for exact float ratios")
-    _check_step_work(n_max, J)
+    check_work(_step_work(n_max, J), f"float row n = {n_max} of length {J}")
     current_limits().check_row_length(J)
     size = min(J, size) or 1
     scratch = 2.0 * np.arange(size), np.empty(size), np.empty(size)
@@ -539,11 +509,11 @@ def tail_exact(J: int) -> Fraction:
     return Fraction(math.comb(2 * J, J), 1 << (2 * J))
 
 
-def run_mass(a: int, b: Optional[int] = None) -> Weight:
+def _run_mass(a: int, b: Optional[int], lim: Limits) -> Weight:
     """T(a) - T(b) = sum_{a<=j<b} alpha_j, or T(a) when b is None.
 
-    Exact when the tail index (b, or a when b is None) is within exact_limit,
-    that is when exact_ok(1, index) holds.
+    Exact when the tail index (b, or a when b is None) is within
+    lim.exact_limit, that is when _exact_ok(1, index, lim) holds.
     Past it the binomial alone costs seconds (4.9 s for binom(6e5, 3e5)), so
     both tails come from log-gamma values, as in alpha_pow_log, at 40 + 2d
     digits for a d-digit tail index, and the difference is rounded once to a
@@ -552,10 +522,6 @@ def run_mass(a: int, b: Optional[int] = None) -> Weight:
     alpha_a = T(a)/(2(a+1)), magnifies at most 2(a+1)-fold, leaving a
     relative working error below 1e-35.
     """
-    return _run_mass(a, b, current_limits())
-
-
-def _run_mass(a: int, b: Optional[int], lim: Limits) -> Weight:
     if a < 0 or (b is not None and b < a):
         raise ValueError("need 0 <= a <= b")
     last = a if b is None else b

@@ -331,7 +331,7 @@ def test_usage_errors():
 
 
 def test_report_aggregates_everything(tmp_path, monkeypatch):
-    caches = (experiments._probe, experiments._survival_rows, experiments._maximal_ratio)
+    caches = (experiments._probe, experiments._survival_rows)
     for cache in caches:
         cache.cache_clear()
     experiments._divergence_rows.clear()
@@ -341,14 +341,17 @@ def test_report_aggregates_everything(tmp_path, monkeypatch):
     monkeypatch.setattr(
         weights, "_stepped", lambda J, n_max, *a: passes.append((J, n_max)) or stepped(J, n_max, *a)
     )
+    windows, ratio = [], experiments.maximal_ratio_T
+    monkeypatch.setattr(experiments, "maximal_ratio_T", lambda m, p: windows.append(m) or ratio(m, p))
     assert run(tmp_path, "report", "--trials", "20000") == 0
     # one 2^20 pass to n = 32 serves both divergence exponents and the blowup
     # command; the pass to n = 4 is mc_agreement's k^0.2 enclosure
     assert sorted(n for J, n in passes if J == 1 << 20) == [4, 32]
-    # probe, growth and maximal compute once for verify and the command
+    # probe and growth compute once for verify and the command; maximal,
+    # under a millisecond, computes for each
     assert experiments._probe.cache_info()[:2] == (1, 1)
     assert experiments._survival_rows.cache_info()[:2] == (3, 1)
-    assert experiments._maximal_ratio.cache_info()[:2] == (4, 4)
+    assert windows == [4, 16, 64, 256] * 2
     for name in (
         "alpha.csv",
         "verify.json",

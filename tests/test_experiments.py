@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from subaddlab import experiments, lpspace, weights
+from subaddlab import experiments, limits, lpspace, weights
 from subaddlab.limits import current_limits
 from subaddlab.errors import EmptyGridError, NotInLpError, ResourceLimitError
 from subaddlab.lpspace import IndicatorGE, PowerGrowth, _image, apply_A_pow
@@ -172,7 +172,7 @@ def test_growth_ceiling_counts_one_sweep_of_the_longest_row(monkeypatch):
     monkeypatch.setattr(experiments, "_survival_rows", reached)
     with pytest.raises(Reached):
         experiments.growth_curve(2, 469)
-    weights._check_step_work(1000, 1000 * 1000)
+    limits.check_work(weights._step_work(1000, 1000 * 1000), "the sweep alone")
     for n_max in (470, 1000, 1400):
         with pytest.raises(ResourceLimitError, match="build and use"):
             experiments.growth_curve(2, n_max)

@@ -1,0 +1,73 @@
+"""The one work budget: where each caller refuses, and that each reads the budget.
+
+Each refusal point is pinned at the largest input accepted, which still
+reaches its work (the function where that work starts is patched to stop
+it), and at the next input up, which is refused before any work.
+"""
+
+import pytest
+
+from subaddlab import experiments, limits, mc, weights
+from subaddlab.errors import ResourceLimitError
+from subaddlab.lpspace import IndicatorGE, PowerGrowth
+
+
+class Reached(Exception):
+    """The input passed every ceiling and its work began."""
+
+
+def reached(*args, **kwargs):
+    raise Reached
+
+
+def walks(trials):
+    return mc.mc_apply_A(IndicatorGE(3), 1, 0, trials, mc.make_generator(0))
+
+
+# kind: (the call at input x, the largest x accepted, where its work starts)
+BOUNDARIES = {
+    # (x - 1)(16 + 5,000) entry steps of stepping
+    "float_row": (lambda n: weights.float_row(n, 16), 214_064, (weights, "_base_values")),
+    "blowup": (
+        lambda n: experiments.pointwise_divergence(PowerGrowth(0.2), 0, n, 1 << 20),
+        1_020,
+        (experiments, "_divergence_sweep"),
+    ),
+    "growth": (lambda n: experiments.growth_curve(2, n), 469, (experiments, "_survival_rows")),
+    "maximal": (lambda m: experiments.maximal_ratios((m,), 2.0), 32_768, (experiments, "maximal_ratio_T")),
+    "simulate": (walks, 1 << 28, (mc, "_value_chunks")),
+    # the default n_max = 12 and c0 = 1: 11 x - 626 rows
+    "probe": (lambda j: experiments.lower_bound_probe(1, 12, j), 47_719, (experiments, "_probe")),
+    # a = 10^400: the rows' own work stops at row 1, as (n a)^p overflows
+    "sato": (lambda n: experiments.sato_norm_growth(10**400, 2, n), 1 << 17, None),
+}
+
+
+@pytest.mark.parametrize("kind", BOUNDARIES)
+def test_each_refusal_stays_at_its_input(monkeypatch, kind):
+    call, largest, start = BOUNDARIES[kind]
+    if start:
+        monkeypatch.setattr(*start, reached)
+        with pytest.raises(Reached):
+            call(largest)
+    else:
+        with pytest.raises(ValueError, match="overflows"):
+            call(largest)
+    with pytest.raises(ResourceLimitError):
+        call(largest + 1)
+
+
+def test_every_caller_reads_the_one_budget(monkeypatch):
+    monkeypatch.setattr(limits, "WORK_MAX", 64)
+    desk = (
+        lambda: weights.float_row(4, 100),
+        lambda: experiments.pointwise_divergence(PowerGrowth(0.2), 0, 4, 4096),
+        lambda: experiments.growth_curve(2, 8),
+        lambda: experiments.maximal_ratios((4, 16, 64, 256), 2.0),
+        lambda: mc.mc_apply_A(IndicatorGE(3), 8, 0, 1000, mc.make_generator(0)),
+        lambda: experiments.lower_bound_probe(),
+        lambda: experiments.sato_norm_growth(1, 2, 32),
+    )
+    for call in desk:
+        with pytest.raises(ResourceLimitError, match="entry steps of work"):
+            call()

@@ -35,7 +35,7 @@ from subaddlab.lpspace import (
     check_exponent,
     contraction_bound_check,
     image_p_norm,
-    image_p_norms,
+    image_p_norm_table,
     norm_bound_check,
     p_norm,
     p_norms,
@@ -220,6 +220,21 @@ def test_levels_past_the_float_range():
                 with mpmath.workdps(60):
                     assert mpf(e.lower) <= ref <= mpf(e.upper), (values, p, n)
                     assert mpf(e.upper) - mpf(e.lower) <= ref * mpmath.mpf(1e-13)
+
+
+def test_float_route_refuses_levels_past_the_float_range():
+    # J = 2,500 windows are past the exact limit, so the image would be
+    # formed in floats, where 10^400 has no value: a ValueError, not an
+    # OverflowError; J = 25 stays on the exact route and its Fraction ends
+    f = FiniteTable((10**400,))
+    for image in (lambda J: apply_A_pow(f, 1, 0, J=J), lambda J: image_p_norm(f, 1, 2, J=J)):
+        with pytest.raises(ValueError, match="float range"):
+            image(2500)
+    # A f(0) = alpha_0 10^400, and A f(k) = 0 for k >= 1
+    assert apply_A_pow(f, 1, 0, J=25) == Enclosure.point(Fraction(10**400, 2))
+    e = image_p_norm(f, 1, 2, J=25)
+    assert isinstance(e.lower, Fraction) and isinstance(e.upper, Fraction)
+    assert e.lower**2 <= Fraction(10**800, 8) <= e.upper**2
 
 
 def test_limits_take_effect_at_the_next_call(monkeypatch):
@@ -488,15 +503,15 @@ def test_several_exponent_norms_equal_the_one_exponent_calls():
         assert list(map(repr, p_norms(f, ps))) == [repr(p_norm(f, p)) for p in ps]
         for n in range(13):
             for J in (None, 3):  # J = 3 truncates every window
-                many = image_p_norms(f, n, ps, J=J)
+                many = image_p_norm_table(f, (n,), ps, J=J)[0]
                 one = [image_p_norm(f, n, p, J=J) for p in ps]
                 assert list(map(repr, many)) == list(map(repr, one)), (f, n, J)
     with pytest.raises(ValueError):
-        image_p_norms(IndicatorGE(3), 1, (2.0, 1.0))
+        image_p_norm_table(IndicatorGE(3), (1,), (2.0, 1.0))
     with pytest.raises(ValueError):
-        image_p_norms(IndicatorGE(3), -1, ps)
+        image_p_norm_table(IndicatorGE(3), (-1,), ps)
     with pytest.raises(ValueError, match="truncation must be >= 0"):
-        image_p_norms(IndicatorGE(3), 1, ps, J=-1)
+        image_p_norm_table(IndicatorGE(3), (1,), ps, J=-1)
 
 
 def test_many_n_table_equals_the_one_n_calls_on_both_integer_paths(monkeypatch):
@@ -530,7 +545,7 @@ def test_many_n_table_equals_the_one_n_calls_on_both_integer_paths(monkeypatch):
             for J in truncations:
                 table = lpspace.image_p_norm_table(f, range(13), ps, J=J)
                 for n, row in enumerate(table):
-                    one = image_p_norms(f, n, ps, J=J)
+                    one = image_p_norm_table(f, (n,), ps, J=J)[0]
                     assert list(map(repr, row)) == list(map(repr, one)), (f, n, J)
 
     agree(fs, (None, 3))

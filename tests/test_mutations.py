@@ -24,7 +24,6 @@ ROW_CACHES = (
     experiments._divergence_rows.clear,
     experiments._survival_rows.cache_clear,
     experiments._probe.cache_clear,
-    experiments._maximal_ratio.cache_clear,
 )
 
 # (id, core verdict that must turn false, module, function, original text, mutated text)

@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subaddlab import experiments, lpspace, weights
+from subaddlab import experiments, limits, lpspace, weights
 from subaddlab.errors import NotSummableError, ResourceLimitError
+from subaddlab.limits import current_limits
 
 
 def catalan_numbers(count):
@@ -150,7 +151,7 @@ def test_property_numerators_match_binomial_route(n, j):
 
 def test_prefix_row_gives_prefix_masses():
     for n in (1, 3, 10):
-        C, D = weights.exact_prefix(n, 60)
+        C, D = weights._exact_prefix(n, 60, current_limits())
         row = weights.exact_row(n, 60)
         assert D == 1 << (120 + n) and len(C) == 61
         for i in range(61):
@@ -158,14 +159,17 @@ def test_prefix_row_gives_prefix_masses():
 
 
 def test_run_mass_exact_within_limit_and_one_ulp_beyond(monkeypatch):
-    assert weights.run_mass(5) == weights.tail_exact(5)
-    assert weights.run_mass(3, 9) == weights.tail_exact(3) - weights.tail_exact(9)
-    assert weights.run_mass(4, 4) == 0
+    def run_mass(a, b=None):  # the limits in effect at each call
+        return weights._run_mass(a, b, current_limits())
+
+    assert run_mass(5) == weights.tail_exact(5)
+    assert run_mass(3, 9) == weights.tail_exact(3) - weights.tail_exact(9)
+    assert run_mass(4, 4) == 0
     with pytest.raises(ValueError):
-        weights.run_mass(5, 4)
+        run_mass(5, 4)
     monkeypatch.setenv("SUBADDLAB_EXACT_LIMIT", "50")
     for a, b in ((51, None), (10, 51), (60, 61), (200, 900), (900, None)):
-        v = weights.run_mass(a, b)
+        v = run_mass(a, b)
         assert isinstance(v, float)
         true = weights.tail_exact(a) - (0 if b is None else weights.tail_exact(b))
         assert math.nextafter(v, 0.0) <= true <= math.nextafter(v, math.inf)
@@ -409,10 +413,10 @@ def test_exact_row_resource_limit(monkeypatch):
 def test_float_row_refuses_a_row_that_would_grind():
     # the longest rows the lab builds: backend_agreement's sweep to n = 100 at
     # J = 2,000 and the divergence sweep to n = 32 at J = 2^20
-    weights._check_step_work(100, 2000)
-    weights._check_step_work(32, 1 << 20)
+    limits.check_work(weights._step_work(100, 2000), "backend_agreement")
+    limits.check_work(weights._step_work(32, 1 << 20), "the divergence sweep")
     with pytest.raises(ResourceLimitError):
-        weights._check_step_work(10**6, 16)
+        limits.check_work(weights._step_work(10**6, 16), "row 10^6")
     t0 = time.perf_counter()
     with pytest.raises(ResourceLimitError):
         weights.float_row(10**6, 16)
