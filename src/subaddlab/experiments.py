@@ -55,7 +55,7 @@ class GrowthResult:
         return 0.85 / self.p, 1.15 / self.p
 
 
-def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthResult:
+def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None):
     """Certified lower bounds on R(n) = ||A^n f_n||_p / ||f_n||_p and a slope fit.
 
     The norm lower bound truncates the defining sum at K = n^2:
@@ -66,14 +66,16 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
     lower ends of lpspace._image: exact (rounded once) while the row is
     within the exact limit, else from the compensated prefix of row n of
     one whole float row of length n_max^2, stepped once through n.  They do
-    not depend on p, and are kept per (n_max, limits) for the process, so
-    every p of one process reads one computation; the row ceiling and the
-    work budget are checked on every call, ahead of the memo.  The work
+    not depend on p, so p may be one exponent, or a tuple of them, for which
+    a tuple of results comes back in p's order: each n's survival values
+    close the norm sum of every p as they come, and are not kept.  The work
     charges the sweep and the windows of n^2 entries that row n's image and
-    norm sum read.  The fit is ordinary least squares on (log n, log R(n))
+    norm sums read.  The fit is ordinary least squares on (log n, log R(n))
     for n >= fit_from (default n_max//4, at least 2).
     """
-    p = check_exponent(p)
+    ps = tuple(map(check_exponent, p if isinstance(p, tuple) else (p,)))
+    if not ps:
+        raise ValueError("need at least one exponent p")
     if n_max < 8:
         raise ValueError("need n_max >= 8 for a meaningful fit")
     lim = current_limits()
@@ -88,20 +90,24 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
         raise ValueError(
             f"need fit_from <= n_max - 1 = {n_max - 1} for a two-point fit, got {fit_from}"
         )
-    rows = []
+    rows = [[] for _ in ps]
     # row n's norm sum reads the first n^2 entries of one base row: the bits
     # of float_row(1, n^2), as every entry is made on its own (_base_values)
     base = weights.float_row(1, n_max * n_max)
     for n, t_m, surv in _survival_rows(n_max, lim):
-        m = n * n
-        norm_fn = float(t_m) ** (1.0 / p)
-        # surv**p is np.power of the float lower bounds surv
-        q_sum, q_err = weights.row_dot(1, base[:m], surv**p, _POW_ULPS)
-        norm_lower = _root_enclosure(q_sum - q_err, q_sum, p).lower
-        ratio = norm_lower / norm_fn
-        rows.append(
-            GrowthRow(n, norm_fn, norm_lower, ratio, (n + 1) ** (1.0 / p))
-        )
+        for q, out in zip(ps, rows):
+            norm_fn = float(t_m) ** (1.0 / q)
+            # surv**q is np.power of the float lower bounds surv
+            s, err = weights.row_dot(1, base[: n * n], surv**q, _POW_ULPS)
+            norm_lower = _root_enclosure(s - err, s, q).lower
+            ratio = norm_lower / norm_fn
+            out.append(GrowthRow(n, norm_fn, norm_lower, ratio, (n + 1) ** (1.0 / q)))
+    res = tuple(_growth_fit(q, out, fit_from, n_max) for q, out in zip(ps, rows))
+    return res if isinstance(p, tuple) else res[0]
+
+
+def _growth_fit(p: float, rows: list, fit_from: int, n_max: int) -> GrowthResult:
+    """p's result from its rows: the least-squares slope over n >= fit_from."""
     fit = [r for r in rows if r.n >= fit_from]
     if any(r.ratio <= 0.0 for r in fit):
         raise ValueError(
@@ -113,16 +119,14 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None) -> GrowthRe
     return GrowthResult(tuple(rows), slope, (fit_from, n_max), p)
 
 
-@lru_cache(maxsize=8)
-def _survival_rows(n_max: int, lim: Limits) -> tuple:
-    """(n, T(n^2), lower ends of A^n f_n(k) for k < n^2) for n = 1..n_max.
+def _survival_rows(n_max: int, lim: Limits):
+    """Yield (n, T(n^2), lower ends of A^n f_n(k) for k < n^2) for n = 1..n_max.
 
-    None of it depends on p, so one computation serves every p; it is kept
-    per (n_max, limits), since the limits pick the exact or float path of
-    both _run_mass and _image.  T(n^2) is a Fraction, or a float padded up
-    by an ulp past the exact limit.  The survival arrays are read-only.
+    The limits pick the exact or float path of both _run_mass and _image.
+    T(n^2) is a Fraction, or a float padded up by an ulp past the exact
+    limit.
     """
-    rows, sweep = [], None
+    sweep = None
     for n in range(1, n_max + 1):
         m = n * n
         t_m = weights._run_mass(m, None, lim)
@@ -138,10 +142,7 @@ def _survival_rows(n_max: int, lim: Limits) -> tuple:
             sweep = sweep or weights._stepped(n_max * n_max, n_max, n, n_max * n_max)
         row = next(sweep)[2] if sweep else None
         lo = _image(witness_fn(n), (n,), 0, m, None, backend, lim, True, row)[0][0]
-        surv = lo.astype(float)
-        surv.flags.writeable = False
-        rows.append((n, t_m, surv))
-    return tuple(rows)
+        yield n, t_m, lo.astype(float)
 
 
 def growth_verdicts(res: GrowthResult) -> dict:

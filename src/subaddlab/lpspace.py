@@ -286,13 +286,15 @@ def _root_of_sums(masses, lo_abs, hi_abs, p: float, e) -> Enclosure:
 def p_norm(f: SeqFunction, p, K: Optional[int] = None) -> Enclosure:
     """Enclosure of (sum_k alpha_k |f(k)|^p)^(1/p).
 
-    An eventually-constant f is p_norms' one-exponent case.  PowerGrowth
-    sums k < K from one float row and adds the integral-comparison tail
-    power_tail_bound(beta p, K); it is rejected outright when
-    beta*p >= 1/2 (the function is then outside the space).  K omitted means
-    K = min(SUBADDLAB_MAX_J, 2^21), with no search for a smaller K: the tail
-    decays like K^(beta p - 1/2), so no K below that cap brings the width
-    within 1e-10 of the value.
+    An eventually-constant f is p_norms' one-exponent case.  For PowerGrowth
+    the sum is A(k^(beta p))(0), with 0^(beta p) = 0: apply_A_pow's
+    enclosure at n = 1 and J = K, which sums k < K slice by slice and adds
+    the integral-comparison tail power_tail_bound(beta p, K).  It is rejected
+    outright when beta*p >= 1/2 (the function is then outside the space).
+    K < 1 is refused, although apply_A_pow sums one term at J = 0.  K
+    omitted means K = min(SUBADDLAB_MAX_J, 2^21), with no search for a
+    smaller K: the tail decays like K^(beta p - 1/2), so no K below that cap
+    brings the width within 1e-10 of the value.
     """
     if isinstance(f, EventuallyConstant):
         return p_norms(f, (p,))[0]
@@ -303,10 +305,10 @@ def p_norm(f: SeqFunction, p, K: Optional[int] = None) -> Enclosure:
             f"k^{f.beta} is outside l^{p}(N, alpha): needs beta*p < 1/2, got {q}"
         )
     K = min(current_limits().max_j, _POWER_CAP) if K is None else K
-    row = weights.float_row(1, K)[1:]
-    s, err = weights.row_dot(1, row, _powers(q, 1, K - 1), _POW_ULPS)
-    tail = weights.power_tail_bound(q, K)
-    return _root_enclosure(_pad_down(s - err), _pad_up(_pad_up(s + err) + tail), p)
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    e = apply_A_pow(PowerGrowth(q), 1, 0, J=K)
+    return _root_enclosure(e.lower, e.upper, p)
 
 
 def p_norms(f: EventuallyConstant, ps) -> tuple:

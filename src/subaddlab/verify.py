@@ -209,8 +209,8 @@ def check_contraction_bound() -> bool:
 
 def check_growth_slopes() -> bool:
     return all(
-        all(experiments.growth_verdicts(experiments.growth_curve(p, 32)).values())
-        for p in (1.25, 2.0, 3.0)
+        all(experiments.growth_verdicts(res).values())
+        for res in experiments.growth_curve((1.25, 2.0, 3.0), 32)
     )
 
 

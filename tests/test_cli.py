@@ -331,9 +331,7 @@ def test_usage_errors():
 
 
 def test_report_aggregates_everything(tmp_path, monkeypatch):
-    caches = (experiments._probe, experiments._survival_rows)
-    for cache in caches:
-        cache.cache_clear()
+    experiments._probe.cache_clear()
     experiments._divergence_rows.clear()
     # (J, last n stepped) of every pass that steps float rows
     passes = []
@@ -343,14 +341,19 @@ def test_report_aggregates_everything(tmp_path, monkeypatch):
     )
     windows, ratio = [], experiments.maximal_ratio_T
     monkeypatch.setattr(experiments, "maximal_ratio_T", lambda m, p: windows.append(m) or ratio(m, p))
+    survival, survival_rows = [], experiments._survival_rows
+    monkeypatch.setattr(
+        experiments, "_survival_rows", lambda n, lim: survival.append(n) or survival_rows(n, lim)
+    )
     assert run(tmp_path, "report", "--trials", "20000") == 0
     # one 2^20 pass to n = 32 serves both divergence exponents and the blowup
     # command; the pass to n = 4 is mc_agreement's k^0.2 enclosure
     assert sorted(n for J, n in passes if J == 1 << 20) == [4, 32]
-    # probe and growth compute once for verify and the command; maximal,
-    # under a millisecond, computes for each
+    # probe computes once for verify and the command; growth builds its
+    # survival rows once for verify's three p and once for the command, and
+    # maximal, under a millisecond, computes for each
     assert experiments._probe.cache_info()[:2] == (1, 1)
-    assert experiments._survival_rows.cache_info()[:2] == (3, 1)
+    assert survival == [32, 32]
     assert windows == [4, 16, 64, 256] * 2
     for name in (
         "alpha.csv",

@@ -10,6 +10,7 @@ exact floats, since they depend on documented truncation choices.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -120,19 +121,20 @@ def test_memoized_experiments_still_check_the_row_ceiling(monkeypatch):
 
 def test_growth_norm_sums_read_one_base_row(monkeypatch):
     # every n reads the first n^2 entries of one float_row(1, n_max^2): the
-    # rows equal those of a float_row(1, n^2) per n, bit for bit, and the
-    # base values are made once per call (the survival rows are memoized)
+    # rows equal those of a float_row(1, n^2) per n, bit for bit.  A call
+    # makes that row's base values once, and once more for the survival
+    # sweep's row of the same length when some n passes the exact limit
+    # (n^2 + n - 1 > 2000 from n = 45 on)
     lim, base_values = current_limits(), weights._base_values
     for n_max in (32, 100):
         for p in (1.25, 2.0, 3.0):
-            experiments.growth_curve(p, n_max)
             calls = []
             monkeypatch.setattr(
                 weights, "_base_values", lambda j: calls.append(len(j)) or base_values(j)
             )
             rows = experiments.growth_curve(p, n_max).rows
             monkeypatch.setattr(weights, "_base_values", base_values)
-            assert calls == [n_max * n_max]
+            assert calls == [n_max * n_max] * (1 + (n_max > 44))
             survival = experiments._survival_rows(n_max, lim)
             for row, (n, t_m, surv) in zip(rows, survival, strict=True):
                 row_n = weights.float_row(1, n * n)
@@ -143,13 +145,40 @@ def test_growth_norm_sums_read_one_base_row(monkeypatch):
                 assert repr(row) == repr(experiments.GrowthRow(*old))
 
 
+def test_growth_of_several_exponents_equals_the_one_exponent_calls():
+    ps = (1.25, 2.0, 3.0)
+    for n_max in (32, 100):
+        shared = experiments.growth_curve(ps, n_max)
+        assert isinstance(shared, tuple) and len(shared) == len(ps)
+        for res, p in zip(shared, ps):
+            assert repr(res) == repr(experiments.growth_curve(p, n_max))
+    with pytest.raises(ValueError):
+        experiments.growth_curve((), 32)
+    with pytest.raises(ValueError):
+        experiments.growth_curve((2.0, 0.5), 32)
+
+
+def test_growth_keeps_no_survival_rows():
+    # the survival values of n = 1..200 are 2.7e6 floats (20.5 MiB); each
+    # n's are dropped once its norm sums close, so none outlive the call.
+    # n = 44 is the last n on the exact path: its call warms the exact rows
+    experiments.growth_curve(2, 44)
+    tracemalloc.start()
+    try:
+        experiments.growth_curve(2, 200)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
+
+
 def test_growth_past_the_exact_limit_steps_one_row_once(monkeypatch):
     # exact rows end at n = 6 (n^2 + n - 1 <= 50); rows 7..20 come from one
     # row of length 20^2 stepped once in n, with the bits of their own rows
     monkeypatch.setenv("SUBADDLAB_EXACT_LIMIT", "50")
     lim, passes, stepped = current_limits(), [], weights._stepped
     monkeypatch.setattr(weights, "_stepped", lambda *a: passes.append(a) or stepped(*a))
-    rows = experiments._survival_rows.__wrapped__(20, lim)
+    rows = list(experiments._survival_rows(20, lim))
     assert passes == [(400, 20, 7, 400)]
     monkeypatch.setattr(weights, "_stepped", stepped)
     for n, _, surv in rows:

@@ -272,10 +272,24 @@ def test_p_norm_power_growth():
         p_norm(PowerGrowth(0.3), 2)  # beta * p = 0.6 >= 1/2
 
 
+def test_p_norm_power_growth_sums_slice_by_slice():
+    # the norm is A(k^(beta p))(0), summed a slice at a time: no row or power
+    # vector of length K = 2^21 (16 MiB) is made
+    tracemalloc.start()
+    try:
+        e = p_norm(PowerGrowth(0.2), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    image = apply_A_pow(PowerGrowth(0.4), 1, 0)
+    assert e == lpspace._root_enclosure(image.lower, image.upper, 2)
+
+
 def test_power_sums_without_truncation_build_one_row_at_the_cap(monkeypatch):
     # J or K omitted truncates a k^beta sum at min(SUBADDLAB_MAX_J, 2^21),
-    # from one pass over a float row (float_row for p_norm, row_dots for
-    # apply_A_pow): no shorter row is tried first
+    # from one row_dots pass over a float row (p_norm's is apply_A_pow's at
+    # n = 1): no shorter row is tried first
     rows = []
     stepped = weights._stepped
     monkeypatch.setattr(weights, "_stepped", lambda J, *a: rows.append(J) or stepped(J, *a))

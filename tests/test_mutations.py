@@ -22,7 +22,6 @@ ROW_CACHES = (
     weights._prefix_exact.cache_clear,
     weights._head_row.cache_clear,
     experiments._divergence_rows.clear,
-    experiments._survival_rows.cache_clear,
     experiments._probe.cache_clear,
 )
 
