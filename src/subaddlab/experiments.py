@@ -24,7 +24,8 @@ from . import weights
 from .errors import EmptyGridError, NotInLpError
 from .limits import Limits, check_work, current_limits
 from .lpspace import EventuallyConstant, IndicatorGE, PowerGrowth
-from .lpspace import _POW_ULPS, _image, _power_image, _powers, _root_enclosure, check_exponent
+from .lpspace import _POW_ULPS, _image, _power_image, _power_sums, _powers, _root_enclosure
+from .lpspace import check_exponent
 
 
 def witness_fn(n: int) -> EventuallyConstant:
@@ -71,7 +72,11 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None):
     close the norm sum of every p as they come, and are not kept.  The work
     charges the sweep and the windows of n^2 entries that row n's image and
     norm sums read.  The fit is ordinary least squares on (log n, log R(n))
-    for n >= fit_from (default n_max//4, at least 2).
+    for n >= fit_from (default n_max//4, at least 2).  Each p's result is
+    kept per (p, n_max, fit_from, limits) for the process, and the survival
+    rows are stepped only for the p not kept yet, so the growth command
+    after verify, in one report, reads verify's p = 2 result.  The row
+    ceiling and the work budget are checked on every call, ahead of the memo.
     """
     ps = tuple(map(check_exponent, p if isinstance(p, tuple) else (p,)))
     if not ps:
@@ -90,6 +95,32 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None):
         raise ValueError(
             f"need fit_from <= n_max - 1 = {n_max - 1} for a two-point fit, got {fit_from}"
         )
+    keys = {q: (q, n_max, fit_from, lim) for q in ps}
+    missing = [q for q, key in keys.items() if key not in _growth_results]
+    if missing:
+        results = _growth_sweep(missing, n_max, fit_from, lim)
+        _keep(_growth_results, zip((keys[q] for q in missing), results))
+    res = tuple(_growth_results[keys[q]] for q in ps)
+    return res if isinstance(p, tuple) else res[0]
+
+
+# growth_curve's results by (p, n_max, fit_from, limits)
+_growth_results: dict = {}
+# a memo of this module keeps its newest this many keys
+_MEMO_KEYS = 8
+
+
+def _keep(memo: dict, items) -> None:
+    """Store each (key, value) of items as memo's newest; keep the newest _MEMO_KEYS keys."""
+    for key, value in items:
+        memo.pop(key, None)
+        memo[key] = value
+    for key in list(memo)[:-_MEMO_KEYS]:
+        del memo[key]
+
+
+def _growth_sweep(ps, n_max: int, fit_from: int, lim: Limits) -> list:
+    """growth_curve's result for each p in ps, from one pass over the survival rows."""
     rows = [[] for _ in ps]
     # row n's norm sum reads the first n^2 entries of one base row: the bits
     # of float_row(1, n^2), as every entry is made on its own (_base_values)
@@ -102,8 +133,7 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None):
             norm_lower = _root_enclosure(s - err, s, q).lower
             ratio = norm_lower / norm_fn
             out.append(GrowthRow(n, norm_fn, norm_lower, ratio, (n + 1) ** (1.0 / q)))
-    res = tuple(_growth_fit(q, out, fit_from, n_max) for q, out in zip(ps, rows))
-    return res if isinstance(p, tuple) else res[0]
+    return [_growth_fit(q, out, fit_from, n_max) for q, out in zip(ps, rows)]
 
 
 def _growth_fit(p: float, rows: list, fit_from: int, n_max: int) -> GrowthResult:
@@ -205,52 +235,50 @@ def pointwise_divergence(f, k: int = 0, n_max: int = 32, J: int = 1 << 20):
     PowerGrowth, or a tuple of them, for which a tuple of row tuples comes
     back in f's order: one weights.row_dots sweep serves several exponents,
     stepping each slice of the row through n = 1..n_max once and summing it
-    against each exponent's (j+k)^beta, made once per slice.  Rows are kept
-    per (f, k, n_max, J) for the process, and a sweep runs only for the
-    exponents not kept yet, so a repeat (the blowup command after verify, in
-    one report) costs nothing.  The row ceiling and the work budget are
-    checked on every call, ahead of the memo.
+    against each exponent's (j+k)^beta, made once per slice.  The sweep's
+    power-row sums (s, err) of each n go to lpspace._power_sums, by
+    (beta, k, J), and a sweep runs only for the exponents whose kept sums
+    stop short of n_max.  So a repeat (the blowup command after verify, in
+    one report) steps no row, and apply_A_pow(f, n, k, J), for n the sums
+    cover (verify's mc_agreement at n = 4), reads its sum from there.  The
+    row ceiling and the work budget are checked on every call, ahead of the
+    memo.
     """
     fs = f if isinstance(f, tuple) else (f,)
     if not fs or not all(isinstance(g, PowerGrowth) and 0 < g.beta < 0.5 for g in fs):
         raise ValueError("needs PowerGrowth with 0 < beta < 1/2")
-    if k < 0 or J < 0:
-        raise ValueError("need k >= 0 and J >= 0")
+    if k < 0 or J < 0 or n_max < 0:
+        raise ValueError("need k >= 0, n_max >= 0 and J >= 0")
     current_limits().check_row_length(J)
     J = max(J, 1)
     check_work(weights._step_work(n_max, J), f"the divergence sweep to n = {n_max}, J = {J}")
-    keys = {g: (g, k, n_max, J) for g in fs}
-    missing = [g for g, key in keys.items() if key not in _divergence_rows]
+    keys = {g: (g.beta, k, J) for g in fs}
+    missing = [g for g, key in keys.items() if len(_power_sums.get(key, ())) < n_max]
     if missing:
-        for g, rows in zip(missing, _divergence_sweep(missing, k, n_max, J)):
-            _divergence_rows[keys[g]] = rows
-    rows = tuple(_divergence_rows[keys[g]] for g in fs)
-    for key in list(_divergence_rows)[:-_DIVERGENCE_MEMO]:
-        del _divergence_rows[key]
+        _keep(_power_sums, zip((keys[g] for g in missing), _divergence_sweep(missing, k, n_max, J)))
+    rows = tuple(
+        ((0, float(g(k))),)
+        + tuple(
+            (n, float(_power_image(g, n, k, J, s, err)[0]))
+            for n, (s, err) in enumerate(_power_sums[keys[g]][:n_max], 1)
+        )
+        for g in fs
+    )
     return rows if isinstance(f, tuple) else rows[0]
 
 
-# pointwise_divergence's rows by (f, k, n_max, J), oldest first, at most this many
-_DIVERGENCE_MEMO = 8
-_divergence_rows: dict = {}
-
-
 def _divergence_sweep(fs, k: int, n_max: int, J: int) -> list:
-    """pointwise_divergence's rows for each f in fs, from one weights.row_dots pass.
+    """Each f's power-row sums (s, err) for n = 1..n_max, from one weights.row_dots pass.
 
     The exponents' powers are stacked as one weight with a line per f, made
     a slice at a time, so the pass keeps no row or power vector of length J.
     """
-    rows = [[(0, float(f(k)))] for f in fs]
-    if n_max >= 1:
 
-        def powers(a, b):
-            return np.array([_powers(f.beta, k + a, b - a) for f in fs])
+    def powers(a, b):
+        return np.array([_powers(f.beta, k + a, b - a) for f in fs])
 
-        for n, (s, err) in enumerate(weights.row_dots(n_max, J, powers, _POW_ULPS), 1):
-            for i, (f, out) in enumerate(zip(fs, rows)):
-                out.append((n, float(_power_image(f, n, k, J, s[i], err[i])[0])))
-    return [tuple(r) for r in rows]
+    dots = weights.row_dots(n_max, J, powers, _POW_ULPS)
+    return [tuple((float(s[i]), float(err[i])) for s, err in dots) for i in range(len(fs))]
 
 
 def divergence_verdicts(rows) -> dict:
@@ -283,14 +311,31 @@ def probe_ratio_exact(n: int, j: int) -> Fraction:
     return Fraction(num, den)
 
 
+class ProbeRun(NamedTuple):
+    """One n's run of the probe grid: its least ratio, at j = argmin, and its last, at j_max."""
+
+    n: int
+    minimum: Fraction
+    argmin: int
+    last: Fraction
+
+
 @dataclass(frozen=True)
 class ProbeReport:
+    """The probe grid and its least ratio.
+
+    rows holds the cells (n, j, ratio), the ratio as its CSV text (num/den in
+    lowest terms), and runs each n's ProbeRun; min_observed is the least
+    ratio and argmin its (n, j), the first in (n, j) order.
+    """
+
     c0: float
     n_max: int
     j_max: int
     rows: tuple
     min_observed: Fraction
     argmin: tuple
+    runs: tuple
 
 
 def lower_bound_probe(c0=1, n_max: int = 12, j_max: int = 2000) -> ProbeReport:
@@ -316,23 +361,52 @@ def lower_bound_probe(c0=1, n_max: int = 12, j_max: int = 2000) -> ProbeReport:
 @lru_cache(maxsize=4)
 def _probe(c0_exact: Fraction, n_max: int, j_max: int) -> ProbeReport:
     rows = []
-    best = argmin = None
-    bn, bd = 1, 0  # the best ratio so far as bn / bd, with 1 / 0 above every ratio
-    for n in range(2, n_max + 1):
-        nn = n * n
-        for j in range(math.ceil(nn / c0_exact), j_max + 1):
-            ratio = probe_ratio_exact(n, j)
-            rows.append((n, j, ratio))
-            # ratio < best on integers: denominators are positive
-            a, b = ratio.numerator, ratio.denominator
-            if a * bd < bn * b:
-                best, argmin, bn, bd = ratio, (n, j), a, b
-    if not rows:
+    runs = [
+        _probe_run(n, j0, j_max, rows)
+        for n in range(2, n_max + 1)
+        if (j0 := math.ceil(n * n / c0_exact)) <= j_max
+    ]
+    if not runs:
         raise EmptyGridError(
             f"no admissible (n, j) with c0*j >= n^2 for c0={c0_exact}, "
             f"n_max={n_max}, j_max={j_max}"
         )
-    return ProbeReport(float(c0_exact), n_max, j_max, tuple(rows), best, argmin)
+    best = min(runs, key=lambda r: r.minimum)  # the first least run, as a scan finds it
+    return ProbeReport(
+        float(c0_exact), n_max, j_max, tuple(rows), best.minimum, (best.n, best.argmin), tuple(runs)
+    )
+
+
+def _probe_run(n: int, j0: int, j_max: int, rows: list) -> ProbeRun:
+    """Append the cells (n, j, ratio text) for j0 <= j <= j_max to rows; return their run.
+
+    The ratio r(n, j) = probe_ratio_exact(n, j) is stepped in j by the exact
+    integer recurrence
+
+        r(n, j+1) = r(n, j) (j+2)(2j+n)(2j+n+1) / ((j+n+1)(2j+1)(2j+2)),
+
+    the quotient of the closed products at j + 1 and j.  num / den stays in
+    lowest terms with no gcd of two long integers: once the step's own
+    a / b is reduced, the common factors of num a and den b are
+    gcd(num, b) gcd(a, den), as num, den and a, b are coprime pairs.  The
+    least ratio is tracked by integer cross-multiplication, first j on ties.
+    """
+    r = probe_ratio_exact(n, j0)
+    num, den = r.numerator, r.denominator
+    bn, bd, bj = num, den, j0
+    j = j0
+    while True:
+        rows.append((n, j, f"{num}/{den}" if den != 1 else str(num)))
+        if num * bd < bn * den:  # denominators are positive
+            bn, bd, bj = num, den, j
+        if j == j_max:
+            return ProbeRun(n, Fraction(bn, bd), bj, Fraction(num, den))
+        a = (j + 2) * (2 * j + n) * (2 * j + n + 1)
+        b = (j + n + 1) * (2 * j + 1) * (2 * j + 2)
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        g, h = math.gcd(num, b), math.gcd(a, den)
+        num, den, j = num // g * (a // h), den // h * (b // g), j + 1
 
 
 def probe_verdicts(rep: ProbeReport) -> dict:

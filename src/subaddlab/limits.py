@@ -26,7 +26,10 @@ entry steps, at the measured cost of its unit there:
 - a row of sato_norm_growth, with its check in sato_verdicts: 2^13, 12 us
   (10^5 rows took 1.3 s);
 - a row of lower_bound_probe's grid, or one of its n_max outer steps: 2^11,
-  3.6 us for its exact ratio and CSV line (549,362 rows took 2.0 s).
+  3.6 us for its exact ratio and CSV line (549,362 rows took 2.0 s).  Each
+  n's ratios are now stepped in j by an integer recurrence, and the same
+  grid takes 0.9 s, so the charge covers about twice the cost; it is kept,
+  so the probe refuses at the same inputs as before.
 
 What the lab runs itself stays far below: backend_agreement's row n = 100
 at J = 2,000 is 7e5 entry steps, the divergence sweep to n = 32 at J = 2^20

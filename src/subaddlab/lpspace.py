@@ -357,7 +357,9 @@ def apply_A_pow(
     (J = 0 sums one term) plus a certified tail.  J omitted means
     J = min(SUBADDLAB_MAX_J, 2^21), with no search for a smaller J: the
     tail decays like J^(beta - 1/2), so no J below that cap brings the
-    width within 1e-10 of the value.
+    width within 1e-10 of the value.  The sum is _power_sums' when a sweep
+    of experiments.pointwise_divergence covered n, the same bits, and else
+    steps row n alone; the ceilings of stepping it are checked either way.
     """
     if n < 0 or k < 0:
         raise ValueError("need n >= 0 and k >= 0")
@@ -371,9 +373,14 @@ def apply_A_pow(
         raise ValueError("truncation must be >= 0")
     if isinstance(f, PowerGrowth):
         J = max(min(current_limits().max_j, _POWER_CAP) if J is None else J, 1)
-        ((s, err),) = weights.row_dots(
-            n, J, lambda a, b: _powers(f.beta, k + a, b - a), _POW_ULPS, n_min=n
-        )
+        weights._check_steps(J, n)
+        sums = _power_sums.get((f.beta, k, J), ())
+        if n <= len(sums):
+            s, err = sums[n - 1]
+        else:
+            ((s, err),) = weights.row_dots(
+                n, J, lambda a, b: _powers(f.beta, k + a, b - a), _POW_ULPS, n_min=n
+            )
         lo, hi = _power_image(f, n, k, J, s, err)
         return Enclosure(float(lo), float(hi))
     if J is None and k >= f.starts[-1]:
@@ -384,6 +391,12 @@ def apply_A_pow(
 
 # the error of np.power in float64, in units of u = 2^-53 (4 ulps)
 _POW_ULPS = 8
+
+# the power-row sums of apply_A_pow for k^beta: by (beta, k, J), the (s, err)
+# of weights.row_dots against (j+k)^beta, j < J, for n = 1, 2, ... in turn.
+# experiments.pointwise_divergence fills it, and keeps its newest keys;
+# apply_A_pow reads it for the n it covers
+_power_sums: dict = {}
 
 
 def _powers(beta: float, k: int, J: int) -> np.ndarray:

@@ -235,11 +235,15 @@ def check_pointwise_divergence() -> bool:
 
 def check_probe_positive() -> bool:
     rep = experiments.lower_bound_probe(1, 12, 2000)
-    # the n <= 6 grid is part of the n <= 12 one, so its minimum is read off rep
-    min6 = min(ratio for n, _, ratio in rep.rows if n <= 6)
+    # the n <= 6 grid is part of the n <= 12 one, so its minimum is read off
+    # rep's runs
+    min6 = min(run.minimum for run in rep.runs if run.n <= 6)
     ok = min6 > 0 and experiments.probe_verdicts(rep)["min_positive"]
     ok &= rep.min_observed >= Fraction(1, 2) * min6
     ok &= rep.min_observed > Fraction(1, 5)
+    # each run is stepped in j by a recurrence: its last cell must be the
+    # closed product
+    ok &= all(run.last == experiments.probe_ratio_exact(run.n, rep.j_max) for run in rep.runs)
     return bool(ok)
 
 

@@ -311,10 +311,7 @@ def _stepped(J: int, n_max: int, n_min: int = 1, size: int = _SLICE):
     """
     if n_min < 1 or n_max < n_min or J < 0:
         raise ValueError("need 1 <= n_min <= n_max and J >= 0")
-    if 2 * J + n_max > _RATIO_EXACT_MAX:
-        raise ResourceLimitError("float row too long for exact float ratios")
-    check_work(_step_work(n_max, J), f"float row n = {n_max} of length {J}")
-    current_limits().check_row_length(J)
+    _check_steps(J, n_max)
     size = min(J, size) or 1
     scratch = 2.0 * np.arange(size), np.empty(size), np.empty(size)
 
@@ -330,6 +327,14 @@ def _stepped(J: int, n_max: int, n_min: int = 1, size: int = _SLICE):
                     yield start, n, view
 
     return walk()
+
+
+def _check_steps(J: int, n: int) -> None:
+    """Refuse a float row of length J stepped to row n past a ceiling of _stepped."""
+    if 2 * J + n > _RATIO_EXACT_MAX:
+        raise ResourceLimitError("float row too long for exact float ratios")
+    check_work(_step_work(n, J), f"float row n = {n} of length {J}")
+    current_limits().check_row_length(J)
 
 
 def float_row(n: int, J: int) -> np.ndarray:
@@ -402,11 +407,11 @@ def row_dot(n: int, row: np.ndarray, w: Optional[np.ndarray] = None, w_ulps: flo
 def _dot_error(n: int, a, length: int, w_ulps: float, w: Optional[np.ndarray]):
     """row_dot's err, given a = block_sum(|row * w|) over length terms.
 
-    w may be any array with the weights' largest |w|; it is read only where
-    row entries can underflow (row_error's tiny).
+    w may be any array with each line's largest |w| along its last axis; it
+    is read only where row entries can underflow (row_error's tiny).
     """
     rel, tiny = row_error(n)
-    big = float(np.abs(w).max()) if tiny and w is not None and w.size else 1.0
+    big = np.abs(w).max(axis=-1) if tiny and w is not None and w.size else 1.0
     return (rel + (w_ulps + SUM_BLOCK + 4) * U) * a + 2 * length * (tiny * big + TINY)
 
 
@@ -427,10 +432,10 @@ def row_dots(n_max: int, J: int, w_at, w_ulps: float = 0, n_min: int = 1) -> lis
         if n == n_min:
             w = w_at(start, start + len(row))
             if w.size:
-                tops.append(w.max())
+                tops.append(w.max(axis=-1))
         parts[n - n_min].append(_block_parts(row * w))
     sums = (_fsum_lines(np.concatenate(p, axis=-1)) for p in parts)
-    tops = np.array(tops)
+    tops = np.array(tops).T  # one line per sum, one entry per slice
     return [(s, _dot_error(n, s, J, w_ulps, tops)) for n, s in enumerate(sums, n_min)]
 
 

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subaddlab import cli, experiments, reporting, verify, weights
+from subaddlab import cli, experiments, lpspace, reporting, verify, weights
 
 
 def run(tmp_path, *argv):
@@ -196,7 +196,7 @@ def test_blowup_command(tmp_path):
 
 
 def test_blowup_reuses_the_verify_pass(tmp_path, monkeypatch):
-    experiments._divergence_rows.clear()
+    lpspace._power_sums.clear()
     assert run(tmp_path, "blowup") == 0
     before = (tmp_path / "blowup.csv").read_bytes()
     assert run(tmp_path, "verify", "--suite", "all") == 0
@@ -332,7 +332,8 @@ def test_usage_errors():
 
 def test_report_aggregates_everything(tmp_path, monkeypatch):
     experiments._probe.cache_clear()
-    experiments._divergence_rows.clear()
+    lpspace._power_sums.clear()
+    experiments._growth_results.clear()
     # (J, last n stepped) of every pass that steps float rows
     passes = []
     stepped = weights._stepped
@@ -346,14 +347,14 @@ def test_report_aggregates_everything(tmp_path, monkeypatch):
         experiments, "_survival_rows", lambda n, lim: survival.append(n) or survival_rows(n, lim)
     )
     assert run(tmp_path, "report", "--trials", "20000") == 0
-    # one 2^20 pass to n = 32 serves both divergence exponents and the blowup
-    # command; the pass to n = 4 is mc_agreement's k^0.2 enclosure
-    assert sorted(n for J, n in passes if J == 1 << 20) == [4, 32]
+    # one 2^20 pass to n = 32 serves both divergence exponents, the blowup
+    # command and mc_agreement's k^0.2 enclosure at n = 4
+    assert sorted(n for J, n in passes if J == 1 << 20) == [32]
     # probe computes once for verify and the command; growth builds its
-    # survival rows once for verify's three p and once for the command, and
-    # maximal, under a millisecond, computes for each
+    # survival rows once, for verify's three p, and the command reads the
+    # p = 2 result; maximal, under a millisecond, computes for each
     assert experiments._probe.cache_info()[:2] == (1, 1)
-    assert survival == [32, 32]
+    assert survival == [32]
     assert windows == [4, 16, 64, 256] * 2
     for name in (
         "alpha.csv",

@@ -99,14 +99,35 @@ def test_pointwise_divergence_doubling_depends_on_beta():
 
 def test_shared_sweep_rows_equal_single_exponent_rows():
     fs, J = (PowerGrowth(0.2), PowerGrowth(0.32)), 1 << 18
-    experiments._divergence_rows.clear()
+    lpspace._power_sums.clear()
     shared = experiments.pointwise_divergence(fs, 0, 32, J)
-    experiments._divergence_rows.clear()
+    lpspace._power_sums.clear()
     single = [experiments.pointwise_divergence(f, 0, 32, J) for f in fs]
     bits = lambda rows: [(n, v.hex()) for n, v in rows]
     assert list(map(bits, shared)) == list(map(bits, single))
+    lpspace._power_sums.clear()
     for f, rows in zip(fs, shared):
         assert rows[7][1] == apply_A_pow(f, 7, 0, J=J).lower
+
+
+@pytest.mark.parametrize(
+    "k, n_max, J, ns",
+    [
+        (0, 32, 1 << 20, (1, 4, 17, 32)),
+        # past n = 1021 row_error's tiny term reads the largest weight of
+        # its own line; at J = 2 the sums there are near the subnormal
+        # range, where that term reaches the lower end's bits
+        (3, 1030, 2048, (1, 500, 1021, 1022, 1030)),
+        (3, 1030, 2, (1, 500, 1021, 1022, 1030)),
+    ],
+)
+def test_apply_A_pow_reads_the_divergence_sums_to_the_bit(monkeypatch, k, n_max, J, ns):
+    fs = (PowerGrowth(0.2), PowerGrowth(0.32))
+    lpspace._power_sums.clear()
+    cold = [repr(apply_A_pow(f, n, k, J=J)) for f in fs for n in ns]
+    experiments.pointwise_divergence(fs, k, n_max, J)
+    monkeypatch.setattr(weights, "_stepped", None)  # the memo serves every n
+    assert [repr(apply_A_pow(f, n, k, J=J)) for f in fs for n in ns] == cold
 
 
 def test_memoized_experiments_still_check_the_row_ceiling(monkeypatch):
@@ -132,6 +153,7 @@ def test_growth_norm_sums_read_one_base_row(monkeypatch):
             monkeypatch.setattr(
                 weights, "_base_values", lambda j: calls.append(len(j)) or base_values(j)
             )
+            experiments._growth_results.clear()  # count a cold call
             rows = experiments.growth_curve(p, n_max).rows
             monkeypatch.setattr(weights, "_base_values", base_values)
             assert calls == [n_max * n_max] * (1 + (n_max > 44))
@@ -148,9 +170,11 @@ def test_growth_norm_sums_read_one_base_row(monkeypatch):
 def test_growth_of_several_exponents_equals_the_one_exponent_calls():
     ps = (1.25, 2.0, 3.0)
     for n_max in (32, 100):
+        experiments._growth_results.clear()
         shared = experiments.growth_curve(ps, n_max)
         assert isinstance(shared, tuple) and len(shared) == len(ps)
         for res, p in zip(shared, ps):
+            experiments._growth_results.clear()  # each p from its own pass
             assert repr(res) == repr(experiments.growth_curve(p, n_max))
     with pytest.raises(ValueError):
         experiments.growth_curve((), 32)
@@ -163,6 +187,7 @@ def test_growth_keeps_no_survival_rows():
     # n's are dropped once its norm sums close, so none outlive the call.
     # n = 44 is the last n on the exact path: its call warms the exact rows
     experiments.growth_curve(2, 44)
+    experiments._growth_results.clear()
     tracemalloc.start()
     try:
         experiments.growth_curve(2, 200)
@@ -235,7 +260,29 @@ def test_probe_minimum_frozen():
     assert rep12.min_observed == Fraction(1309, 1824)
     assert rep12.argmin == (4, 16)
     assert rep12.min_observed > Fraction(1, 5)
-    assert all(r > 0 for _, _, r in rep12.rows)
+    assert all(Fraction(r) > 0 for _, _, r in rep12.rows)
+
+
+@pytest.mark.parametrize(
+    "c0, n_max, j_max", [(1, 12, 300), (Fraction(3, 2), 9, 500), (7, 12, 400)]
+)
+def test_probe_recurrence_equals_the_closed_product(c0, n_max, j_max):
+    rep = experiments.lower_bound_probe(c0, n_max, j_max)
+    cells = [
+        (n, j, experiments.probe_ratio_exact(n, j))
+        for n in range(2, n_max + 1)
+        for j in range(math.ceil(n * n / Fraction(c0)), j_max + 1)
+    ]
+    # every cell, as the CSV prints a Fraction
+    assert rep.rows == tuple((n, j, str(r)) for n, j, r in cells)
+    # the scan's minimum: the first least cell in (n, j) order, overall and per n
+    n, j, r = min(cells, key=lambda c: c[2])
+    assert (rep.min_observed, rep.argmin) == (r, (n, j))
+    assert [run.n for run in rep.runs] == sorted({n for n, _, _ in cells})
+    for run in rep.runs:
+        line = [c for c in cells if c[0] == run.n]
+        _, j, r = min(line, key=lambda c: c[2])
+        assert (run.minimum, run.argmin, run.last) == (r, j, line[-1][2])
 
 
 def test_probe_validation():

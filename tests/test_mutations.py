@@ -1,10 +1,12 @@
-"""Mutation table: every seeded fault must turn its named core verdict false.
+"""Mutation table: every seeded fault must turn its named verdict false.
 
 A mutation is a small edit of one function's source: one line changed, or
 one line moved.  The edited function is compiled against a copy of its
-module's namespace and patched into the module for one test; the row and
-result caches are cleared before and after, so rows built by the unmutated
-code never mask the fault and mutated rows never leak into later tests.
+module's namespace and patched into the module for one test, which runs
+the core suite, or the whole suite for a verdict outside the core one; the
+row and result caches are cleared before and after, so rows built by the
+unmutated code never mask the fault and mutated rows never leak into later
+tests.
 """
 
 import __future__
@@ -21,11 +23,12 @@ ROW_CACHES = (
     weights._row_exact.cache_clear,
     weights._prefix_exact.cache_clear,
     weights._head_row.cache_clear,
-    experiments._divergence_rows.clear,
+    lpspace._power_sums.clear,
+    experiments._growth_results.clear,
     experiments._probe.cache_clear,
 )
 
-# (id, core verdict that must turn false, module, function, original text, mutated text)
+# (id, verdict that must turn false, module, function, original text, mutated text)
 MUTATIONS = (
     (
         "numerator_recurrence_off_by_one",
@@ -116,6 +119,14 @@ MUTATIONS = (
         "2 * j + 1",
         "2 * j + 2",
     ),
+    (
+        "probe_recurrence_off_by_one",
+        "probe_positive",
+        experiments,
+        "_probe_run",
+        "(2 * j + 1)",
+        "(2 * j + 3)",
+    ),
 )
 
 
@@ -144,8 +155,8 @@ def clean_caches():
         clear()
 
 
-def failed_checks(bias=0.0):
-    return sorted(name for name, ok in verify.run_suite("core", bias=bias).items() if not ok)
+def failed_checks(bias=0.0, suite="core"):
+    return sorted(name for name, ok in verify.run_suite(suite, bias=bias).items() if not ok)
 
 
 def test_unmutated_core_suite_passes(clean_caches):
@@ -157,7 +168,9 @@ def test_unmutated_core_suite_passes(clean_caches):
 )
 def test_mutation_trips_a_core_verdict(monkeypatch, clean_caches, verdict, module, name, old, new):
     monkeypatch.setattr(module, name, mutant(module, name, old, new))
-    assert verdict in failed_checks(), f"{verdict} did not catch the mutation {old!r} -> {new!r}"
+    suite = "core" if verdict in dict(verify.CORE_CHECKS) else "all"
+    failed = failed_checks(suite=suite)
+    assert verdict in failed, f"{verdict} did not catch the mutation {old!r} -> {new!r}"
 
 
 def test_nan_bias_trips_backend_agreement(clean_caches):
