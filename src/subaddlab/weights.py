@@ -24,17 +24,19 @@ private twin _exact_ok, like _exact_prefix and _run_mass, takes them, for
 callers that read the limits once per public call.
 
 "log" carries value-domain float64 rows for index ranges where exact
-integers get too wide: a base row from the exact numerators and a
-Stirling series, stepped in n by an exact ratio, under one derived
-per-entry bound (row_error) that does not grow with the row length.  One
-generator, _stepped, makes every float row, slice by slice, each slice
-stepped through n while it is in cache; float_row assembles one whole row
-from it.  A weighted sum over a row is a block_sum (row_dot), and row_dots
+integers get too wide: a base row of correctly rounded weights
+(_alpha_floats) and a Stirling series, stepped in n by an exact ratio,
+under one derived per-entry bound (row_error) that does not grow with the
+row length.  One generator, _stepped, makes every float row, slice by
+slice, each slice stepped through n while it is in cache; float_row
+assembles one whole row from it.  A weighted sum over a row is a block_sum (row_dot), and row_dots
 forms those of rows n = 1, 2, ... from the slices, with no full-length row;
 the masses of many segments of one row come from its compensated prefix
 sums (_float_prefix), the float twin of _exact_prefix.  The 40-digit log-gamma
 values (alpha_pow_log, _run_mass) stand in for exact binomials past the exact
-limit.  Binomials are never formed from factorial tables.  All public
+limit.  Binomials are never formed from factorial tables.  The
+generating-function check (pgf_check) and the base floats sum and step the
+same fixed-point integer recurrence, at _FIXED_BITS bits.  All public
 functions are pure, and cached rows fill idempotently, so concurrent
 callers see behavior as if nothing were cached.
 """
@@ -50,7 +52,6 @@ from typing import Optional, Union
 
 import mpmath
 import numpy as np
-from mpmath import libmp
 
 from .errors import NotSummableError, ResourceLimitError
 from .limits import Limits, check_work, current_limits
@@ -76,6 +77,8 @@ _RATIO_EXACT_MAX = 60_000_000
 # float rows are built, stepped and summed in slices of this many entries
 # (whole SUM_BLOCK blocks)
 _SLICE = 1 << 15
+# binary precision P of the fixed-point recurrences of pgf_check and _alpha_floats
+_FIXED_BITS = 192
 _LOG_PI = math.log(math.pi)
 
 
@@ -221,9 +224,19 @@ def _log_tail_series(x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
 
 
 def _alpha_floats():
-    """Yield alpha_0, alpha_1, ..., each rounded once from its exact numerator."""
-    # int true division rounds correctly
-    return (N / (1 << (2 * j + 1)) for j, N in enumerate(_numerators(1)))
+    """Yield alpha_0, alpha_1, ..., each correctly rounded, in linear time.
+
+    The fixed-point recurrence a_0 = 2^(P-1), a_{j+1} = floor(a_j (2j+1)/(2j+4)),
+    P = _FIXED_BITS, is pgf_check's at x = 1, so a_j <= alpha_j 2^P < a_j + j + 1.
+    When both ends of that bracket round to the same float, alpha_j rounds
+    to it too; otherwise alpha_j is rounded from its exact value.
+    """
+    P = _FIXED_BITS
+    a = 1 << (P - 1)
+    for j in itertools.count():
+        lo = float(a)
+        yield math.ldexp(lo, -P) if lo == float(a + j + 1) else float(alpha_exact(j))
+        a = a * (2 * j + 1) // (2 * j + 4)
 
 
 @lru_cache(maxsize=1)
@@ -596,19 +609,23 @@ class PgfCheck:
 
 
 def pgf_check(x, J: int) -> PgfCheck:
-    """Compare sum_{j<J} alpha_j x^j with (1 - sqrt(1-x))/x at 40-digit precision.
+    """Compare sum_{j<J} alpha_j x^j with (1 - sqrt(1-x))/x, the closed form at 40 digits.
 
-    The true gap is the (positive) discarded tail, at most T(J); the returned
-    float gap carries working-precision rounding of order 1e-30, so it can dip
-    that far below zero when the true gap is smaller still.
+    The true gap is the (positive) discarded tail, at most
+    alpha_J x^J / (1-x), since every term ratio x(2j+1)/(2j+4) is below x.
 
-    The sum stops at the first term that leaves the 40-digit total unchanged:
-    the terms decrease (ratio x(2j+1)/(2j+4) < 1) and rounding is monotone,
-    so no later term could change it either, and the result is the same to
-    the bit as summing all J terms.  The loop calls mpmath.libmp on the raw
-    values: the same operations (mpf_add, mpf_mul, mpf_mul_int, mpf_div), at
-    the same precision mp.prec and with the same round-to-nearest, as mpf
-    arithmetic, so it gives the same bits without an mpf object per step.
+    The sum is a fixed-point integer recurrence at P (_FIXED_BITS) bits, on
+    x = X/D exactly: t_0 = 2^(P-1) = alpha_0 2^P,
+    t_{j+1} = floor(t_j X (2j+1) / (2D (j+2))), summed while t > 0 and j < J.
+    Each floor loses less than one unit and the step ratio is below 1, so t_j
+    falls short of alpha_j x^j 2^P by less than j units.  When K terms are
+    taken, the total falls short of sum_{j<J} alpha_j x^j by at most
+    (K^2/2 + K/(1-x)) 2^-P: under K^2/2 units over the terms taken, and, when
+    the sum stops at t_K = 0, under K/(1-x) units over the terms left, as
+    alpha_K x^K 2^P < K and the terms fall by a factor below x per step.
+    For x = 0.99, K is about 13,800, which leaves about 1e-50 at P = 192.
+    partial_sum is the total rounded once; gap is closed_form - total,
+    formed exactly from the two dyadic values and rounded once.
     """
     if not 0 <= x < 1:
         raise ValueError("x must lie in [0, 1)")
@@ -620,20 +637,20 @@ def pgf_check(x, J: int) -> PgfCheck:
             closed = mpmath.mpf(1) / 2
         else:
             closed = (1 - mpmath.sqrt(1 - xm)) / xm
-        prec, rnd, xv = mpmath.mp.prec, libmp.round_nearest, xm._mpf_
-        term = libmp.mpf_div(libmp.fone, libmp.from_int(2), prec, rnd)
-        total = libmp.fzero
-        for j in range(J):
-            new = libmp.mpf_add(total, term, prec, rnd)
-            if new == total:
-                break
-            total = new
-            # alpha_{j+1}/alpha_j = (2j+1)/(2(j+2)); one extra factor of x per step
-            term = libmp.mpf_mul_int(libmp.mpf_mul(term, xv, prec, rnd), 2 * j + 1, prec, rnd)
-            term = libmp.mpf_div(term, libmp.from_int(2 * (j + 2)), prec, rnd)
-        total = mpmath.mp.make_mpf(total)
-        gap = closed - total
-        return PgfCheck(float(total), float(closed), float(gap))
+    P = _FIXED_BITS
+    X, D = x.as_integer_ratio()
+    t, acc = 1 << (P - 1), 0
+    for j in range(J):
+        if not t:
+            break
+        acc += t
+        # alpha_{j+1}/alpha_j = (2j+1)/(2(j+2)); one extra factor of x per step
+        t = t * X * (2 * j + 1) // (D * (2 * j + 4))
+    # closed = m 2^e and acc 2^-P over the one denominator 2^s; int true division rounds correctly
+    m, e = closed.man_exp
+    s = max(P, -e)
+    gap = ((m << (s + e)) - (acc << (s - P))) / (1 << s)
+    return PgfCheck(acc / (1 << P), float(closed), gap)
 
 
 @dataclass(frozen=True)

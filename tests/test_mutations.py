@@ -120,6 +120,30 @@ MUTATIONS = (
         "2 * j + 2",
     ),
     (
+        "pgf_precision_lowered",
+        "pgf_point_checks",
+        weights,
+        "pgf_check",
+        "P = _FIXED_BITS",
+        "P = 64",
+    ),
+    (
+        "exact_image_float_divisor_off_by_one",
+        "norm_upper_bound",
+        lpspace,
+        "_exact_image",
+        "x / float(d)",
+        "x / float(d + 1)",
+    ),
+    (
+        "exact_image_int64_bound_raised",
+        "norm_upper_bound",
+        lpspace,
+        "_exact_image",
+        "< _INT64_EXACT",
+        "< 1 << 64",
+    ),
+    (
         "probe_recurrence_off_by_one",
         "probe_positive",
         experiments,

@@ -6,6 +6,7 @@ Catalan numbers come from the convolution recurrence C_{m+1} = sum C_i C_{m-i}
 multiplication over Fractions.  Pinned rationals are frozen literals.
 """
 
+import itertools
 import math
 import time
 import tracemalloc
@@ -54,17 +55,47 @@ def running_product_row(n, J):
     return out
 
 
-def full_loop_pgf(x, J):
-    """The generating-function check summing all J terms, with no early stop."""
+def closed_40(x):
+    """The 40-digit closed form (1 - sqrt(1-x))/x, as mpmath forms it."""
     with mpmath.workdps(40):
         xm = mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mpmath.mpf(x)
-        closed = mpmath.mpf(1) / 2 if xm == 0 else (1 - mpmath.sqrt(1 - xm)) / xm
+        return mpmath.mpf(1) / 2 if xm == 0 else (1 - mpmath.sqrt(1 - xm)) / xm
+
+
+def full_loop_pgf(x, J):
+    """(partial sum, closed form) of the generating-function check at 40 digits, all J terms."""
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mpmath.mpf(x)
         term = mpmath.mpf(1) / 2
         total = mpmath.mpf(0)
         for j in range(J):
             total += term
             term = term * xm * (2 * j + 1) / (2 * (j + 2))
-        return float(total), float(closed), float(closed - total)
+        return float(total), float(closed_40(x))
+
+
+def exact_pgf_sum(x, J):
+    """sum_{j<J} alpha_j x^j exactly, as (num, den), with alpha_j = C_j / 2^(2j+1)."""
+    X, D = Fraction(x).as_integer_ratio()
+    num, t = 0, 1  # t = C_j X^j, by C_{j+1} = C_j 2(2j+1)/(j+2)
+    for j in range(J):
+        num = num * 4 * D + t
+        t = t * 2 * (2 * j + 1) // (j + 2) * X
+    return num, (2 * (4 * D) ** (J - 1) if J else 1)
+
+
+def test_alpha_floats_round_each_weight_once(monkeypatch):
+    # the exact route: each numerator C_j = N^1_j over 2^(2j+1), rounded once
+    numerators = itertools.islice(weights._numerators(1), 5000)
+    want = [N / (1 << (2 * j + 1)) for j, N in enumerate(numerators)]
+    exact, calls = weights.alpha_exact, []
+    monkeypatch.setattr(weights, "alpha_exact", lambda j: calls.append(j) or exact(j))
+    for bits in (weights._FIXED_BITS, 88):
+        monkeypatch.setattr(weights, "_FIXED_BITS", bits)
+        calls.clear()
+        assert list(itertools.islice(weights._alpha_floats(), 5000)) == want
+    # at 88 bits the bracket meets a rounding boundary for some 200 weights
+    assert len(calls) > 100
 
 
 def test_catalan_oracle_sanity():
@@ -525,11 +556,21 @@ def test_pgf_point_values():
     assert c.partial_sum < c.closed_form
     with pytest.raises(ValueError):
         weights.pgf_check(1.0, 10)
-    # the early stop returns the full loop's floats to the bit
-    for x in (0, Fraction(1, 2), Fraction(3, 4), 0.95):
+    oracle = [Fraction(C, 2 ** (2 * j + 1)) / 2**j for j, C in enumerate(catalan_numbers(8))]
+    assert Fraction(*exact_pgf_sum(Fraction(1, 2), 8)) == sum(oracle)
+    # partial_sum and closed_form are the full 40-digit loop's floats to the
+    # bit; partial_sum is also the exact sum rounded once, and gap lies in the
+    # docstring's bound of closed - exact, (J^2/2 + J/(1-x)) 2^-P with K <= J
+    for x in (0, Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), 0.95):
         for J in (0, 1, 7, 300, 5000):
             c = weights.pgf_check(x, J)
-            assert (c.partial_sum, c.closed_form, c.gap) == full_loop_pgf(x, J)
+            assert (c.partial_sum, c.closed_form) == full_loop_pgf(x, J)
+            num, den = exact_pgf_sum(x, J)
+            assert c.partial_sum == num / den
+            m, e = closed_40(x).man_exp
+            exact_gap = Fraction(m) * Fraction(2) ** e - Fraction(num, den)
+            slack = (Fraction(J * J, 2) + J / (1 - Fraction(x))) / 2**weights._FIXED_BITS
+            assert float(exact_gap) <= c.gap <= float(exact_gap + slack)
     with pytest.raises(ValueError):
         weights.pgf_check(-0.1, 10)
 
