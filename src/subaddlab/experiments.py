@@ -15,14 +15,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import weights
 from .errors import EmptyGridError, NotInLpError
-from .limits import Limits, check_work, current_limits
+from .limits import Limits, Memo, check_work, current_limits, memo
 from .lpspace import EventuallyConstant, IndicatorGE, PowerGrowth
 from .lpspace import _POW_ULPS, _image, _power_image, _power_sums, _powers, _root_enclosure
 from .lpspace import check_exponent
@@ -73,10 +72,11 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None):
     charges the sweep and the windows of n^2 entries that row n's image and
     norm sums read.  The fit is ordinary least squares on (log n, log R(n))
     for n >= fit_from (default n_max//4, at least 2).  Each p's result is
-    kept per (p, n_max, fit_from, limits) for the process, and the survival
-    rows are stepped only for the p not kept yet, so the growth command
-    after verify, in one report, reads verify's p = 2 result.  The row
-    ceiling and the work budget are checked on every call, ahead of the memo.
+    kept per (p, n_max, fit_from, limits) in _growth_results, a limits.Memo
+    (limits.clear_memos() empties it), and the survival rows are stepped
+    only for the p not kept yet, so the growth command after verify, in one
+    report, reads verify's p = 2 result.  The row ceiling and the work
+    budget are checked on every call, ahead of the memo.
     """
     ps = tuple(map(check_exponent, p if isinstance(p, tuple) else (p,)))
     if not ps:
@@ -99,24 +99,13 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None):
     missing = [q for q, key in keys.items() if key not in _growth_results]
     if missing:
         results = _growth_sweep(missing, n_max, fit_from, lim)
-        _keep(_growth_results, zip((keys[q] for q in missing), results))
+        _growth_results.keep(zip((keys[q] for q in missing), results))
     res = tuple(_growth_results[keys[q]] for q in ps)
     return res if isinstance(p, tuple) else res[0]
 
 
 # growth_curve's results by (p, n_max, fit_from, limits)
-_growth_results: dict = {}
-# a memo of this module keeps its newest this many keys
-_MEMO_KEYS = 8
-
-
-def _keep(memo: dict, items) -> None:
-    """Store each (key, value) of items as memo's newest; keep the newest _MEMO_KEYS keys."""
-    for key, value in items:
-        memo.pop(key, None)
-        memo[key] = value
-    for key in list(memo)[:-_MEMO_KEYS]:
-        del memo[key]
+_growth_results = Memo()
 
 
 def _growth_sweep(ps, n_max: int, fit_from: int, lim: Limits) -> list:
@@ -236,13 +225,13 @@ def pointwise_divergence(f, k: int = 0, n_max: int = 32, J: int = 1 << 20):
     back in f's order: one weights.row_dots sweep serves several exponents,
     stepping each slice of the row through n = 1..n_max once and summing it
     against each exponent's (j+k)^beta, made once per slice.  The sweep's
-    power-row sums (s, err) of each n go to lpspace._power_sums, by
-    (beta, k, J), and a sweep runs only for the exponents whose kept sums
-    stop short of n_max.  So a repeat (the blowup command after verify, in
-    one report) steps no row, and apply_A_pow(f, n, k, J), for n the sums
-    cover (verify's mc_agreement at n = 4), reads its sum from there.  The
-    row ceiling and the work budget are checked on every call, ahead of the
-    memo.
+    power-row sums (s, err) of each n go to lpspace._power_sums, a
+    limits.Memo by (beta, k, J) (limits.clear_memos() empties it), and a
+    sweep runs only for the exponents whose kept sums stop short of n_max.
+    So a repeat (the blowup command after verify, in one report) steps no
+    row, and apply_A_pow(f, n, k, J), for n the sums cover (verify's
+    mc_agreement at n = 4), reads its sum from there.  The row ceiling and
+    the work budget are checked on every call, ahead of the memo.
     """
     fs = f if isinstance(f, tuple) else (f,)
     if not fs or not all(isinstance(g, PowerGrowth) and 0 < g.beta < 0.5 for g in fs):
@@ -255,7 +244,7 @@ def pointwise_divergence(f, k: int = 0, n_max: int = 32, J: int = 1 << 20):
     keys = {g: (g.beta, k, J) for g in fs}
     missing = [g for g, key in keys.items() if len(_power_sums.get(key, ())) < n_max]
     if missing:
-        _keep(_power_sums, zip((keys[g] for g in missing), _divergence_sweep(missing, k, n_max, J)))
+        _power_sums.keep(zip((keys[g] for g in missing), _divergence_sweep(missing, k, n_max, J)))
     rows = tuple(
         ((0, float(g(k))),)
         + tuple(
@@ -341,8 +330,9 @@ class ProbeReport:
 def lower_bound_probe(c0=1, n_max: int = 12, j_max: int = 2000) -> ProbeReport:
     """Minimum of alpha^n_j/(n alpha_j) over {2 <= n <= n_max, j <= j_max, c0*j >= n^2}.
 
-    The report is kept per (c0, n_max, j_max) for the process, so the probe
-    command after verify, in one report, reads verify's grid.
+    The report is kept per (c0, n_max, j_max) by _probe, a limits.memo
+    cache (limits.clear_memos() empties it), so the probe command after
+    verify, in one report, reads verify's grid.
     """
     if c0 < 1:
         raise ValueError("need c0 >= 1")
@@ -358,7 +348,7 @@ def lower_bound_probe(c0=1, n_max: int = 12, j_max: int = 2000) -> ProbeReport:
     return _probe(c0, n_max, j_max)
 
 
-@lru_cache(maxsize=4)
+@memo(4)
 def _probe(c0_exact: Fraction, n_max: int, j_max: int) -> ProbeReport:
     rows = []
     runs = [

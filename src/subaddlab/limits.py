@@ -1,4 +1,5 @@
-"""Resource ceilings: two settings read from the environment, and one work budget.
+"""Resource ceilings: two settings read from the environment, one work budget,
+and the process memos.
 
 Exact rational arithmetic is used whenever the largest index involved stays
 at or below ``exact_limit``; beyond that the log-domain / float backends take
@@ -35,6 +36,12 @@ What the lab runs itself stays far below: backend_agreement's row n = 100
 at J = 2,000 is 7e5 entry steps, the divergence sweep to n = 32 at J = 2^20
 3.3e7, the desk probe grid of 21,362 rows 4.4e7 and the desk maximal grid
 4, 16, 64, 256 (verify's too) 69,904.
+
+Every process memo of the package is made here, so one call empties them
+all: a function memo is memo(maxsize), the functools.lru_cache it returns,
+and a result table is a Memo, a dict that keeps its newest 8 keys.  Both
+are recorded as they are made, and clear_memos() empties every one (the
+tests call it, so no result of other code is served from a memo).
 """
 
 from __future__ import annotations
@@ -49,6 +56,43 @@ _ENV_MAX_J = "SUBADDLAB_MAX_J"
 _ENV_EXACT = "SUBADDLAB_EXACT_LIMIT"
 # the work budget, in entry steps (module docstring)
 WORK_MAX = 1 << 30
+
+
+_MEMOS: list = []
+
+
+def memo(maxsize: int):
+    """Decorator: functools.lru_cache(maxsize), recorded for clear_memos."""
+
+    def record(f):
+        _MEMOS.append(cached := lru_cache(maxsize=maxsize)(f))
+        return cached
+
+    return record
+
+
+class Memo(dict):
+    """A result table that keeps its newest 8 keys, recorded for clear_memos."""
+
+    cache_clear = dict.clear
+
+    def __init__(self):
+        super().__init__()
+        _MEMOS.append(self)
+
+    def keep(self, items) -> None:
+        """Store each (key, value) of items as the newest; drop all but the newest 8 keys."""
+        for key, value in items:
+            self.pop(key, None)
+            self[key] = value
+        for key in list(self)[:-8]:
+            del self[key]
+
+
+def clear_memos() -> None:
+    """Empty every process memo."""
+    for m in _MEMOS:
+        m.cache_clear()
 
 
 def check_work(steps, what: str) -> None:
@@ -82,7 +126,7 @@ def _read_int(name: str, raw, default: int) -> int:
     return value
 
 
-@lru_cache(maxsize=8)
+@memo(8)
 def _parse_limits(raw_max_j, raw_exact) -> Limits:
     return Limits(
         max_j=_read_int(_ENV_MAX_J, raw_max_j, Limits.max_j),

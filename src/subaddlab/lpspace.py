@@ -51,7 +51,7 @@ import numpy as np
 
 from . import weights
 from .errors import NotInLpError, NotSummableError
-from .limits import Limits, current_limits
+from .limits import Limits, Memo, current_limits
 
 Real = Union[int, float, Fraction]
 
@@ -394,9 +394,9 @@ _POW_ULPS = 8
 
 # the power-row sums of apply_A_pow for k^beta: by (beta, k, J), the (s, err)
 # of weights.row_dots against (j+k)^beta, j < J, for n = 1, 2, ... in turn.
-# experiments.pointwise_divergence fills it, and keeps its newest keys;
-# apply_A_pow reads it for the n it covers
-_power_sums: dict = {}
+# experiments.pointwise_divergence fills it (a limits.Memo: clear_memos()
+# empties it); apply_A_pow reads it for the n it covers
+_power_sums = Memo()
 
 
 def _powers(beta: float, k: int, J: int) -> np.ndarray:

@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import weights
 from .errors import HeavyTailUnreliableError
-from .limits import check_work
+from .limits import check_work, memo
 from .lpspace import PowerGrowth, SeqFunction
 
 _TABLE_SIZE = 1024
@@ -72,7 +71,7 @@ def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-@lru_cache(maxsize=1)
+@memo(1)
 def _cdf_up() -> np.ndarray:
     """F_up[j], the smallest double >= P(X <= j) = C[j+1]/D, for j < 1024; then +inf.
 
@@ -92,7 +91,7 @@ def _cdf_up() -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=1)
+@memo(1)
 def _guide() -> np.ndarray:
     """g = #{j : F_up[j] <= c / 2^16} for each cell c = 0 .. 2^16, or ~g (Chen and Asau 1974).
 

@@ -37,8 +37,10 @@ values (alpha_pow_log, _run_mass) stand in for exact binomials past the exact
 limit.  Binomials are never formed from factorial tables.  The
 generating-function check (pgf_check) and the base floats sum and step the
 same fixed-point integer recurrence, at _FIXED_BITS bits.  All public
-functions are pure, and cached rows fill idempotently, so concurrent
-callers see behavior as if nothing were cached.
+functions are pure.  The rows kept for the process (_row_exact,
+_prefix_exact, _head_row) are limits.memo caches, which fill idempotently,
+so concurrent callers see behavior as if nothing were cached, and
+limits.clear_memos() empties them.
 """
 
 from __future__ import annotations
@@ -47,14 +49,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Union
 
 import mpmath
 import numpy as np
 
 from .errors import NotSummableError, ResourceLimitError
-from .limits import Limits, check_work, current_limits
+from .limits import Limits, check_work, current_limits, memo
 
 Weight = Union[Fraction, float]
 
@@ -132,13 +133,13 @@ def _numerators(n: int):
         N = N * (2 * j + n) * (2 * j + n + 1) // ((j + 1) * (j + n + 1))
 
 
-@lru_cache(maxsize=128)
+@memo(128)
 def _row_exact(n: int, J: int) -> tuple:
     """Numerators N^n_0 .. N^n_{J-1}: alpha^n_j = N^n_j / 2^(2j+n)."""
     return tuple(itertools.islice(_numerators(n), max(J, 0)))
 
 
-@lru_cache(maxsize=128)
+@memo(128)
 def _prefix_exact(n: int, J: int) -> tuple:
     """(C, D): sum_{j<i} alpha^n_j = C[i] / D for i = 0..J, with D = 2^(2J+n)."""
     out = [0]
@@ -239,7 +240,7 @@ def _alpha_floats():
         a = a * (2 * j + 1) // (2 * j + 4)
 
 
-@lru_cache(maxsize=1)
+@memo(1)
 def _head_row() -> np.ndarray:
     """alpha_j for j < _HEAD (_alpha_floats)."""
     return np.fromiter(_alpha_floats(), np.float64, _HEAD)

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subaddlab import cli, experiments, lpspace, reporting, verify, weights
+from subaddlab import cli, experiments, limits, reporting, verify, weights
 
 
 def run(tmp_path, *argv):
@@ -196,7 +196,7 @@ def test_blowup_command(tmp_path):
 
 
 def test_blowup_reuses_the_verify_pass(tmp_path, monkeypatch):
-    lpspace._power_sums.clear()
+    limits.clear_memos()
     assert run(tmp_path, "blowup") == 0
     before = (tmp_path / "blowup.csv").read_bytes()
     assert run(tmp_path, "verify", "--suite", "all") == 0
@@ -331,9 +331,7 @@ def test_usage_errors():
 
 
 def test_report_aggregates_everything(tmp_path, monkeypatch):
-    experiments._probe.cache_clear()
-    lpspace._power_sums.clear()
-    experiments._growth_results.clear()
+    limits.clear_memos()
     # (J, last n stepped) of every pass that steps float rows
     passes = []
     stepped = weights._stepped

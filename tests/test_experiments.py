@@ -99,13 +99,13 @@ def test_pointwise_divergence_doubling_depends_on_beta():
 
 def test_shared_sweep_rows_equal_single_exponent_rows():
     fs, J = (PowerGrowth(0.2), PowerGrowth(0.32)), 1 << 18
-    lpspace._power_sums.clear()
+    limits.clear_memos()
     shared = experiments.pointwise_divergence(fs, 0, 32, J)
-    lpspace._power_sums.clear()
+    limits.clear_memos()
     single = [experiments.pointwise_divergence(f, 0, 32, J) for f in fs]
     bits = lambda rows: [(n, v.hex()) for n, v in rows]
     assert list(map(bits, shared)) == list(map(bits, single))
-    lpspace._power_sums.clear()
+    limits.clear_memos()
     for f, rows in zip(fs, shared):
         assert rows[7][1] == apply_A_pow(f, 7, 0, J=J).lower
 
@@ -123,7 +123,7 @@ def test_shared_sweep_rows_equal_single_exponent_rows():
 )
 def test_apply_A_pow_reads_the_divergence_sums_to_the_bit(monkeypatch, k, n_max, J, ns):
     fs = (PowerGrowth(0.2), PowerGrowth(0.32))
-    lpspace._power_sums.clear()
+    limits.clear_memos()
     cold = [repr(apply_A_pow(f, n, k, J=J)) for f in fs for n in ns]
     experiments.pointwise_divergence(fs, k, n_max, J)
     monkeypatch.setattr(weights, "_stepped", None)  # the memo serves every n
@@ -153,7 +153,7 @@ def test_growth_norm_sums_read_one_base_row(monkeypatch):
             monkeypatch.setattr(
                 weights, "_base_values", lambda j: calls.append(len(j)) or base_values(j)
             )
-            experiments._growth_results.clear()  # count a cold call
+            limits.clear_memos()  # count a cold call
             rows = experiments.growth_curve(p, n_max).rows
             monkeypatch.setattr(weights, "_base_values", base_values)
             assert calls == [n_max * n_max] * (1 + (n_max > 44))
@@ -170,11 +170,11 @@ def test_growth_norm_sums_read_one_base_row(monkeypatch):
 def test_growth_of_several_exponents_equals_the_one_exponent_calls():
     ps = (1.25, 2.0, 3.0)
     for n_max in (32, 100):
-        experiments._growth_results.clear()
+        limits.clear_memos()
         shared = experiments.growth_curve(ps, n_max)
         assert isinstance(shared, tuple) and len(shared) == len(ps)
         for res, p in zip(shared, ps):
-            experiments._growth_results.clear()  # each p from its own pass
+            limits.clear_memos()  # each p from its own pass
             assert repr(res) == repr(experiments.growth_curve(p, n_max))
     with pytest.raises(ValueError):
         experiments.growth_curve((), 32)

@@ -1,15 +1,35 @@
-"""The one work budget: where each caller refuses, and that each reads the budget.
+"""The one work budget and the one memo registry.
 
-Each refusal point is pinned at the largest input accepted, which still
-reaches its work (the function where that work starts is patched to stop
-it), and at the next input up, which is refused before any work.
+Each refusal point of the budget is pinned at the largest input accepted,
+which still reaches its work (the function where that work starts is
+patched to stop it), and at the next input up, which is refused before any
+work.  Every process memo must be made by limits, so clear_memos() empties
+them all.
 """
+
+import sys
 
 import pytest
 
-from subaddlab import experiments, limits, mc, weights
+from subaddlab import experiments, limits, mc, verify, weights
 from subaddlab.errors import ResourceLimitError
 from subaddlab.lpspace import IndicatorGE, PowerGrowth
+
+
+def module_containers():
+    """The size of each module-level dict, list and set of subaddlab, by (module, name)."""
+    return {
+        (name, attr): len(value)
+        for name, module in sys.modules.items()
+        if name.split(".")[0] == "subaddlab"
+        for attr, value in vars(module).items()
+        if type(value) in (dict, list, set) and not attr.startswith("__")
+        and value is not limits._MEMOS  # a memo made later joins it
+    }
+
+
+# taken as the tests are collected, before any of them runs
+SIZES_AT_IMPORT = module_containers()
 
 
 class Reached(Exception):
@@ -71,3 +91,31 @@ def test_every_caller_reads_the_one_budget(monkeypatch):
     for call in desk:
         with pytest.raises(ResourceLimitError, match="entry steps of work"):
             call()
+
+
+def module_memos():
+    """Each module-level functools.lru_cache and limits.Memo of subaddlab, by name."""
+    return {
+        f"{name}.{attr}": value
+        for name, module in sys.modules.items()
+        if name.split(".")[0] == "subaddlab"
+        for attr, value in vars(module).items()
+        if isinstance(value, limits.Memo) or hasattr(value, "cache_info")
+    }
+
+
+def memo_size(m):
+    return len(m) if isinstance(m, limits.Memo) else m.cache_info().currsize
+
+
+def test_clear_memos_empties_every_memo_and_nothing_else_keeps_results():
+    limits.clear_memos()
+    assert all(verify.run_suite("all").values())
+    memos = module_memos()
+    # the suite fills every memo, so one that clear_memos misses shows below
+    assert all(map(memo_size, memos.values()))
+    limits.clear_memos()
+    for name, m in memos.items():
+        assert any(m is r for r in limits._MEMOS), f"{name} is not recorded"
+        assert memo_size(m) == 0, f"{name} kept results"
+    assert module_containers() == SIZES_AT_IMPORT

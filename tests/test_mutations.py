@@ -3,10 +3,10 @@
 A mutation is a small edit of one function's source: one line changed, or
 one line moved.  The edited function is compiled against a copy of its
 module's namespace and patched into the module for one test, which runs
-the core suite, or the whole suite for a verdict outside the core one; the
-row and result caches are cleared before and after, so rows built by the
-unmutated code never mask the fault and mutated rows never leak into later
-tests.
+the core suite, or the whole suite for a verdict outside the core one.
+limits.clear_memos() empties every process memo before and after, so
+results of the unmutated code never mask the fault and mutated results
+never leak into later tests.
 """
 
 import __future__
@@ -16,17 +16,7 @@ import textwrap
 
 import pytest
 
-from subaddlab import experiments, lpspace, verify, weights
-
-# how to empty each cache of the unmutated builders, captured before any patch
-ROW_CACHES = (
-    weights._row_exact.cache_clear,
-    weights._prefix_exact.cache_clear,
-    weights._head_row.cache_clear,
-    lpspace._power_sums.clear,
-    experiments._growth_results.clear,
-    experiments._probe.cache_clear,
-)
+from subaddlab import experiments, limits, lpspace, mc, verify, weights
 
 # (id, verdict that must turn false, module, function, original text, mutated text)
 MUTATIONS = (
@@ -151,6 +141,14 @@ MUTATIONS = (
         "(2 * j + 1)",
         "(2 * j + 3)",
     ),
+    (
+        "sampler_cdf_one_index_late",
+        "mc_agreement",
+        mc,
+        "_cdf_up",
+        "for c in C[1:]:",
+        "for c in C[:-1]:",
+    ),
 )
 
 
@@ -172,11 +170,9 @@ def mutant(module, name, old, new):
 
 @pytest.fixture
 def clean_caches():
-    for clear in ROW_CACHES:
-        clear()
+    limits.clear_memos()
     yield
-    for clear in ROW_CACHES:
-        clear()
+    limits.clear_memos()
 
 
 def failed_checks(bias=0.0, suite="core"):

@@ -499,12 +499,12 @@ def test_long_power_sums_keep_no_full_length_vector():
     # the 2^20 divergence sweep and a k^0.2 image trace a few slices' worth
     # of memory, not 8 MiB rows and power vectors
     exponents = (lpspace.PowerGrowth(0.2), lpspace.PowerGrowth(0.32))
-    lpspace._power_sums.clear()
+    limits.clear_memos()
     tracemalloc.start()
     try:
         experiments.pointwise_divergence(exponents, 0, 32)
         sweep_peak = tracemalloc.get_traced_memory()[1]
-        lpspace._power_sums.clear()  # the image steps its own row
+        limits.clear_memos()  # the image steps its own row
         tracemalloc.reset_peak()
         lpspace.apply_A_pow(lpspace.PowerGrowth(0.2), 8, 0, J=1 << 20)
         image_peak = tracemalloc.get_traced_memory()[1]
