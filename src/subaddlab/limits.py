@@ -8,9 +8,12 @@ over.  ``max_j`` caps the length of any weight row the package will build.
 Work that could grind is charged before any of it is done, in entry steps,
 and check_work refuses it past WORK_MAX = 2^30 of them.  On the reference
 box (2 cores, Python 3.11, numpy 2.4) a step of a float row of length J
-(weights._step) takes about 8 us plus 1.5 ns per entry, so an entry step is
-1.5 ns and the budget about 1.6 s.  Each caller charges its own work in
-entry steps, at the measured cost of its unit there:
+took about 8 us plus 1.5 ns per entry when these charges were set, so an
+entry step is 1.5 ns and the budget about 1.6 s.  The step
+(weights._step, five vector passes) now takes about 4 us plus 1.7 ns per
+entry, timed on an in-cache 16,384-entry slice, the slice _stepped steps;
+the charge is kept, so every refusal stays at its input.  Each caller
+charges its own work in entry steps, at the measured cost of its unit there:
 
 - stepping a float row of length J to row n (weights._stepped,
   experiments.pointwise_divergence and growth_curve): (n - 1)(J + 5,000),

@@ -29,10 +29,16 @@ integers get too wide: a base row of correctly rounded weights
 under one derived per-entry bound (row_error) that does not grow with the
 row length.  One generator, _stepped, makes every float row, slice by
 slice, each slice stepped through n while it is in cache; float_row
-assembles one whole row from it.  A weighted sum over a row is a block_sum (row_dot), and row_dots
-forms those of rows n = 1, 2, ... from the slices, with no full-length row;
-the masses of many segments of one row come from its compensated prefix
-sums (_float_prefix), the float twin of _exact_prefix.  The 40-digit log-gamma
+assembles one whole row from it.  The ratio alpha^(n+1)_j / alpha^n_j is
+a_n / b_n with t = 2j, a_n = (n+1)(t+n), c_n = t+2n+2 and b_n = n c_n, and
+a step (_step) carries its factors to the next n by a_(n+1) = a_n + c_n and
+c_(n+1) = c_n + 2: five vector passes.  Every factor is an exact float
+integer, as b_n <= n(2J+2n) < 2^53 for 2J + n <= 6e7 (derived in _stepped),
+so each quotient rounds once.  A weighted sum over a row is a block_sum
+(row_dot), and row_dots forms those of rows n = 1, 2, ... from the slices,
+with no full-length row, writing the block sums of every n into one block
+table; the masses of many segments of one row come from its compensated
+prefix sums (_float_prefix), the float twin of _exact_prefix.  The 40-digit log-gamma
 values (alpha_pow_log, _run_mass) stand in for exact binomials past the exact
 limit.  Binomials are never formed from factorial tables.  The
 generating-function check (pgf_check) and the base floats sum and step the
@@ -77,7 +83,7 @@ _BASE_ULPS = 96
 _RATIO_EXACT_MAX = 60_000_000
 # float rows are built, stepped and summed in slices of this many entries
 # (whole SUM_BLOCK blocks)
-_SLICE = 1 << 15
+_SLICE = 1 << 14
 # binary precision P of the fixed-point recurrences of pgf_check and _alpha_floats
 _FIXED_BITS = 192
 _LOG_PI = math.log(math.pi)
@@ -247,14 +253,12 @@ def _head_row() -> np.ndarray:
 
 
 def _base_values(j: np.ndarray) -> np.ndarray:
-    """alpha_j at the float integers j: the head table, then the series."""
-    out = np.empty(j.shape)
-    head = j < _HEAD
-    out[head] = _head_row()[j[head].astype(np.int64)]
-    x = j[~head]
+    """alpha_j at the ascending float integers j: the head table below _HEAD, then the series."""
+    h = int(np.searchsorted(j, _HEAD))
+    x = j[h:]
     # T(j) = 2 (j+1) alpha_j
-    out[~head] = np.exp(_log_tail_series(x, np.log(x))) / (2.0 * (x + 1.0))
-    return out
+    tail = np.exp(_log_tail_series(x, np.log(x))) / (2.0 * (x + 1.0))
+    return np.concatenate((_head_row()[j[:h].astype(np.int64)], tail)) if h else tail
 
 
 def _step_work(n: int, J: int) -> int:
@@ -262,21 +266,18 @@ def _step_work(n: int, J: int) -> int:
     return (n - 1) * (J + 5_000)
 
 
-def _step(row: np.ndarray, j0: float, n: int, two_i, num, den) -> None:
-    """alpha^n -> alpha^(n+1) in place, by (n+1)(2j+n) / (n(2j+2(n+1))), j = j0, j0 + 1, ...
+def _step(row: np.ndarray, n: int, a: np.ndarray, c: np.ndarray, b: np.ndarray) -> None:
+    """alpha^n -> alpha^(n+1) in place, by the exact ratio a_n / (n c_n) of _stepped.
 
-    Numerator and denominator are exact float integers, formed in the
-    scratch rows num and den from two_i = 2i, i < len(row); the caller makes
-    the three, at least as long as row, once for many steps.
+    a and c hold a_n and c_n for the entries of row, and hold a_(n+1) and
+    c_(n+1) on return; b is scratch as long as row.  Five vector passes:
+    b = n c, b = a / b, row *= b, a += c, c += 2.
     """
-    m = len(row)
-    a, b, two_j = num[:m], den[:m], two_i[:m]
-    np.add(two_j, 2 * j0 + n, out=a)
-    a *= n + 1
-    np.add(two_j, 2 * j0 + 2 * (n + 1), out=b)
-    b *= n
-    a /= b
-    row *= a
+    np.multiply(c, n, out=b)
+    np.divide(a, b, out=b)
+    row *= b
+    a += c
+    c += 2.0
 
 
 def _stepped(J: int, n_max: int, n_min: int = 1, size: int = _SLICE):
@@ -295,11 +296,19 @@ def _stepped(J: int, n_max: int, n_min: int = 1, size: int = _SLICE):
     with log T the Stirling series _log_tail_series (_base_values).  Each
     next power multiplies by the exact ratio
 
-        alpha^(n+1)_j / alpha^n_j = (n+1)(2j+n) / (n(2j+2(n+1))),
+        alpha^(n+1)_j / alpha^n_j = (n+1)(2j+n) / (n(2j+2(n+1))) = a_n / b_n,
 
-    whose two factors are float integers below 2^53 while 2J + n <= 6e7 (a
-    ResourceLimitError past that).  Cost: row n takes n - 1 vector steps of
-    length J, charged to the work budget as _step_work(n, J).
+    with t = 2j, a_n = (n+1)(t+n), c_n = t+2n+2 and b_n = n c_n.  The step
+    (_step) carries a and c from one n to the next:
+    a_(n+1) - a_n = (n+2)(t+n+1) - (n+1)(t+n) = t+2n+2 = c_n, and
+    c_(n+1) = c_n + 2, from a_1 = 2(t+1) and c_1 = t+4.  Stepping to row n
+    forms a_k, c_k and b_k for k < n, with a_k < n(2J+n) and
+    b_k <= (n-1)(2J+2n) < n(2J+2n); for 2J + n <= 6e7 both are below
+    6e7 * 1.2e8 = 7.2e15 < 2^53, so every a_k and b_k, and every sum that
+    forms them, is an exact float integer, and each quotient rounds once
+    from the exact ratio (a ResourceLimitError past 2J + n = 6e7).  Cost:
+    row n takes n - 1 steps of five vector passes of length J, charged to
+    the work budget as _step_work(n, J).
 
     The error bound (row_error), in units of u = 2^-53, with numpy's float64
     log and exp taken to be within 4 ulps:
@@ -327,16 +336,20 @@ def _stepped(J: int, n_max: int, n_min: int = 1, size: int = _SLICE):
         raise ValueError("need 1 <= n_min <= n_max and J >= 0")
     _check_steps(J, n_max)
     size = min(J, size) or 1
-    scratch = 2.0 * np.arange(size), np.empty(size), np.empty(size)
+    scratch = np.empty((3, size))
 
     def walk():
         for start in range(0, J or 1, size):
             row = _base_values(np.arange(start, min(start + size, J), dtype=np.float64))
+            a, c, t = scratch[:, : len(row)]  # t = 2j, then _step's scratch b
+            np.add(np.arange(0.0, 2 * len(row), 2.0), 2 * start, out=t)
+            np.multiply(np.add(t, 1, out=a), 2, out=a)  # a_1 = 2(t + 1)
+            np.add(t, 4, out=c)  # c_1 = t + 4
             view = row.view()
             view.flags.writeable = False
             for n in range(1, n_max + 1):
                 if n > 1:
-                    _step(row, float(start), n - 1, *scratch)
+                    _step(row, n - 1, a, c, t)
                 if n >= n_min:
                     yield start, n, view
 
@@ -383,15 +396,29 @@ def block_sum(t: np.ndarray):
     Algorithms, 2nd ed., 2002, eq. (4.4)), which is (SUM_BLOCK - 1) u plus
     second-order terms for one block, and fsum rounds the total once, u.
     """
-    return _fsum_lines(_block_parts(t))
+    return _fsum_lines(_block_sums(t, _block_table(t.shape[:-1], t.shape[-1])))
 
 
-def _block_parts(t: np.ndarray) -> np.ndarray:
-    """The block sums of t along its last axis, then the sum of the rest."""
+def _block_table(lines: tuple, m: int) -> np.ndarray:
+    """Zeroed room for the block sums of m terms per line: m // SUM_BLOCK blocks and a rest."""
+    return np.zeros(lines + (m // SUM_BLOCK + 1,))
+
+
+def _block_sums(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the block sums of t along its last axis to the first columns of out.
+
+    The full SUM_BLOCK blocks come first, then the sum of the rest, if
+    any, each the pairwise numpy sum of its terms.  Slices of a row that
+    hold whole blocks fill one _block_table, each from its first block's
+    column on; a row of whole blocks leaves the rest column 0.0.
+    """
     m = t.shape[-1]
     full = m - m % SUM_BLOCK
-    blocks = t[..., :full].reshape(t.shape[:-1] + (-1, SUM_BLOCK)).sum(axis=-1)
-    return np.concatenate([blocks, t[..., full:].sum(axis=-1, keepdims=True)], axis=-1)
+    blocks = t[..., :full].reshape(t.shape[:-1] + (full // SUM_BLOCK, SUM_BLOCK))
+    np.add.reduce(blocks, axis=-1, out=out[..., : full // SUM_BLOCK])
+    if full < m:
+        np.add.reduce(t[..., full:], axis=-1, out=out[..., full // SUM_BLOCK])
+    return out
 
 
 def _fsum_lines(parts: np.ndarray):
@@ -435,21 +462,28 @@ def row_dots(n_max: int, J: int, w_at, w_ulps: float = 0, n_min: int = 1) -> lis
     The weights are w >= 0, given slice by slice: w_at(start, stop) returns
     w[..., start:stop], one line per sum when w has a leading axis.  No row
     or weight vector as long as J is built: the rows come slice by slice
-    from _stepped, each slice's weights are made once, and the block parts
-    of its products go to a per-n list.  Each n then closes as row_dot
-    does.  The slices hold whole SUM_BLOCK blocks, and _step acts on each j
-    alone, so every product, block and fsum is row_dot's
+    from _stepped, and each slice's weights are made once.  Each (slice, n)
+    forms its products row * w in one reused buffer and writes their block
+    sums (_block_sums) into one block table, with one line per n and
+    weight line and one column per block; each line then closes as row_dot
+    does, by fsum.  The slices hold whole SUM_BLOCK blocks, and a step acts
+    on each j alone, so every product, block and fsum is row_dot's
     (_sliced_block_sum).  With w >= 0, sum |row * w| is s itself.
     """
-    parts, tops = [[] for _ in range(n_min, n_max + 1)], []
+    table, tops = None, []
     for start, n, row in _stepped(J, n_max, n_min):
         if n == n_min:
             w = w_at(start, start + len(row))
             if w.size:
                 tops.append(w.max(axis=-1))
-        parts[n - n_min].append(_block_parts(row * w))
-    sums = (_fsum_lines(np.concatenate(p, axis=-1)) for p in parts)
+            if table is None:  # the first slice is the longest
+                table = _block_table((n_max - n_min + 1,) + w.shape[:-1], J)
+                buf = np.empty(w.shape)
+            t = buf[..., : len(row)]
+        np.multiply(row, w, out=t)
+        _block_sums(t, table[n - n_min, ..., start // SUM_BLOCK :])
     tops = np.array(tops).T  # one line per sum, one entry per slice
+    sums = (_fsum_lines(line) for line in table)
     return [(s, _dot_error(n, s, J, w_ulps, tops)) for n, s in enumerate(sums, n_min)]
 
 
@@ -457,19 +491,19 @@ def _sliced_block_sum(row: np.ndarray, w: Optional[np.ndarray], fn=None) -> tupl
     """(block_sum(fn(row * w)), whether a product row * w is negative).
 
     The products are formed _SLICE terms at a time, so no temporary is as
-    long as the row.  A slice holds whole blocks, so the blocks are
-    block_sum's, and the fsum is too, to the bit: the only other parts are
-    the empty rests of the slices before the last, exact zeros, which leave
-    the exact sum that fsum rounds unchanged.
+    long as the row, and their block sums fill one table (_block_sums).  A
+    slice holds whole blocks, so the blocks are block_sum's, and so is the
+    fsum, to the bit.
     """
-    parts, negative = [], False
-    for start in range(0, row.shape[-1] or 1, _SLICE):
+    m = row.shape[-1]
+    table, negative = _block_table(() if w is None else w.shape[:-1], m), False
+    for start in range(0, m or 1, _SLICE):
         t = row[start : start + _SLICE]
         if w is not None:
             t = t * w[..., start : start + _SLICE]
         negative = negative or bool(t.size and t.min() < 0)
-        parts.append(_block_parts(t if fn is None else fn(t)))
-    return _fsum_lines(np.concatenate(parts, axis=-1)), negative
+        _block_sums(t if fn is None else fn(t), table[..., start // SUM_BLOCK :])
+    return _fsum_lines(table), negative
 
 
 def _two_sum(a, b):
@@ -738,7 +772,7 @@ class AgreementResult:
 
 
 def scan_backend_agreement(bias: float = 0.0, tolerance: float = 1e-9) -> AgreementResult:
-    """Float routes vs exact on j + n in [500, 2000]; the engine vs log at (7, 2^15 + 500).
+    """Float routes vs exact on j + n in [500, 2000]; the engine vs log at (7, 2^14 + 500).
 
     On j + n in [500, 2000] the 40-digit log value alpha_pow_log is compared
     with the exact weight at each point, and the float row engine
@@ -746,7 +780,7 @@ def scan_backend_agreement(bias: float = 0.0, tolerance: float = 1e-9) -> Agreem
     which keeps the sweep to 100 steps.  One more point, (7, _SLICE + 500),
     lies in the second slice of a longer float_row; its reference is the
     unbiased 40-digit log value, not the exact one (its binomial alone takes
-    about 40 ms), so there the engine is checked against log, and the log
+    tens of milliseconds), so there the engine is checked against log, and the log
     route only against its own biased value; the other points tie log to
     exact.
     bias is a fault-injection hook: it is added to every log-domain value,

@@ -64,20 +64,21 @@ MUTATIONS = (
         "np.maximum(a + 1 - ks, 0)",
     ),
     (
+        # the denominator's start c_1 = t + 4 shifted by one step
         "ratio_step_off_by_one",
         "backend_agreement",
         weights,
-        "_step",
-        "2 * (n + 1)",
-        "2 * (n + 2)",
+        "_stepped",
+        "np.add(t, 4, out=c)",
+        "np.add(t, 6, out=c)",
     ),
     (
         "stepped_slice_offset_dropped",
         "backend_agreement",
         weights,
         "_stepped",
-        "_step(row, float(start), n - 1, *scratch)",
-        "_step(row, 0.0, n - 1, *scratch)",
+        "2.0), 2 * start, out=t)",
+        "2.0), 0, out=t)",
     ),
     (
         "integer_convolution_index_shift",

@@ -257,9 +257,10 @@ def mp_alpha_pow(n, j):
         )
 
 
-def step_scratch(size):
-    """weights._step's 2i vector and scratch rows for rows of this length."""
-    return 2.0 * np.arange(size), np.empty(size), np.empty(size)
+def step_scratch(j):
+    """weights._step's a_1 = 2(t + 1), c_1 = t + 4 (t = 2j) and scratch row at the indices j."""
+    t = 2.0 * j
+    return 2.0 * (t + 1.0), t + 4.0, np.empty(j.shape)
 
 
 def within_row_bound(value, n, j):
@@ -275,9 +276,10 @@ def within_row_bound(value, n, j):
 @settings(max_examples=150, deadline=None)
 def test_property_float_entry_within_derived_bound(n, j):
     # the engine's base value and steps, run at the one index j
-    row = weights._base_values(np.array([float(j)]))
+    at = np.array([float(j)])
+    row, scratch = weights._base_values(at), step_scratch(at)
     for m in range(1, n):
-        weights._step(row, float(j), m, *step_scratch(1))
+        weights._step(row, m, *scratch)
     assert within_row_bound(row[0], n, j)
 
 
@@ -294,11 +296,12 @@ def test_long_float_rows_within_derived_bound():
 def test_float_row_from_slices_matches_whole_row_stepping():
     # float_row steps each slice of the row on its own; the whole base row
     # stepped in one piece gives the same bits
-    J = 3 * (1 << 15) + 77
-    row = weights._base_values(np.arange(J, dtype=np.float64))
+    J = 3 * weights._SLICE + 77
+    j = np.arange(J, dtype=np.float64)
+    row, scratch = weights._base_values(j), step_scratch(j)
     for n in range(1, 10):
         if n > 1:
-            weights._step(row, 0.0, n - 1, *step_scratch(J))
+            weights._step(row, n - 1, *scratch)
         if n in (1, 2, 9):
             assert np.array_equal(weights.float_row(n, J), row), n
 
@@ -378,7 +381,7 @@ def test_float_row_is_read_only_and_a_prefix_when_long():
 def test_stepped_rows_are_read_only_views():
     # a yielded row is the slice the next step overwrites; writing to it
     # would corrupt every later n of that slice
-    for _, _, row in weights._stepped((1 << 15) + 10, 3):
+    for _, _, row in weights._stepped(weights._SLICE + 10, 3):
         assert not row.flags.writeable
         with pytest.raises(ValueError):
             row *= 2.0
@@ -456,9 +459,11 @@ def test_float_row_refuses_a_row_that_would_grind():
 
 def test_sliced_row_dots_equal_row_dot_to_the_bit():
     # stepping each slice through n while it is in cache forms every product,
-    # block and fsum that row_dot forms on the full row
-    betas = (0.2, 0.32)
-    for J in (100, 3 * (1 << 15) + 77):
+    # block and fsum that row_dot forms on the full row, at every slice and
+    # block edge, partial blocks included
+    betas, block, size = (0.2, 0.32), weights.SUM_BLOCK, weights._SLICE
+    for J in (1, block - 1, 100, size - 1, size + 1, 2 * size + block + 3, 3 * size + 77):
+        rows = [weights.float_row(n, J) for n in range(1, 41)]
         for k in (0, 5):
             W = np.array([lpspace._powers(b, k, J) for b in betas])
 
@@ -468,11 +473,14 @@ def test_sliced_row_dots_equal_row_dot_to_the_bit():
             sums = weights.row_dots(40, J, w_at, lpspace._POW_ULPS)
             assert len(sums) == 40
             for n, (s, err) in enumerate(sums, 1):
-                s_ref, err_ref = weights.row_dot(n, weights.float_row(n, J), W, lpspace._POW_ULPS)
+                s_ref, err_ref = weights.row_dot(n, rows[n - 1], W, lpspace._POW_ULPS)
                 assert s.tolist() == s_ref.tolist() and err.tolist() == err_ref.tolist()
             # n_min keeps only the last sums, and a 1-D weight gives scalars
-            ((s, err),) = weights.row_dots(40, J, lambda a, b: w_at(a, b)[0], lpspace._POW_ULPS, 40)
-            assert (s, err) == (sums[-1][0][0], sums[-1][1][0])
+            line = weights.row_dots(40, J, lambda a, b: w_at(a, b)[0], lpspace._POW_ULPS, 37)
+            assert len(line) == 4
+            for n, (s, err) in enumerate(line, 37):
+                assert (s, err) == weights.row_dot(n, rows[n - 1], W[0], lpspace._POW_ULPS), (J, n)
+                assert (s, err) == (sums[n - 1][0][0], sums[n - 1][1][0])
 
 
 def test_sliced_row_dots_refuse_before_any_step(monkeypatch):
