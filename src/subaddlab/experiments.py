@@ -160,7 +160,8 @@ def _survival_rows(n_max: int, lim: Limits):
         if backend == "log":
             sweep = sweep or weights._stepped(n_max * n_max, n_max, n, n_max * n_max)
         row = next(sweep)[2] if sweep else None
-        lo = _image(witness_fn(n), (n,), 0, m, None, backend, lim, True, row)[0][0]
+        # row n's exact prefix is read for this n alone, so it is not kept
+        lo = _image(witness_fn(n), (n,), 0, m, None, backend, lim, True, row, keep=False)[0][0]
         yield n, t_m, lo.astype(float)
 
 
@@ -301,30 +302,41 @@ def probe_ratio_exact(n: int, j: int) -> Fraction:
 
 
 class ProbeRun(NamedTuple):
-    """One n's run of the probe grid: its least ratio, at j = argmin, and its last, at j_max."""
+    """One n's run of the probe grid: its least ratio, at j = argmin, and its last, at j_max.
+
+    texts holds the run's ratios as their CSV texts (num/den in lowest
+    terms), one a line, for j up to j_max.
+    """
 
     n: int
     minimum: Fraction
     argmin: int
     last: Fraction
+    texts: str
 
 
 @dataclass(frozen=True)
 class ProbeReport:
     """The probe grid and its least ratio.
 
-    rows holds the cells (n, j, ratio), the ratio as its CSV text (num/den in
-    lowest terms), and runs each n's ProbeRun; min_observed is the least
-    ratio and argmin its (n, j), the first in (n, j) order.
+    runs holds each n's ProbeRun; min_observed is the least ratio and argmin
+    its (n, j), the first in (n, j) order.
     """
 
     c0: float
     n_max: int
     j_max: int
-    rows: tuple
     min_observed: Fraction
     argmin: tuple
     runs: tuple
+
+    @property
+    def rows(self):
+        """The cells (n, j, ratio text) in (n, j) order: a new iterator over the runs' texts."""
+        for run in self.runs:
+            texts = run.texts.split("\n")
+            j0 = self.j_max + 1 - len(texts)
+            yield from zip(itertools.repeat(run.n), range(j0, self.j_max + 1), texts)
 
 
 def lower_bound_probe(c0=1, n_max: int = 12, j_max: int = 2000) -> ProbeReport:
@@ -350,9 +362,8 @@ def lower_bound_probe(c0=1, n_max: int = 12, j_max: int = 2000) -> ProbeReport:
 
 @memo(4)
 def _probe(c0_exact: Fraction, n_max: int, j_max: int) -> ProbeReport:
-    rows = []
     runs = [
-        _probe_run(n, j0, j_max, rows)
+        _probe_run(n, j0, j_max)
         for n in range(2, n_max + 1)
         if (j0 := math.ceil(n * n / c0_exact)) <= j_max
     ]
@@ -363,12 +374,12 @@ def _probe(c0_exact: Fraction, n_max: int, j_max: int) -> ProbeReport:
         )
     best = min(runs, key=lambda r: r.minimum)  # the first least run, as a scan finds it
     return ProbeReport(
-        float(c0_exact), n_max, j_max, tuple(rows), best.minimum, (best.n, best.argmin), tuple(runs)
+        float(c0_exact), n_max, j_max, best.minimum, (best.n, best.argmin), tuple(runs)
     )
 
 
-def _probe_run(n: int, j0: int, j_max: int, rows: list) -> ProbeRun:
-    """Append the cells (n, j, ratio text) for j0 <= j <= j_max to rows; return their run.
+def _probe_run(n: int, j0: int, j_max: int) -> ProbeRun:
+    """Row n's run of the probe grid, j0 <= j <= j_max.
 
     The ratio r(n, j) = probe_ratio_exact(n, j) is stepped in j by the exact
     integer recurrence
@@ -384,13 +395,13 @@ def _probe_run(n: int, j0: int, j_max: int, rows: list) -> ProbeRun:
     r = probe_ratio_exact(n, j0)
     num, den = r.numerator, r.denominator
     bn, bd, bj = num, den, j0
-    j = j0
+    j, texts = j0, []
     while True:
-        rows.append((n, j, f"{num}/{den}" if den != 1 else str(num)))
+        texts.append(f"{num}/{den}" if den != 1 else str(num))
         if num * bd < bn * den:  # denominators are positive
             bn, bd, bj = num, den, j
         if j == j_max:
-            return ProbeRun(n, Fraction(bn, bd), bj, Fraction(num, den))
+            return ProbeRun(n, Fraction(bn, bd), bj, Fraction(num, den), "\n".join(texts))
         a = (j + 2) * (2 * j + n) * (2 * j + n + 1)
         b = (j + n + 1) * (2 * j + 1) * (2 * j + 2)
         g = math.gcd(a, b)

@@ -423,7 +423,7 @@ def _power_image(f: PowerGrowth, n: int, k, J: int, s, err) -> tuple:
     return lo, np.nextafter(np.nextafter(s + err, np.inf) + tail, np.inf)
 
 
-def _image(f, ns, k0: int, k1: int, J, backend: str, lim, floats=False, row=None):
+def _image(f, ns, k0: int, k1: int, J, backend: str, lim, floats=False, row=None, keep=True):
     """Ends (lo, hi) of the enclosures of A^n f(k) for n in ns (each >= 1) and k0 <= k < k1.
 
     Each k sums f over the window [k, k + W), W = J, or W = max(L - k, 0)
@@ -445,9 +445,11 @@ def _image(f, ns, k0: int, k1: int, J, backend: str, lim, floats=False, row=None
     their ends are floats.  When every k of every n is exact, one
     _exact_image pass forms them all; else each n is formed on its own.  A
     caller that steps rows in n may pass, with one n, row n of a float row
-    longer than every window, which the float prefix reads.  lo and hi hold
-    one line per n; they are float64 when every end was formed in float64
-    (by the float prefix, or as floats by the int64 pass), else objects.
+    longer than every window, which the float prefix reads.  A caller that
+    reads no exact prefix again passes keep false, and each is built for
+    the call alone (weights._exact_prefix).  lo and hi hold one line per n;
+    they are float64 when every end was formed in float64 (by the float
+    prefix, or as floats by the int64 pass), else objects.
     """
     ks = np.arange(k0, k1)
     if not len(ks):
@@ -464,12 +466,12 @@ def _image(f, ns, k0: int, k1: int, J, backend: str, lim, floats=False, row=None
 
     cuts = [cut(n) for n in ns]
     if not any(cuts):
-        return _exact_image(f, ns, ks, W, J, lim, floats)
+        return _exact_image(f, ns, ks, W, J, lim, floats, keep)
     lines = []
     for n, c in zip(ns, cuts):
         parts = [_float_image(f, n, ks[:c], W[:c], J, row)] if c else []
         if c < len(ks):
-            parts.append([e[0] for e in _exact_image(f, [n], ks[c:], W[c:], J, lim, floats)])
+            parts.append([e[0] for e in _exact_image(f, [n], ks[c:], W[c:], J, lim, floats, keep)])
         lines.append(tuple(np.concatenate(e) for e in zip(*parts)))
     return tuple(np.stack(e) for e in zip(*lines))
 
@@ -518,7 +520,7 @@ def _rest(f: EventuallyConstant, levels, ks, J: Optional[int], dtype) -> tuple:
 _INT64_EXACT = 1 << 53
 
 
-def _exact_image(f, ns, ks, W, J, lim: Limits, floats: bool) -> tuple:
+def _exact_image(f, ns, ks, W, J, lim: Limits, floats: bool, keep: bool) -> tuple:
     """_image's exact ends for every n in ns, one line per n, from one pass.
 
     The levels are integers over q, the lcm of their denominators.  Row n's
@@ -543,7 +545,7 @@ def _exact_image(f, ns, ks, W, J, lim: Limits, floats: bool) -> tuple:
     D = 1 << (2 * w + n_max)
     dtype = np.int64 if max(*map(abs, levels), q) * D < _INT64_EXACT else object
     # one column per n, each row's prefix scaled onto the denominator D
-    C = np.array([weights._exact_prefix(n, w, lim)[0] for n in ns], dtype=dtype).T
+    C = np.array([weights._exact_prefix(n, w, lim, keep)[0] for n in ns], dtype=dtype).T
     C *= np.array([1 << (n_max - n) for n in ns], dtype=dtype)
     total = np.zeros((len(ks), len(ns)), dtype=dtype)
     for vs, lo, hi in _runs(f, levels, ks, W, len(ns)):

@@ -112,13 +112,16 @@ def _guide() -> np.ndarray:
     return guide
 
 
-def _table_index(u: np.ndarray) -> np.ndarray:
-    """#{j < 1024 : F_up[j] <= u} for each u in [0, 1], as int64; 1024 is the tail.
+def _table_index(u: np.ndarray, cells: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """#{j < 1024 : F_up[j] <= u} for each u in [0, 1], into out; 1024 is the tail.
 
-    u 2^16 <= 2^16 casts exactly to int32; only the draws in flagged cells,
-    about 1.4%, take the two compare steps.
+    u 2^16 <= 2^16 casts exactly to an int64 cell, into cells (as long as
+    u, like out); only the draws in flagged cells, about 1.4%, take the two
+    compare steps.  Every cell is in the guide's range, so take's clip mode
+    clips nothing; unlike the default mode it fills out with no copy.
     """
-    idx = _guide().take((u * _GUIDE_CELLS).astype(np.int32))
+    np.multiply(u, _GUIDE_CELLS, out=cells, casting="unsafe")
+    idx = _guide().take(cells, out=out, mode="clip")
     edge = np.nonzero(idx < 0)[0]
     F, ue, i = _cdf_up(), u[edge], ~idx[edge]
     i += F[i] <= ue
@@ -190,43 +193,76 @@ def _invert_tails(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sampler(gen: np.random.Generator, size: int):
+    """draw(m) -> (m iid draws from alpha as int64, their uniforms), for m <= size.
+
+    One uniform is consumed per draw: gen.random(out=...) consumes the
+    stream as gen.random(m) does, so the draws of successive calls are
+    those of one call for all of them.  Every call fills the same three
+    buffers, made here once, so its draws are a view that the next call
+    overwrites (copy them to keep them); the uniforms are spent once the
+    draws are made, and the caller may overwrite them.
+    """
+    u, cells, idx = np.empty(size), np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+
+    def draw(m: int) -> tuple:
+        um, im = u[:m], idx[:m]
+        gen.random(out=um)
+        _table_index(um, cells[:m], im)
+        tail = np.nonzero(im == _TABLE_SIZE)[0]
+        im[tail] = _invert_tails(um[tail])
+        return im, um
+
+    return draw
+
+
 def _sample_array(gen: np.random.Generator, size: int) -> np.ndarray:
     """size iid draws from alpha, as int64; one uniform consumed per draw."""
-    u = gen.random(size)
-    idx = _table_index(u)
-    tail = np.nonzero(idx == _TABLE_SIZE)[0]
-    idx[tail] = _invert_tails(u[tail])
-    return idx
+    return _sampler(gen, size)(size)[0]
 
 
-def _eval_on_indices(f: SeqFunction, idx: np.ndarray) -> np.ndarray:
+def _eval_on_indices(f: SeqFunction, idx: np.ndarray, out=None) -> np.ndarray:
+    """f at each index, as float64, into out when given."""
+    out = np.empty(len(idx)) if out is None else out
     if isinstance(f, PowerGrowth):
-        vals = idx.astype(np.float64)
-        np.power(vals, f.beta, out=vals)
-        vals[idx == 0] = 0.0
-        return vals
+        out[...] = idx
+        np.power(out, f.beta, out=out)
+        out[idx == 0] = 0.0
+        return out
     # runs starting past the index cap are never reached; clamp to fit int64
     starts = np.array([min(s, _INDEX_CAP + 1) for s in f.starts], dtype=np.int64)
     levels = np.array([float(v) for v in f.levels])
-    return levels[np.searchsorted(starts, idx, side="right") - 1]
+    pos = np.searchsorted(starts, idx, side="right")
+    pos -= 1  # at least 0, as starts[0] = 0, so clip clips nothing
+    return levels.take(pos, out=out, mode="clip")
 
 
 def _value_chunks(f: SeqFunction, n: int, k: int, trials: int, gen):
     """f(S_n + k) for `trials` walks in turn, in chunks of at most 2^16 draws.
 
-    S_n + k saturates at _INDEX_CAP; k <= _INDEX_CAP, so nothing wraps int64.
+    The draws, their sums and the values of every chunk go into buffers
+    made once for the call (the values into the chunk's spent uniforms, at
+    least one a walk for n >= 1), so each chunk is a view that the next one
+    overwrites.  S_n + k saturates at _INDEX_CAP; k <= _INDEX_CAP, so
+    nothing wraps int64.
     """
     rows = max(1, (1 << 16) // max(n, 1))
+    first = min(rows, trials)
+    draw = _sampler(gen, first * n)
+    # a walk of one step is its own sum, summed in the draws' buffer
+    sums = np.empty(first if n != 1 else 0, dtype=np.int64)
     for start in range(0, trials, rows):
         size = min(rows, trials - start)
-        draws = _sample_array(gen, size * n).reshape(size, n)
-        s = np.einsum("ij->i", draws)  # the ints of sum(axis=1), some 3x faster on short rows
+        draws, u = draw(size * n)
+        draws = draws.reshape(size, n)
+        # the ints of sum(axis=1), some 3x faster on short rows
+        s = draws[:, 0] if n == 1 else np.einsum("ij->i", draws, out=sums[:size])
         if n * int(draws.max(initial=0)) >= 1 << 63:
             # the int64 sums may have wrapped: redo them in Python integers
-            s = np.array([min(sum(r), _INDEX_CAP) for r in draws.tolist()], dtype=np.int64)
+            s[:] = [min(sum(r), _INDEX_CAP) for r in draws.tolist()]
         np.minimum(s, _INDEX_CAP - k, out=s)
         s += k
-        yield _eval_on_indices(f, s)
+        yield _eval_on_indices(f, s, u[:size] if n else None)
 
 
 def _moments(chunks) -> tuple:
@@ -241,7 +277,9 @@ def _moments(chunks) -> tuple:
         d = mu - mean
         count += c
         mean += d * c / count
-        m2 += float(np.square(v - mu).sum()) + d * d * c * (count - c) / count
+        dev = v - mu
+        m2 += float(np.square(dev, out=dev).sum()) + d * d * c * (count - c) / count
+        del dev  # before the next chunk is drawn
     return mean, m2
 
 

@@ -295,10 +295,13 @@ def check_mc_agreement(seed: int = DEFAULT_SEED) -> bool:
         est = mc.mc_apply_A(f, n, 0, trials, mc.make_generator(seed, stream))
         ok &= mc.within(est, apply_A_pow(f, n, 0, J=J))
 
-    # frequency test: first 64 states exactly, everything else in one bucket
-    trials = 10**5
-    draws = mc._sample_array(mc.make_generator(seed, 13), trials)
-    counts = np.bincount(np.minimum(draws, 64), minlength=65)
+    # frequency test: first 64 states exactly, everything else in one bucket,
+    # counted a chunk of draws at a time
+    trials, chunk = 10**5, 1 << 16
+    draw, counts = mc._sampler(mc.make_generator(seed, 13), chunk), 0
+    for start in range(0, trials, chunk):
+        draws, _ = draw(min(chunk, trials - start))
+        counts += np.bincount(np.minimum(draws, 64, out=draws), minlength=65)
     probs = [float(weights.alpha_exact(j)) for j in range(64)]
     probs.append(float(weights.tail_exact(64)))
     expected = trials * np.asarray(probs)

@@ -16,7 +16,7 @@ tuple of Python ints with an implicit denominator 2^(2j+n), built by the
 exact integer recurrence N_{j+1} = N_j (2j+n)(2j+n+1) / ((j+1)(j+n+1)).
 The exact checks run on these integers: convolution is a plain integer
 convolution, subadditivity and monotonicity are integer comparisons, and
-prefix masses (_prefix_exact) are integer prefix sums over the one
+prefix masses (_prefix_sums) are integer prefix sums over the one
 denominator 2^(2J+n).  Fractions are built only at the API boundary
 (exact_row, alpha_pow_exact, tail_exact).  exact_ok is the one rule for
 which rows the exact backend takes; it reads the resource limits, and its
@@ -145,13 +145,16 @@ def _row_exact(n: int, J: int) -> tuple:
     return tuple(itertools.islice(_numerators(n), max(J, 0)))
 
 
-@memo(128)
-def _prefix_exact(n: int, J: int) -> tuple:
+def _prefix_sums(n: int, J: int) -> tuple:
     """(C, D): sum_{j<i} alpha^n_j = C[i] / D for i = 0..J, with D = 2^(2J+n)."""
     out = [0]
-    for j, N in enumerate(_row_exact(n, J)):
+    for j, N in enumerate(itertools.islice(_numerators(n), max(J, 0))):
         out.append(out[-1] + (N << 2 * (J - j)))
     return tuple(out), 1 << (2 * J + n)
+
+
+# _prefix_sums kept for the process, for the windows read again
+_prefix_exact = memo(128)(_prefix_sums)
 
 
 def _dyadic(num: int, e: int) -> Fraction:
@@ -199,10 +202,14 @@ def exact_row(n: int, J: int) -> tuple:
     return tuple(_dyadic(N, 2 * j + n) for j, N in enumerate(_row_exact(n, J)))
 
 
-def _exact_prefix(n: int, J: int, lim: Limits) -> tuple:
-    """_prefix_exact(n, J), refused past the row and exact limits of lim."""
+def _exact_prefix(n: int, J: int, lim: Limits, keep: bool = True) -> tuple:
+    """_prefix_exact(n, J), refused past the row and exact limits of lim.
+
+    With keep false the prefix is built for the caller alone (_prefix_sums)
+    and neither read from nor left in the memo.
+    """
     _check_exact(n, J, lim)
-    return _prefix_exact(n, J)
+    return (_prefix_exact if keep else _prefix_sums)(n, J)
 
 
 def _log_tail_series(x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
@@ -280,16 +287,17 @@ def _step(row: np.ndarray, n: int, a: np.ndarray, c: np.ndarray, b: np.ndarray) 
     c += 2.0
 
 
-def _stepped(J: int, n_max: int, n_min: int = 1, size: int = _SLICE):
+def _stepped(J: int, n_max: int, n_min: int = 1, size: Optional[int] = None):
     """Yield (start, n, row) with row[i] = alpha^n_(start+i) in float64, j < J.
 
-    Each size-entry slice of the row (by default _SLICE, whole SUM_BLOCK
-    blocks) is made and stepped through n = 1..n_max while it stays in
-    cache, and yielded for n >= n_min: slice by slice, and within a slice n
-    by n; with size >= J the whole row is one slice.  A yielded row is a
-    read-only view that the next step overwrites; copy it to keep it.  The
-    ratio ceiling, the work budget and the row ceiling are checked here,
-    before any allocation or step.
+    Each size-entry slice of the row (by default _SLICE, read at each call,
+    as _sliced_block_sum reads it: whole SUM_BLOCK blocks) is made and
+    stepped through n = 1..n_max while it stays in cache, and yielded for
+    n >= n_min: slice by slice, and within a slice n by n; with size >= J
+    the whole row is one slice.  A yielded row is a read-only view that the
+    next step overwrites; copy it to keep it.  The ratio ceiling, the work
+    budget and the row ceiling are checked here, before any allocation or
+    step.
 
     The base row (n = 1) is N^1_j / 2^(2j+1) rounded once from the exact
     numerators below index 1024, and exp(log T(j)) / (2(j+1)) from 1024 on,
@@ -335,7 +343,7 @@ def _stepped(J: int, n_max: int, n_min: int = 1, size: int = _SLICE):
     if n_min < 1 or n_max < n_min or J < 0:
         raise ValueError("need 1 <= n_min <= n_max and J >= 0")
     _check_steps(J, n_max)
-    size = min(J, size) or 1
+    size = min(J, size or _SLICE) or 1
     scratch = np.empty((3, size))
 
     def walk():

@@ -184,10 +184,9 @@ def test_growth_of_several_exponents_equals_the_one_exponent_calls():
 
 def test_growth_keeps_no_survival_rows():
     # the survival values of n = 1..200 are 2.7e6 floats (20.5 MiB); each
-    # n's are dropped once its norm sums close, so none outlive the call.
-    # n = 44 is the last n on the exact path: its call warms the exact rows
-    experiments.growth_curve(2, 44)
-    experiments._growth_results.clear()
+    # n's are dropped once its norm sums close, so none outlive the call,
+    # and neither do the exact prefixes of n <= 44, built for their n alone
+    limits.clear_memos()
     tracemalloc.start()
     try:
         experiments.growth_curve(2, 200)
@@ -195,6 +194,14 @@ def test_growth_keeps_no_survival_rows():
     finally:
         tracemalloc.stop()
     assert kept < 2**20
+
+
+def test_growth_leaves_no_exact_rows_in_the_memos():
+    # each survival row's exact prefix is read for its own n alone
+    limits.clear_memos()
+    experiments.growth_curve((1.25, 2.0, 3.0), 32)
+    assert weights._prefix_exact.cache_info().currsize == 0
+    assert weights._row_exact.cache_info().currsize == 0
 
 
 def test_growth_past_the_exact_limit_steps_one_row_once(monkeypatch):
@@ -274,7 +281,7 @@ def test_probe_recurrence_equals_the_closed_product(c0, n_max, j_max):
         for j in range(math.ceil(n * n / Fraction(c0)), j_max + 1)
     ]
     # every cell, as the CSV prints a Fraction
-    assert rep.rows == tuple((n, j, str(r)) for n, j, r in cells)
+    assert tuple(rep.rows) == tuple((n, j, str(r)) for n, j, r in cells)
     # the scan's minimum: the first least cell in (n, j) order, overall and per n
     n, j, r = min(cells, key=lambda c: c[2])
     assert (rep.min_observed, rep.argmin) == (r, (n, j))
@@ -283,6 +290,22 @@ def test_probe_recurrence_equals_the_closed_product(c0, n_max, j_max):
         line = [c for c in cells if c[0] == run.n]
         _, j, r = min(line, key=lambda c: c[2])
         assert (run.minimum, run.argmin, run.last) == (r, j, line[-1][2])
+
+
+def test_probe_keeps_its_cells_as_one_text_a_run():
+    # the desk grid's 21,362 cells, kept as 11 texts, not as (n, j, text) tuples
+    limits.clear_memos()
+    tracemalloc.start()
+    try:
+        rep = experiments.lower_bound_probe(1, 12, 2000)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 10**6
+    cells = list(rep.rows)
+    assert len(cells) == sum(2001 - n * n for n in range(2, 13)) == 21_362
+    assert list(rep.rows) == cells  # each read iterates the cells anew
+    assert cells[0] == (2, 4, "3/4") and cells[-1][:2] == (12, 2000)
 
 
 def test_probe_validation():

@@ -15,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -96,14 +97,15 @@ def test_cdf_table_pins():
 
 
 class FixedUniforms:
-    """A generator stand-in whose random() returns preset uniforms."""
+    """A generator stand-in whose random(out=...) fills out with preset uniforms."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=np.float64)
 
-    def random(self, size):
-        assert size == len(self.u)
-        return self.u
+    def random(self, *, out):
+        assert len(out) == len(self.u)
+        out[:] = self.u
+        return out
 
 
 def test_near_edge_draws_match_fraction_bisect():
@@ -127,7 +129,8 @@ def test_guide_lookup_matches_searchsorted():
     u = u[(u >= 0.0) & (u <= 1.0)]
     assert u.max() == 1.0
     want = np.searchsorted(mc._cdf_up(), u, side="right")
-    assert np.array_equal(mc._table_index(u), want)
+    got = mc._table_index(u, np.empty(len(u), dtype=np.int64), np.empty(len(u), dtype=np.int64))
+    assert np.array_equal(got, want)
     # no cell holds more than two table edges strictly inside it, so a draw
     # takes at most two steps, and the guide flags exactly the cells with one
     F = mc._cdf_up()[:-1] * mc._GUIDE_CELLS
@@ -345,6 +348,27 @@ def test_median_of_means_estimate_pinned():
     )
 
 
+def test_walks_draw_into_buffers_made_once_a_call():
+    # 10^6 one-step walks in 2^16-draw chunks: the uniforms, guide cells and
+    # draws of a chunk (512 kB each) are made once, and the chunk's values
+    # go into its spent uniforms, so, however many chunks the call takes,
+    # those three and one transient of that size are live at most (six and
+    # more when each chunk made its own)
+    mc._guide()
+    gen = mc.make_generator(4, 9)
+    tracemalloc.start()
+    try:
+        est = mc.mc_apply_A(IndicatorGE(100), 1, 0, 10**6, gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**19
+    assert repr(est) == (
+        "McEstimate(mean=0.056615, half_width=0.00023110559314909536, "
+        "trials=1000000, method='mean')"
+    )
+
+
 def test_chunked_estimates_match_the_whole_sample():
     # _moments merges chunk moments: the whole-array mean and variance
     v = np.random.default_rng(3).pareto(3.0, 100_003)
@@ -353,7 +377,8 @@ def test_chunked_estimates_match_the_whole_sample():
     assert m2 / (len(v) - 1) == pytest.approx(v.var(ddof=1), rel=1e-13)
     # both methods see the values of one whole-sample run, in trial order
     for f, n, trials in ((PowerGrowth(0.2), 3, 70_001), (PowerGrowth(0.3), 3, 70_001)):
-        whole = np.concatenate(list(mc._value_chunks(f, n, 0, trials, mc.make_generator(4))))
+        chunks = mc._value_chunks(f, n, 0, trials, mc.make_generator(4))
+        whole = np.concatenate([c.copy() for c in chunks])  # each chunk overwrites the last
         est = mc.mc_apply_A(f, n, 0, trials, mc.make_generator(4))
         if est.method == "mean":
             assert est.mean == pytest.approx(whole.mean(), rel=1e-14)

@@ -483,6 +483,19 @@ def test_sliced_row_dots_equal_row_dot_to_the_bit():
                 assert (s, err) == (sums[n - 1][0][0], sums[n - 1][1][0])
 
 
+def test_slice_size_is_read_at_each_call(monkeypatch):
+    # _stepped, and so row_dots and float_row, slice as _sliced_block_sum
+    # does under a rebound _SLICE, and every sum keeps its bits
+    monkeypatch.setattr(weights, "_SLICE", 1 << 12)
+    J = 3 * (1 << 12) + 77
+    assert [len(row) for _, n, row in weights._stepped(J, 1)] == [1 << 12] * 3 + [77]
+    rows = [weights.float_row(n, J) for n in range(1, 5)]
+    W = lpspace._powers(0.2, 0, J)
+    sums = weights.row_dots(4, J, lambda a, b: lpspace._powers(0.2, a, b - a), lpspace._POW_ULPS)
+    for n, (s, err) in enumerate(sums, 1):
+        assert (s, err) == weights.row_dot(n, rows[n - 1], W, lpspace._POW_ULPS), n
+
+
 def test_sliced_row_dots_refuse_before_any_step(monkeypatch):
     steps = []
     step = weights._step
