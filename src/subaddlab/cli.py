@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import experiments, mc, verify, weights
 from .errors import ResourceLimitError, SubaddLabError
 from .lpspace import FiniteTable, IndicatorGE, PowerGrowth, apply_A_pow
-from .reporting import write_csv, write_json
+from .reporting import csv_text, write_csv, write_json
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -142,7 +142,7 @@ def _run_alpha(args):
     }
     parameters = {"n": n, "jMax": J, "backend": backend, "tailBound": tail}
     rows = [[n, j, w, backend] for j, w in enumerate(row)]
-    return parameters, ("n", "j", "weight", "backend"), rows, verdicts
+    return parameters, ("n", "j", "weight", "backend"), csv_text(rows), verdicts
 
 
 def _run_verify(args):
@@ -167,7 +167,7 @@ def _run_growth(args):
         "slopeWindow": res.slope_window,
     }
     header = ("n", "norm_fn", "norm_Anfn_lower", "ratio", "upper_bound")
-    return parameters, header, res.rows, experiments.growth_verdicts(res)
+    return parameters, header, csv_text(res.rows), experiments.growth_verdicts(res)
 
 
 def _run_blowup(args):
@@ -181,7 +181,7 @@ def _run_blowup(args):
         "quarterIndex": experiments.quarter_index(args.nmax),
     }
     header = ("n", "E_lower", "norm_lower")
-    return parameters, header, rows_b, experiments.blowup_verdicts(rows_b)
+    return parameters, header, csv_text(rows_b), experiments.blowup_verdicts(rows_b)
 
 
 def _run_maximal(args):
@@ -192,7 +192,7 @@ def _run_maximal(args):
         raise ValueError("--mgrid must be strictly increasing")
     ratios = experiments.maximal_ratios(grid, args.p)
     parameters = {"p": args.p, "mGrid": grid}
-    rows = tuple(zip(grid, ratios))
+    rows = csv_text(zip(grid, ratios))
     return parameters, ("m", "ratio"), rows, experiments.maximal_verdicts(ratios)
 
 
@@ -205,7 +205,8 @@ def _run_probe(args):
         "minObserved": rep.min_observed,
         "argmin": rep.argmin,
     }
-    return parameters, ("n", "j", "ratio"), rep.rows, experiments.probe_verdicts(rep)
+    lines = (run.lines for run in rep.runs)
+    return parameters, ("n", "j", "ratio"), lines, experiments.probe_verdicts(rep)
 
 
 def _run_sato(args):
@@ -213,7 +214,8 @@ def _run_sato(args):
         raise ValueError("need --nmax >= 2")
     rows_s = experiments.sato_norm_growth(args.a, args.p, args.nmax)
     parameters = {"a": args.a, "p": args.p, "nMax": args.nmax}
-    return parameters, ("n", "norm"), rows_s, experiments.sato_verdicts(args.a, rows_s)
+    verdicts = experiments.sato_verdicts(args.a, rows_s)
+    return parameters, ("n", "norm"), csv_text(rows_s), verdicts
 
 
 def _make_fn(args):
@@ -241,18 +243,22 @@ def _run_simulate(args):
         "enclosureLower": float(enc.lower),
         "enclosureUpper": float(enc.upper),
     }
-    rows = [[est.mean, est.half_width, float(enc.midpoint), ok]]
+    rows = csv_text([[est.mean, est.half_width, float(enc.midpoint), ok]])
     return parameters, ("estimate", "half_width", "exact_mid", "ok"), rows, verdicts
 
 
 def _execute(args) -> dict:
-    """Run one parsed command, write <command>.csv/.json, print its verdicts."""
+    """Run one parsed command, write <command>.csv/.json, print its verdicts.
+
+    A command's run returns its parameters, its CSV header (None for no
+    CSV), its CSV text chunks and its verdicts.
+    """
     t0 = time.perf_counter()
-    parameters, header, rows, verdicts = args.run(args)
+    parameters, header, chunks, verdicts = args.run(args)
     paths, csv_block = [], None
     if header is not None:
         paths.append(os.path.join(args.outdir, f"{args.command}.csv"))
-        csv_block = write_csv(paths[-1], header, rows)
+        csv_block = write_csv(paths[-1], header, chunks)
     paths.append(os.path.join(args.outdir, f"{args.command}.json"))
     write_json(paths[-1], args.command, parameters, csv_block, verdicts, time.perf_counter() - t0)
     for name, ok in verdicts.items():

@@ -304,15 +304,15 @@ def probe_ratio_exact(n: int, j: int) -> Fraction:
 class ProbeRun(NamedTuple):
     """One n's run of the probe grid: its least ratio, at j = argmin, and its last, at j_max.
 
-    texts holds the run's ratios as their CSV texts (num/den in lowest
-    terms), one a line, for j up to j_max.
+    lines holds the run's probe.csv lines, "n,j,ratio" each with its
+    newline (the ratio as num/den in lowest terms), for j up to j_max.
     """
 
     n: int
     minimum: Fraction
     argmin: int
     last: Fraction
-    texts: str
+    lines: str
 
 
 @dataclass(frozen=True)
@@ -329,14 +329,6 @@ class ProbeReport:
     min_observed: Fraction
     argmin: tuple
     runs: tuple
-
-    @property
-    def rows(self):
-        """The cells (n, j, ratio text) in (n, j) order: a new iterator over the runs' texts."""
-        for run in self.runs:
-            texts = run.texts.split("\n")
-            j0 = self.j_max + 1 - len(texts)
-            yield from zip(itertools.repeat(run.n), range(j0, self.j_max + 1), texts)
 
 
 def lower_bound_probe(c0=1, n_max: int = 12, j_max: int = 2000) -> ProbeReport:
@@ -395,13 +387,13 @@ def _probe_run(n: int, j0: int, j_max: int) -> ProbeRun:
     r = probe_ratio_exact(n, j0)
     num, den = r.numerator, r.denominator
     bn, bd, bj = num, den, j0
-    j, texts = j0, []
+    j, lines = j0, []
     while True:
-        texts.append(f"{num}/{den}" if den != 1 else str(num))
+        lines.append(f"{n},{j},{num}/{den}\n" if den != 1 else f"{n},{j},{num}\n")
         if num * bd < bn * den:  # denominators are positive
             bn, bd, bj = num, den, j
         if j == j_max:
-            return ProbeRun(n, Fraction(bn, bd), bj, Fraction(num, den), "\n".join(texts))
+            return ProbeRun(n, Fraction(bn, bd), bj, Fraction(num, den), "".join(lines))
         a = (j + 2) * (2 * j + n) * (2 * j + n + 1)
         b = (j + n + 1) * (2 * j + 1) * (2 * j + 2)
         g = math.gcd(a, b)

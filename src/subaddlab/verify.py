@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ import mpmath
 import numpy as np
 
 from . import experiments, mc, weights
+from .errors import ResourceLimitError
 from .limits import current_limits
 from .lpspace import (
     FiniteTable,
@@ -346,8 +348,20 @@ def run_suite(suite: str = "core", seed: int = DEFAULT_SEED, bias: float = 0.0) 
     """{name: verdict} over CORE_CHECKS, then FULL_CHECKS too unless suite is "core".
 
     The float bias reaches backend_agreement and the seed mc_agreement; every
-    other check takes no argument.
+    other check takes no argument.  Each check runs on its own: one that
+    raises takes no user input to blame, so its error is a fault of the
+    program, which makes its verdict false (the error goes to stderr) and
+    the suite goes on.  A ResourceLimitError still propagates.
     """
     checks = CORE_CHECKS if suite == "core" else CORE_CHECKS + FULL_CHECKS
     args = {"backend_agreement": (bias,), "mc_agreement": (seed,)}
-    return {name: fn(*args.get(name, ())) for name, fn in checks}
+    verdicts = {}
+    for name, fn in checks:
+        try:
+            verdicts[name] = fn(*args.get(name, ()))
+        except ResourceLimitError:
+            raise
+        except Exception as exc:
+            print(f"error in {name}: {exc}", file=sys.stderr)
+            verdicts[name] = False
+    return verdicts

@@ -7,6 +7,7 @@ by comparing whole files across reruns, JSON modulo the timing field.
 
 import ast
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -289,6 +290,48 @@ def test_json_rejects_numpy_scalars(tmp_path):
     with pytest.raises(TypeError):
         reporting.write_json(str(path), "bad", {"n": np.int64(3)}, [], {}, 0.0)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_streamed_csv_block_names_the_bytes_on_disk(tmp_path):
+    # the digest and row count are taken while the chunks are written; they
+    # must be those of the file, for the probe's lines and for rendered rows
+    rep = experiments.lower_bound_probe(1, 6, 300)
+    rows = [(j, Fraction(j, 7), j / 7, j % 2 == 0, "x,y") for j in range(10_000)]
+    cases = [
+        ("probe.csv", ("n", "j", "ratio"), (run.lines for run in rep.runs)),
+        ("rows.csv", ("j", "q", "f", "even", "s"), reporting.csv_text(rows)),
+    ]
+    for name, header, chunks in cases:
+        block = reporting.write_csv(str(tmp_path / name), header, chunks)
+        data = (tmp_path / name).read_bytes()
+        assert block == {
+            "name": name,
+            "rowCount": len(data.splitlines()) - 1,
+            "sha256": hashlib.sha256(data).hexdigest(),
+        }
+    assert read_csv(tmp_path, "probe.csv").count("\n") == 1 + sum(301 - n * n for n in range(2, 7))
+    # rendered rows print as a csv.writer over format_value's texts prints them
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(cases[1][1])
+    writer.writerows([reporting.format_value(v) for v in row] for row in rows)
+    assert read_csv(tmp_path, "rows.csv") == text.getvalue()
+
+
+def test_failed_csv_write_keeps_the_old_file(tmp_path):
+    # rows that raise after the first chunk is on disk leave no temp file,
+    # and the file already at the target keeps its bytes
+    target = tmp_path / "rows.csv"
+    target.write_bytes(b"old\n")
+
+    def rows():
+        yield from ((j, j / 3) for j in range(reporting._CHUNK_ROWS + 1))
+        raise ValueError("mid-file")
+
+    with pytest.raises(ValueError, match="mid-file"):
+        reporting.write_csv(str(target), ("j", "x"), reporting.csv_text(rows()))
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+    assert target.read_bytes() == b"old\n"
 
 
 def test_sato_command(tmp_path):

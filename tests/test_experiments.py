@@ -259,6 +259,15 @@ def test_probe_ratio_closed_form_agrees_with_weight_quotient():
         experiments.probe_ratio_exact(0, 4)
 
 
+def probe_cells(rep):
+    """The probe grid's (n, j, ratio text) cells, read off its runs' CSV lines."""
+    return [
+        (int(n), int(j), r)
+        for run in rep.runs
+        for n, j, r in (line.split(",") for line in run.lines.splitlines())
+    ]
+
+
 def test_probe_minimum_frozen():
     rep6 = experiments.lower_bound_probe(1, 6, 2000)
     rep12 = experiments.lower_bound_probe(1, 12, 2000)
@@ -267,7 +276,7 @@ def test_probe_minimum_frozen():
     assert rep12.min_observed == Fraction(1309, 1824)
     assert rep12.argmin == (4, 16)
     assert rep12.min_observed > Fraction(1, 5)
-    assert all(Fraction(r) > 0 for _, _, r in rep12.rows)
+    assert all(Fraction(r) > 0 for _, _, r in probe_cells(rep12))
 
 
 @pytest.mark.parametrize(
@@ -281,7 +290,7 @@ def test_probe_recurrence_equals_the_closed_product(c0, n_max, j_max):
         for j in range(math.ceil(n * n / Fraction(c0)), j_max + 1)
     ]
     # every cell, as the CSV prints a Fraction
-    assert tuple(rep.rows) == tuple((n, j, str(r)) for n, j, r in cells)
+    assert probe_cells(rep) == [(n, j, str(r)) for n, j, r in cells]
     # the scan's minimum: the first least cell in (n, j) order, overall and per n
     n, j, r = min(cells, key=lambda c: c[2])
     assert (rep.min_observed, rep.argmin) == (r, (n, j))
@@ -293,7 +302,7 @@ def test_probe_recurrence_equals_the_closed_product(c0, n_max, j_max):
 
 
 def test_probe_keeps_its_cells_as_one_text_a_run():
-    # the desk grid's 21,362 cells, kept as 11 texts, not as (n, j, text) tuples
+    # the desk grid's 21,362 cells, kept as 11 texts of CSV lines, not as tuples
     limits.clear_memos()
     tracemalloc.start()
     try:
@@ -302,9 +311,10 @@ def test_probe_keeps_its_cells_as_one_text_a_run():
     finally:
         tracemalloc.stop()
     assert kept < 10**6
-    cells = list(rep.rows)
+    assert [run.n for run in rep.runs] == list(range(2, 13))
+    assert all(run.lines.endswith("\n") for run in rep.runs)
+    cells = probe_cells(rep)
     assert len(cells) == sum(2001 - n * n for n in range(2, 13)) == 21_362
-    assert list(rep.rows) == cells  # each read iterates the cells anew
     assert cells[0] == (2, 4, "3/4") and cells[-1][:2] == (12, 2000)
 
 

@@ -16,7 +16,7 @@ import textwrap
 
 import pytest
 
-from subaddlab import experiments, limits, lpspace, mc, verify, weights
+from subaddlab import cli, experiments, limits, lpspace, mc, verify, weights
 
 # (id, verdict that must turn false, module, function, original text, mutated text)
 MUTATIONS = (
@@ -192,6 +192,24 @@ def test_mutation_trips_a_core_verdict(monkeypatch, clean_caches, verdict, modul
     suite = "core" if verdict in dict(verify.CORE_CHECKS) else "all"
     failed = failed_checks(suite=suite)
     assert verdict in failed, f"{verdict} did not catch the mutation {old!r} -> {new!r}"
+
+
+def test_a_check_that_raises_fails_its_verdict_and_the_suite_goes_on(
+    monkeypatch, clean_caches, capsys, tmp_path
+):
+    # with the remainder dropped growth_slopes raises (its norm lower bounds
+    # underflow to 0); that is a failed verdict (exit 1), not a usage error
+    _, _, module, name, old, new = next(m for m in MUTATIONS if m[0] == "image_drops_remainder")
+    monkeypatch.setattr(module, name, mutant(module, name, old, new))
+    assert cli.main(["verify", "--suite", "all", "--outdir", str(tmp_path)]) == cli.EXIT_VERDICT
+    out, err = capsys.readouterr()
+    assert "[FAIL] verify.cesaro_identities" in out
+    assert "[FAIL] verify.growth_slopes" in out
+    assert "error in growth_slopes: p = 1.25 is too large to fit" in err
+    # every check after it still ran and printed its verdict
+    assert [line.split(".")[1] for line in out.splitlines() if line.startswith("[")] == [
+        name for name, _ in verify.CORE_CHECKS + verify.FULL_CHECKS
+    ]
 
 
 def test_nan_bias_trips_backend_agreement(clean_caches):

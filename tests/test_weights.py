@@ -306,6 +306,20 @@ def test_float_row_from_slices_matches_whole_row_stepping():
             assert np.array_equal(weights.float_row(n, J), row), n
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_float_prefix_segments_contain_the_exact_masses(n):
+    # every segment's (m, err) holds (C[hi] - C[lo]) / D, compared as Fractions;
+    # with err's (rel + 4u) m term dropped, almost every segment falls outside
+    J = 3000
+    C, D = weights._prefix_exact(n, J)
+    ends = np.sort(np.random.default_rng(n).integers(0, J + 1, size=(200, 2)), axis=1)
+    lo, hi = ends[:, 0], ends[:, 1]
+    m, err = weights._float_prefix(n, J)(lo, hi)
+    for a, b, mass, e in zip(lo.tolist(), hi.tolist(), m.tolist(), err.tolist()):
+        exact = Fraction(C[b] - C[a], D)
+        assert Fraction(mass) - Fraction(e) <= exact <= Fraction(mass) + Fraction(e), (a, b)
+
+
 def test_numpy_log_exp_power_within_assumed_ulps():
     # the float row bound and the sampler's series bound assume np.log,
     # np.exp and np.power within 4 ulps: log over the row range, the
