@@ -38,6 +38,21 @@ def _rational(text: str) -> Fraction:
     return value
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer flag value of at least low."""
+
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"need an integer >= {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subaddlab",
@@ -59,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("verify", "run the verification suites", _run_verify)
     sp.add_argument("--suite", choices=("core", "all"), default="core")
-    sp.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    sp.add_argument("--seed", type=_int_at_least(0), default=verify.DEFAULT_SEED)
     sp.add_argument(
         "--inject-float-bias",
         type=float,
@@ -106,13 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=float, default=0.2, help="power exponent")
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--k", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=10**5)
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--trials", type=_int_at_least(1), default=10**5)
+    sp.add_argument("--seed", type=_int_at_least(0), default=42)
     sp.add_argument("--trunc", type=int, default=1 << 20, help="enclosure truncation")
 
     sp = add("report", "run every command at desk defaults and aggregate")
-    sp.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    sp.add_argument("--trials", type=int, default=10**5)
+    sp.add_argument("--seed", type=_int_at_least(0), default=verify.DEFAULT_SEED)
+    sp.add_argument("--trials", type=_int_at_least(1), default=10**5)
 
     return parser
 
@@ -268,10 +283,9 @@ def _execute(args) -> dict:
     return verdicts
 
 
-def _report(args) -> dict:
-    """Every command at desk defaults, then summary.json with all their verdicts."""
+def _report(args, parser: argparse.ArgumentParser) -> dict:
+    """Every command at desk defaults, parsed by parser, then summary.json with all their verdicts."""
     t0 = time.perf_counter()
-    parser = build_parser()
     plans = [
         ["alpha", "--n", "2", "--jmax", "32"],
         ["verify", "--suite", "all", "--seed", str(args.seed)],
@@ -302,7 +316,7 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         return EXIT_OK if code == 0 else EXIT_USAGE
     try:
-        verdicts = _report(args) if args.command == "report" else _execute(args)
+        verdicts = _report(args, parser) if args.command == "report" else _execute(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

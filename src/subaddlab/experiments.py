@@ -71,11 +71,11 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None):
     close the norm sum of every p as they come, and are not kept.  The work
     charges the sweep and the windows of n^2 entries that row n's image and
     norm sums read.  The fit is ordinary least squares on (log n, log R(n))
-    for n >= fit_from (default n_max//4, at least 2).  Each p's result is
-    kept per (p, n_max, fit_from, limits) in _growth_results, a limits.Memo
-    (limits.clear_memos() empties it), and the survival rows are stepped
-    only for the p not kept yet, so the growth command after verify, in one
-    report, reads verify's p = 2 result.  The row ceiling and the work
+    for n >= fit_from, with 1 <= fit_from <= n_max - 1 (default n_max//4,
+    at least 2).  Each p's result is kept per (p, n_max, fit_from, limits)
+    in _growth_results, a limits.Memo (limits.clear_memos() empties it),
+    and the survival rows are stepped only for the p not kept yet, so the
+    growth command after verify, in one report, reads verify's p = 2 result.  The row ceiling and the work
     budget are checked on every call, ahead of the memo.
     """
     ps = tuple(map(check_exponent, p if isinstance(p, tuple) else (p,)))
@@ -91,9 +91,9 @@ def growth_curve(p, n_max: int = 32, fit_from: Optional[int] = None):
     check_work(work, f"growth to n = {n_max}, its rows to build and use")
     if fit_from is None:
         fit_from = max(2, n_max // 4)
-    if fit_from > n_max - 1:
+    if not 1 <= fit_from <= n_max - 1:
         raise ValueError(
-            f"need fit_from <= n_max - 1 = {n_max - 1} for a two-point fit, got {fit_from}"
+            f"need 1 <= fit_from <= n_max - 1 = {n_max - 1} for a two-point fit, got {fit_from}"
         )
     keys = {q: (q, n_max, fit_from, lim) for q in ps}
     missing = [q for q, key in keys.items() if key not in _growth_results]

@@ -34,17 +34,18 @@ a_n / b_n with t = 2j, a_n = (n+1)(t+n), c_n = t+2n+2 and b_n = n c_n, and
 a step (_step) carries its factors to the next n by a_(n+1) = a_n + c_n and
 c_(n+1) = c_n + 2: five vector passes.  Every factor is an exact float
 integer, as b_n <= n(2J+2n) < 2^53 for 2J + n <= 6e7 (derived in _stepped),
-so each quotient rounds once.  A weighted sum over a row is a block_sum
-(row_dot), and row_dots forms those of rows n = 1, 2, ... from the slices,
-with no full-length row, writing the block sums of every n into one block
-table; the masses of many segments of one row come from its compensated
+so each quotient rounds once.  A weighted sum over a row is a block_sum,
+formed by one slice loop (_slice_dots) that serves both row_dot, over a
+given row, and row_dots, over rows n = 1, 2, ... from the slices with no
+full-length row, writing the block sums of every n into one block table;
+the masses of many segments of one row come from its compensated
 prefix sums (_float_prefix), the float twin of _exact_prefix.  The 40-digit log-gamma
 values (alpha_pow_log, _run_mass) stand in for exact binomials past the exact
 limit.  Binomials are never formed from factorial tables.  The
-generating-function check (pgf_check) and the base floats sum and step the
-same fixed-point integer recurrence, at _FIXED_BITS bits.  All public
-functions are pure.  The rows kept for the process (_row_exact,
-_prefix_exact, _head_row) are limits.memo caches, which fill idempotently,
+generating-function check (pgf_check) and the base floats (_alpha_floats)
+step one fixed-point integer recurrence (_fixed_terms), at _FIXED_BITS
+bits.  All public functions are pure.  The rows kept for the process
+(_row_exact, _prefix_exact, _head_row) are limits.memo caches, which fill idempotently,
 so concurrent callers see behavior as if nothing were cached, and
 limits.clear_memos() empties them.
 """
@@ -84,7 +85,7 @@ _RATIO_EXACT_MAX = 60_000_000
 # float rows are built, stepped and summed in slices of this many entries
 # (whole SUM_BLOCK blocks)
 _SLICE = 1 << 14
-# binary precision P of the fixed-point recurrences of pgf_check and _alpha_floats
+# binary precision P of the fixed-point terms of pgf_check and _alpha_floats (_fixed_terms)
 _FIXED_BITS = 192
 _LOG_PI = math.log(math.pi)
 
@@ -237,20 +238,30 @@ def _log_tail_series(x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
     return -0.5 * (log_x + _LOG_PI) - r * (0.125 - r * r / 192.0)
 
 
+def _fixed_terms(X: int, D: int):
+    """Yield t_0, t_1, ...: t_0 = 2^(P-1), t_{j+1} = floor(t_j X (2j+1) / (D (2j+4))).
+
+    P = _FIXED_BITS.  alpha_{j+1}/alpha_j = (2j+1)/(2(j+2)), so t_j is
+    alpha_j x^j 2^P at x = X/D with each step's floor, which loses less
+    than one unit; as the step ratio is below 1, t_j falls short by less
+    than j units.
+    """
+    t = 1 << (_FIXED_BITS - 1)
+    for j in itertools.count():
+        yield t
+        t = t * X * (2 * j + 1) // (D * (2 * j + 4))
+
+
 def _alpha_floats():
     """Yield alpha_0, alpha_1, ..., each correctly rounded, in linear time.
 
-    The fixed-point recurrence a_0 = 2^(P-1), a_{j+1} = floor(a_j (2j+1)/(2j+4)),
-    P = _FIXED_BITS, is pgf_check's at x = 1, so a_j <= alpha_j 2^P < a_j + j + 1.
+    The terms a_j of _fixed_terms at x = 1 have a_j <= alpha_j 2^P < a_j + j + 1.
     When both ends of that bracket round to the same float, alpha_j rounds
     to it too; otherwise alpha_j is rounded from its exact value.
     """
-    P = _FIXED_BITS
-    a = 1 << (P - 1)
-    for j in itertools.count():
+    for j, a in enumerate(_fixed_terms(1, 1)):
         lo = float(a)
-        yield math.ldexp(lo, -P) if lo == float(a + j + 1) else float(alpha_exact(j))
-        a = a * (2 * j + 1) // (2 * j + 4)
+        yield math.ldexp(lo, -_FIXED_BITS) if lo == float(a + j + 1) else float(alpha_exact(j))
 
 
 @memo(1)
@@ -291,7 +302,7 @@ def _stepped(J: int, n_max: int, n_min: int = 1, size: Optional[int] = None):
     """Yield (start, n, row) with row[i] = alpha^n_(start+i) in float64, j < J.
 
     Each size-entry slice of the row (by default _SLICE, read at each call,
-    as _sliced_block_sum reads it: whole SUM_BLOCK blocks) is made and
+    as row_dot reads it: whole SUM_BLOCK blocks) is made and
     stepped through n = 1..n_max while it stays in cache, and yielded for
     n >= n_min: slice by slice, and within a slice n by n; with size >= J
     the whole row is one slice.  A yielded row is a read-only view that the
@@ -438,19 +449,23 @@ def _fsum_lines(parts: np.ndarray):
 def row_dot(n: int, row: np.ndarray, w: Optional[np.ndarray] = None, w_ulps: float = 0):
     """(s, err) with |s - sum_j alpha^n_j w*_j| <= err, for row = float_row(n, J).
 
-    w (all ones when None) holds floats within w_ulps u, relative, of the
-    true weights w*, or within 2^-1075 where they underflow; a w with a
-    leading axis gives one sum per line.  s is the block_sum of the
-    products row * w.  A product's error is the row's rel (row_error), the
+    w (all ones when None) holds floats w >= 0 within w_ulps u, relative, of
+    the true weights w*, or within 2^-1075 where they underflow; a w with a
+    leading axis gives one sum per line.  Every caller passes such weights:
+    ones for a prefix mass, powers, and |ends|^p.  s is the block_sum of the
+    products row * w, formed by row_dots' loop (_slice_dots) over the row's
+    _SLICE slices.  A product's error is the row's rel (row_error), the
     weight's w_ulps u and its own rounding u; the sum adds SUM_BLOCK u of
-    sum |row * w|, and 3u more cover the second-order terms and the rounding
-    of err itself.  Absolutely, each term may lose tiny |w| from the row,
-    2^-1075 from an underflowing weight and 2^-1075 from an underflowing
-    product, which the last term of err covers twice.
+    sum |row * w|, which is s itself as w >= 0, and 3u more cover the
+    second-order terms and the rounding of err itself.  Absolutely, each
+    term may lose tiny |w| from the row, 2^-1075 from an underflowing weight
+    and 2^-1075 from an underflowing product, which the last term of err
+    covers twice.
     """
-    s, negative = _sliced_block_sum(row, w)
-    a = _sliced_block_sum(row, w, np.abs)[0] if negative else s
-    return s, _dot_error(n, a, row.shape[-1], w_ulps, w)
+    m = row.shape[-1]
+    slices = ((start, n, row[start : start + _SLICE]) for start in range(0, m or 1, _SLICE))
+    w_at = (lambda a, b: np.ones(b - a)) if w is None else (lambda a, b: w[..., a:b])
+    return _slice_dots(slices, m, w_at, w_ulps, n, n)[0]
 
 
 def _dot_error(n: int, a, length: int, w_ulps: float, w: Optional[np.ndarray]):
@@ -470,16 +485,27 @@ def row_dots(n_max: int, J: int, w_at, w_ulps: float = 0, n_min: int = 1) -> lis
     The weights are w >= 0, given slice by slice: w_at(start, stop) returns
     w[..., start:stop], one line per sum when w has a leading axis.  No row
     or weight vector as long as J is built: the rows come slice by slice
-    from _stepped, and each slice's weights are made once.  Each (slice, n)
-    forms its products row * w in one reused buffer and writes their block
-    sums (_block_sums) into one block table, with one line per n and
-    weight line and one column per block; each line then closes as row_dot
-    does, by fsum.  The slices hold whole SUM_BLOCK blocks, and a step acts
-    on each j alone, so every product, block and fsum is row_dot's
-    (_sliced_block_sum).  With w >= 0, sum |row * w| is s itself.
+    from _stepped, and each slice's weights are made once.  row_dot sums
+    through the same loop (_slice_dots), and a step acts on each j alone,
+    so every product, block and fsum is row_dot's.
+    """
+    return _slice_dots(_stepped(J, n_max, n_min), J, w_at, w_ulps, n_min, n_max)
+
+
+def _slice_dots(slices, J: int, w_at, w_ulps: float, n_min: int, n_max: int) -> list:
+    """[(s, err) for n = n_min..n_max]: the sums of row_dot and row_dots.
+
+    slices yields (start, n, row) as _stepped does, slice by slice of whole
+    SUM_BLOCK blocks, the first the longest, and within a slice n = n_min ..
+    n_max.  Each slice's weights w_at(start, stop) >= 0 are read once, at
+    n_min.  Each (slice, n) forms its products row * w in one reused buffer
+    and writes their block sums (_block_sums) into one block table, with one
+    line per n and weight line and one column per block; each line then
+    closes by fsum.  The blocks are block_sum's over the whole row, and so
+    is the fsum, to the bit.  With w >= 0, sum |row * w| is s itself.
     """
     table, tops = None, []
-    for start, n, row in _stepped(J, n_max, n_min):
+    for start, n, row in slices:
         if n == n_min:
             w = w_at(start, start + len(row))
             if w.size:
@@ -493,25 +519,6 @@ def row_dots(n_max: int, J: int, w_at, w_ulps: float = 0, n_min: int = 1) -> lis
     tops = np.array(tops).T  # one line per sum, one entry per slice
     sums = (_fsum_lines(line) for line in table)
     return [(s, _dot_error(n, s, J, w_ulps, tops)) for n, s in enumerate(sums, n_min)]
-
-
-def _sliced_block_sum(row: np.ndarray, w: Optional[np.ndarray], fn=None) -> tuple:
-    """(block_sum(fn(row * w)), whether a product row * w is negative).
-
-    The products are formed _SLICE terms at a time, so no temporary is as
-    long as the row, and their block sums fill one table (_block_sums).  A
-    slice holds whole blocks, so the blocks are block_sum's, and so is the
-    fsum, to the bit.
-    """
-    m = row.shape[-1]
-    table, negative = _block_table(() if w is None else w.shape[:-1], m), False
-    for start in range(0, m or 1, _SLICE):
-        t = row[start : start + _SLICE]
-        if w is not None:
-            t = t * w[..., start : start + _SLICE]
-        negative = negative or bool(t.size and t.min() < 0)
-        _block_sums(t if fn is None else fn(t), table[..., start // SUM_BLOCK :])
-    return _fsum_lines(table), negative
 
 
 def _two_sum(a, b):
@@ -657,11 +664,9 @@ def pgf_check(x, J: int) -> PgfCheck:
     The true gap is the (positive) discarded tail, at most
     alpha_J x^J / (1-x), since every term ratio x(2j+1)/(2j+4) is below x.
 
-    The sum is a fixed-point integer recurrence at P (_FIXED_BITS) bits, on
-    x = X/D exactly: t_0 = 2^(P-1) = alpha_0 2^P,
-    t_{j+1} = floor(t_j X (2j+1) / (2D (j+2))), summed while t > 0 and j < J.
-    Each floor loses less than one unit and the step ratio is below 1, so t_j
-    falls short of alpha_j x^j 2^P by less than j units.  When K terms are
+    The sum is of the fixed-point terms t_j of _fixed_terms at P
+    (_FIXED_BITS) bits, on x = X/D exactly, taken while t > 0 and j < J;
+    t_j falls short of alpha_j x^j 2^P by less than j units.  When K terms are
     taken, the total falls short of sum_{j<J} alpha_j x^j by at most
     (K^2/2 + K/(1-x)) 2^-P: under K^2/2 units over the terms taken, and, when
     the sum stops at t_K = 0, under K/(1-x) units over the terms left, as
@@ -681,14 +686,7 @@ def pgf_check(x, J: int) -> PgfCheck:
         else:
             closed = (1 - mpmath.sqrt(1 - xm)) / xm
     P = _FIXED_BITS
-    X, D = x.as_integer_ratio()
-    t, acc = 1 << (P - 1), 0
-    for j in range(J):
-        if not t:
-            break
-        acc += t
-        # alpha_{j+1}/alpha_j = (2j+1)/(2(j+2)); one extra factor of x per step
-        t = t * X * (2 * j + 1) // (D * (2 * j + 4))
+    acc = sum(itertools.takewhile(bool, itertools.islice(_fixed_terms(*x.as_integer_ratio()), J)))
     # closed = m 2^e and acc 2^-P over the one denominator 2^s; int true division rounds correctly
     m, e = closed.man_exp
     s = max(P, -e)

@@ -462,6 +462,12 @@ def test_report_rerun_into_its_outdir(tmp_path):
         ["probe", "--c0", "1/0"],
         ["alpha", "--n", "1", "--outdir", os.devnull],
         ["simulate", "--k", "100000000000000000000"],
+        # refused at parse time, before any work or any file is written
+        ["verify", "--suite", "all", "--seed", "-1"],
+        ["report", "--seed", "-1"],
+        ["report", "--trials", "0"],
+        ["simulate", "--seed", "-1"],
+        ["growth", "--fit-from", "0"],
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, argv):
@@ -476,6 +482,7 @@ def test_bad_input_is_a_usage_error(tmp_path, argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr and "domain error" not in proc.stderr
+    assert not any(tmp_path.iterdir())
 
 
 def test_far_indicator_threshold_hits_the_ceiling_fast(tmp_path):

@@ -106,7 +106,7 @@ MUTATIONS = (
         "pgf_term_ratio_off_by_one",
         "pgf_point_checks",
         weights,
-        "pgf_check",
+        "_fixed_terms",
         "2 * j + 1",
         "2 * j + 2",
     ),

@@ -98,6 +98,12 @@ def test_alpha_floats_round_each_weight_once(monkeypatch):
     assert len(calls) > 100
 
 
+def test_head_row_is_each_weight_rounded_once():
+    head = weights._head_row()
+    assert len(head) == weights._HEAD
+    assert all(head[j] == float(weights.alpha_exact(j)) for j in range(weights._HEAD))
+
+
 def test_catalan_oracle_sanity():
     assert catalan_numbers(8) == [1, 1, 2, 5, 14, 42, 132, 429]
 
@@ -498,8 +504,8 @@ def test_sliced_row_dots_equal_row_dot_to_the_bit():
 
 
 def test_slice_size_is_read_at_each_call(monkeypatch):
-    # _stepped, and so row_dots and float_row, slice as _sliced_block_sum
-    # does under a rebound _SLICE, and every sum keeps its bits
+    # _stepped, and so row_dots and float_row, slice as row_dot does under
+    # a rebound _SLICE, and every sum keeps its bits
     monkeypatch.setattr(weights, "_SLICE", 1 << 12)
     J = 3 * (1 << 12) + 77
     assert [len(row) for _, n, row in weights._stepped(J, 1)] == [1 << 12] * 3 + [77]
@@ -508,6 +514,15 @@ def test_slice_size_is_read_at_each_call(monkeypatch):
     sums = weights.row_dots(4, J, lambda a, b: lpspace._powers(0.2, a, b - a), lpspace._POW_ULPS)
     for n, (s, err) in enumerate(sums, 1):
         assert (s, err) == weights.row_dot(n, rows[n - 1], W, lpspace._POW_ULPS), n
+
+
+def test_row_dot_without_weights_sums_ones_to_the_bit():
+    # w = None is a weight of one on every entry, across a slice edge, and at
+    # n past 1021, where the error bound reads the largest weight
+    J = weights._SLICE + weights.SUM_BLOCK + 3
+    for n in (1, 7, 1030):
+        row = weights.float_row(n, J)
+        assert weights.row_dot(n, row) == weights.row_dot(n, row, np.ones(J)), n
 
 
 def test_sliced_row_dots_refuse_before_any_step(monkeypatch):
@@ -608,6 +623,14 @@ def test_pgf_point_values():
             assert float(exact_gap) <= c.gap <= float(exact_gap + slack)
     with pytest.raises(ValueError):
         weights.pgf_check(-0.1, 10)
+    # verify's three points, pinned to the bit
+    assert weights.pgf_check(0, 10) == weights.PgfCheck(0.5, 0.5, 0.0)
+    assert weights.pgf_check(Fraction(3, 4), 200) == weights.PgfCheck(
+        0.6666666666666666, 0.6666666666666666, 3.992903015197508e-29
+    )
+    assert weights.pgf_check(0.99, 10**5) == weights.PgfCheck(
+        0.9090909090909091, 0.9090909090909091, -6.97735445264391e-42
+    )
 
 
 @given(
