@@ -23,7 +23,7 @@ from . import weights
 from .errors import EmptyGridError, NotInLpError
 from .limits import Limits, Memo, check_work, current_limits, memo
 from .lpspace import EventuallyConstant, IndicatorGE, PowerGrowth
-from .lpspace import _POW_ULPS, _image, _power_image, _power_sums, _powers, _root_enclosure
+from .lpspace import _POW_ULPS, _image, _power_image, _power_sums, _powers, _root_ends
 from .lpspace import check_exponent
 
 
@@ -115,13 +115,13 @@ def _growth_sweep(ps, n_max: int, fit_from: int, lim: Limits) -> list:
     # of float_row(1, n^2), as every entry is made on its own (_base_values)
     base = weights.float_row(1, n_max * n_max)
     for n, t_m, surv in _survival_rows(n_max, lim):
-        for q, out in zip(ps, rows):
+        # surv**q is np.power of the float lower bounds surv
+        sums = [weights.row_dot(1, base[: n * n], surv**q, _POW_ULPS) for q in ps]
+        # the norms' lower ends at every p, from one _root_ends pass
+        lows = _root_ends([s - err for s, err in sums], [s for s, _ in sums], np.array(ps))[0]
+        for q, out, low in zip(ps, rows, lows.tolist()):
             norm_fn = float(t_m) ** (1.0 / q)
-            # surv**q is np.power of the float lower bounds surv
-            s, err = weights.row_dot(1, base[: n * n], surv**q, _POW_ULPS)
-            norm_lower = _root_enclosure(s - err, s, q).lower
-            ratio = norm_lower / norm_fn
-            out.append(GrowthRow(n, norm_fn, norm_lower, ratio, (n + 1) ** (1.0 / q)))
+            out.append(GrowthRow(n, norm_fn, low, low / norm_fn, (n + 1) ** (1.0 / q)))
     return [_growth_fit(q, out, fit_from, n_max) for q, out in zip(ps, rows)]
 
 

@@ -19,16 +19,22 @@ float prefix (weights._float_prefix: a few u of each segment's own mass
 beside weights.row_error), and apply_A_pow, image_p_norm and
 experiments.growth_curve all read it; for many n, the exact prefixes share
 one pass of integers over one denominator.  Neither the image nor the
-masses depend on the exponent, so image_p_norm_table and p_norms read every
-p off one image line and one mass list; image_p_norm and p_norm, for such f,
-are their one-exponent cases (and image_p_norm the table's one-n case).
-Infinite sums are returned as Enclosure(lower, upper) pairs, exact whenever
+masses depend on the exponent, so image_p_norm_table reads every p off one
+image line and one mass list, and forms the ends of every (n, p) as arrays
+in one pass (_norm_table_ends, which verify's norm_upper_bound reads
+directly); p_norms is its n = 0 line, and image_p_norm and p_norm, for such
+f, are its one-n, one-exponent cases.  Infinite sums are returned as
+Enclosure(lower, upper) pairs of Python numbers, exact whenever
 the function and the backend allow it.  For PowerGrowth, _power_image adds
 a certified tail bound to a float row sum with the derived allowance of
 weights.row_dot (about 1e-13 relative, whatever the row length);
 apply_A_pow and experiments.pointwise_divergence take that sum from
 weights.row_dots, slice by slice, and image_p_norm from row_dot on one row.
-A float norm sum has the derived allowance of _norm_sum_enclosure.
+A float norm sum has the derived allowance of _norm_sum_ends.  Its powers,
+and the roots of every norm, are np.float_power: libm's pow, within one ulp,
+as Python's ** is.  np.power is not used there: its vector loop (AVX-512
+where the CPU has it) is not libm's, differs from it by an ulp at about 5%
+of points, and would make the ends depend on the host.
 
 A truncated enclosure (apply_A_pow with J given) is the sum over j < J plus
 a bracket on the discarded remainder: the discarded mass times
@@ -174,6 +180,9 @@ class Enclosure:
     def point(cls, v: Real) -> "Enclosure":
         return cls(v, v)
 
+    def __iter__(self):  # lo, hi = enclosure
+        return iter((self.lower, self.upper))
+
     @property
     def width(self):
         return self.upper - self.lower
@@ -206,50 +215,89 @@ class Enclosure:
         )
 
 
-def _root_enclosure(lo, hi, p: float) -> Enclosure:
-    """Map a nonnegative enclosure through x -> x^(1/p), padding outward."""
-    r_lo = max(0.0, float(lo)) ** (1.0 / p)
-    r_hi = max(0.0, float(hi)) ** (1.0 / p)
+def _root_ends(lo, hi, p) -> tuple:
+    """Ends of [lo, hi] mapped through x -> max(x, 0)^(1/p), each padded outward by 4 ulps.
+
+    lo, hi and p are floats or float arrays that broadcast, and so are the
+    ends.  The power is np.float_power: libm's pow, as Python's ** is (see
+    _norm_sum_ends).
+    """
+    r_lo, r_hi = (np.float_power(np.maximum(x, 0.0), 1.0 / p) for x in (lo, hi))
     for _ in range(4):
-        r_lo, r_hi = math.nextafter(r_lo, -math.inf), math.nextafter(r_hi, math.inf)
-    return Enclosure(max(0.0, r_lo), r_hi)
+        r_lo, r_hi = np.nextafter(r_lo, -np.inf), np.nextafter(r_hi, np.inf)
+    return np.maximum(r_lo, 0.0), r_hi
 
 
 # the rounding budget of a float norm sum, in units of u = 2^-53 beside the
-# p u that each rounding of a power's base adds; derived in _norm_sum_enclosure
+# p u that each rounding of a power's base adds; derived in _norm_sum_ends
 _NORM_SUM_ULPS = 10
 
 
-def _norm_sum_enclosure(masses, lo_abs, hi_abs, p: float) -> Enclosure:
-    """Root enclosure of (sum_i masses[i] |v_i|^p)^(1/p) for |v_i| in [lo_abs[i], hi_abs[i]].
+def _norm_sum_ends(masses, lo_abs, hi_abs, ps) -> tuple:
+    """Root ends of (sum_i masses[i] |v_i|^p)^(1/p) for |v_i| in [lo_abs[r][i], hi_abs[r][i]].
 
-    The sums are fsums of nonnegative float terms mass * |v|^p.  Each term's
-    relative error, in units of u = 2^-53 (half an ulp): the mass, a float
-    (the caller rounds an exact mass or alpha_k once, 1; a _run_mass float is
-    within one ulp, 2); |v|^p, where float(|v|) rounds once (1) and the power
-    multiplies that p-fold, and pow is within one ulp (2); the product (1).
-    So a term is within (p + 5) u; fsum rounds the nonnegative sum once (1)
-    and padding its ends rounds twice more (2), (p + 8) u in all, which
-    _NORM_SUM_ULPS = 10 covers with room for the second-order terms.  A term
-    that underflows loses at most 2^-1074 absolutely instead, and so does a
-    term whose base underflows (by at most 2^-1075, which the power, p > 1,
-    does not magnify past 2^-1074), so both ends also move by that much per
-    term.
+    masses is a float array of length L; lo_abs and hi_abs hold one row of
+    L reals per line (a 2-D array or nested lists), and ps is a float array.
+    The ends hold one line per row and one column per p: floats, or exact
+    Fractions past the float range.  Each (row, p) sum is one fsum of the
+    nonnegative float terms mass * |v|^p.  The power is np.float_power,
+    which is libm's pow, as Python's ** is; not np.power, whose vector loop
+    (AVX-512 where the CPU has it) is not libm's and differs from it by an
+    ulp at about 5% of points, so the ends would change with the host.
 
-    When a level, a power or a padded sum leaves the float range, the sums
-    are taken of mass * (|v| 2^-e)^p, with 2^e above every level (e the
-    bit length of the largest), and the root is scaled back by 2^e:
+    Each term's relative error, in units of u = 2^-53 (half an ulp): the
+    mass, a float (the caller rounds an exact mass or alpha_k once, 1; a
+    _run_mass float is within one ulp, 2); |v|^p, where float(|v|) rounds
+    once (1) and the power multiplies that p-fold, and libm's pow is within
+    one ulp (2); the product (1).  So a term is within (p + 5) u; fsum
+    rounds the nonnegative sum once (1) and padding its ends rounds twice
+    more (2), (p + 8) u in all, which _NORM_SUM_ULPS = 10 covers with room
+    for the second-order terms.  A term that underflows loses at most
+    2^-1074 absolutely instead, and so does a term whose base underflows (by
+    at most 2^-1075, which the power, p > 1, does not magnify past 2^-1074),
+    so both ends also move by that much per term.
+
+    When a level of a row, a power or a padded sum leaves the float range
+    (the line's upper end is then inf), that line's sums are taken of
+    mass * (|v| 2^-e)^p, with 2^e above every level of the row (e the bit
+    length of the largest), and the root is scaled back by 2^e:
     sum mass |v|^p = 2^(ep) sum mass (|v| 2^-e)^p.  The quotient is exact
     and rounds once to a float, as float(|v|) does, so the budget stays
     (p + _NORM_SUM_ULPS) u; the scaling back is exact too, giving a float
     end when it fits and an exact Fraction end when it does not.
     """
+    def sums(rows):  # one fsum per (row, p)
+        terms = masses * np.float_power(_float_rows(rows)[:, None], ps[:, None])
+        return np.array([[_fsum(t) for t in line] for line in terms.tolist()])
+
+    pad, tiny = (ps + _NORM_SUM_ULPS) * 2.0**-53, math.ulp(0.0) * (len(masses) + 1)
+    with np.errstate(over="ignore"):  # an inf power or sum sends its line to the scaled path
+        lo = sums(lo_abs)
+        hi = lo if hi_abs is lo_abs else sums(hi_abs)
+        lo, hi = _root_ends(lo * (1 - pad) - tiny, hi * (1 + pad) + tiny, ps)
+    for r, i in np.argwhere(hi == np.inf):
+        lo, hi = lo.astype(object), hi.astype(object)
+        e = max(map(_bit_exponent, hi_abs[r]))
+        rows = ([[Fraction(a) / 2**e for a in v[r]]] for v in (lo_abs, hi_abs))
+        ends = _norm_sum_ends(masses, *rows, ps[i : i + 1])
+        lo[r, i], hi[r, i] = (_times_pow2(x.item(), e) for x in ends)
+    return lo, hi
+
+
+def _float_rows(rows) -> np.ndarray:
+    """Rows of reals as a 2-D float array; a row with a value past the float range reads inf."""
     try:
-        return _root_of_sums(masses, lo_abs, hi_abs, p, None)
+        return np.asarray(rows, dtype=float)
     except OverflowError:
-        e = max(_bit_exponent(a) for a in hi_abs)
-        enc = _root_of_sums(masses, lo_abs, hi_abs, p, e)
-        return Enclosure(_times_pow2(enc.lower, e), _times_pow2(enc.upper, e))
+        return np.array([[np.inf] * len(r) if len(rows) < 2 else _float_rows([r])[0] for r in rows])
+
+
+def _fsum(terms) -> float:
+    """math.fsum, or inf when a partial sum leaves the float range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def _bit_exponent(a: Real) -> int:
@@ -264,23 +312,6 @@ def _times_pow2(x: float, e: int) -> Real:
         return math.ldexp(x, e)
     except OverflowError:
         return Fraction(x) * 2**e
-
-
-def _root_of_sums(masses, lo_abs, hi_abs, p: float, e) -> Enclosure:
-    """_norm_sum_enclosure with the bases |v| (e None) or |v| 2^-e; see there."""
-    if e is not None:
-        lo_abs, hi_abs = ([float(Fraction(a) / 2**e) for a in v] for v in (lo_abs, hi_abs))
-    # an int, Fraction or float base a: a ** p is float(a) ** p
-    lo_terms = [m * a**p for m, a in zip(masses, lo_abs)]
-    # equal bases give equal terms: a norm of f, or of an exact image, has one list
-    hi_terms = lo_terms if hi_abs == lo_abs else [m * a**p for m, a in zip(masses, hi_abs)]
-    pad = (p + _NORM_SUM_ULPS) * 2.0**-53
-    tiny = math.ulp(0.0) * (len(hi_terms) + 1)
-    lo = math.fsum(lo_terms) * (1 - pad) - tiny
-    hi = math.fsum(hi_terms) * (1 + pad) + tiny
-    if hi == math.inf:
-        raise OverflowError("padded norm sum leaves the float range")
-    return _root_enclosure(lo, hi, p)
 
 
 def p_norm(f: SeqFunction, p, K: Optional[int] = None) -> Enclosure:
@@ -308,29 +339,17 @@ def p_norm(f: SeqFunction, p, K: Optional[int] = None) -> Enclosure:
     if K < 1:
         raise ValueError("K must be >= 1")
     e = apply_A_pow(PowerGrowth(q), 1, 0, J=K)
-    return _root_enclosure(e.lower, e.upper, p)
+    return Enclosure(*map(float, _root_ends(e.lower, e.upper, p)))
 
 
 def p_norms(f: EventuallyConstant, ps) -> tuple:
-    """p_norm(f, p) for each p in ps, for an eventually-constant f.
+    """p_norm(f, p) for each p in ps, for an eventually-constant f: image_p_norm_table at n = 0.
 
     f sums run by run, sum_k alpha_k |v_k|^p + |c|^p T(L), exactly when
     every level is 0 or +-1 (indicators).  The run masses and levels do not
-    depend on p, so one pass over them serves every p.
+    depend on p, so one pass over them forms every p.
     """
-    ps = [check_exponent(p) for p in ps]
-    lim = current_limits()
-    # run i carries mass T(starts[i]) - T(starts[i+1]), the last run T(L)
-    ends = f.starts[1:] + (None,)
-    masses = [weights._run_mass(s, e, lim) for s, e in zip(f.starts, ends)]
-    levels = [abs(v) for v in f.levels]
-    if all(isinstance(m, Fraction) for m in masses) and all(
-        _is_exact(a) and a in (0, 1) for a in levels
-    ):
-        mass = sum((m for m, a in zip(masses, levels) if a), Fraction(0))
-        return tuple(_root_enclosure(mass, mass, p) for p in ps)
-    masses = [float(m) for m in masses]
-    return tuple(_norm_sum_enclosure(masses, levels, levels, p) for p in ps)
+    return image_p_norm_table(f, (0,), ps)[0]
 
 
 def _exact_value(v) -> Union[int, Fraction]:
@@ -555,7 +574,7 @@ def _exact_image(f, ns, ks, W, J, lim: Limits, floats: bool, keep: bool) -> tupl
         terms = C[hi]
         terms -= C[lo]
         terms *= np.array(vs, dtype=dtype).reshape(-1, 1, 1)
-        total = sum(terms, total)
+        total += terms.sum(axis=0)
     rem, d = D - C[W], q * D
     total, rem = total.T, rem.T  # one line per n
     to_value = np.frompyfunc(_float_or_exact if floats else Fraction, 2, 1)
@@ -713,9 +732,8 @@ def image_p_norm(
     # k-tail: A^n f(k) <= C_n k^beta for k >= 1 since (j+k)^beta <= ((1+j)k)^beta
     c_n = float(_power_image(f, n, 1, J_eff, *dot(_powers(f.beta, 1, J_eff)))[1])
     outer_tail = _pad_up(c_n**p * weights.power_tail_bound(q, K_eff))
-    return _root_enclosure(
-        _pad_down(lo_sum - lo_err), _pad_up(_pad_up(hi_sum + hi_err) + outer_tail), p
-    )
+    hi = _pad_up(_pad_up(hi_sum + hi_err) + outer_tail)
+    return Enclosure(*map(float, _root_ends(_pad_down(lo_sum - lo_err), hi, p)))
 
 
 def image_p_norm_table(f: EventuallyConstant, ns, ps, J: Optional[int] = None) -> tuple:
@@ -726,41 +744,52 @@ def image_p_norm_table(f: EventuallyConstant, ns, ps, J: Optional[int] = None) -
     for each k < L; alpha_k is rounded once, from one pass over the base
     numerators (weights._alpha_floats).  None of it depends on p, so one
     image line serves every p, and one _image pass forms the lines of every
-    n >= 1.  That pass runs in int64 while max(M, q) 2^(2w + n_max) < 2^53,
-    with w = L (J omitted) or J, q the lcm of the levels' denominators and
-    M the largest |level| as an integer over q (derived in _exact_image).
-    At n = 0 this is p_norms(f, ps).
+    n >= 1, whose norms _norm_sum_ends forms in one pass too
+    (_norm_table_ends).  That image pass runs in int64 while
+    max(M, q) 2^(2w + n_max) < 2^53, with w = L (J omitted) or J, q the lcm
+    of the levels' denominators and M the largest |level| as an integer
+    over q (derived in _exact_image).  At n = 0 this is p_norms(f, ps).
     """
-    ps = [check_exponent(p) for p in ps]
-    ns = list(ns)
+    lo, hi = _norm_table_ends(f, ns, ps, J)
+    return tuple(tuple(map(Enclosure, *line)) for line in zip(lo.tolist(), hi.tolist()))
+
+
+def _norm_table_ends(f: EventuallyConstant, ns, ps, J: Optional[int] = None) -> tuple:
+    """image_p_norm_table's ends (lower, upper), arrays with one line per n and one column per p."""
+    ps, ns = np.array([check_exponent(p) for p in ps]), list(ns)
     if any(n < 0 for n in ns):
         raise ValueError("need n >= 0")
     if J is not None and J < 0:
         raise ValueError("truncation must be >= 0")
+    lim, L, c = current_limits(), f.starts[-1], f.levels[-1]
+    lines = {}
+    if 0 in ns:  # run i carries mass T(starts[i]) - T(starts[i+1]), the last run T(L)
+        masses = [weights._run_mass(a, b, lim) for a, b in zip(f.starts, f.starts[1:] + (None,))]
+        levels = [[abs(v) for v in f.levels]]
+        exact = all(isinstance(m, Fraction) for m in masses)
+        if exact and all(_is_exact(a) and a in (0, 1) for a in levels[0]):
+            mass = float(sum(m for m, a in zip(masses, levels[0]) if a))
+            lines[0] = _root_ends(mass, mass, ps)
+        else:
+            lines[0] = [e[0] for e in _norm_sum_ends(np.array(masses, float), levels, levels, ps)]
     image_ns = [n for n in ns if n]
     if image_ns:
-        lim = current_limits()
-        L, c = f.starts[-1], f.levels[-1]
-        masses = [float(weights._run_mass(L, None, lim))]
-        masses += itertools.islice(weights._alpha_floats(), L)
-        lines = zip(*(ends.tolist() for ends in _image(f, image_ns, 0, L, J, "auto", lim, True)))
-    rows = []
-    for n in ns:
-        if n == 0:
-            rows.append(p_norms(f, ps))
-            continue
-        lo, hi = next(lines)
-        lo_abs, hi_abs = [abs(c), *map(abs, lo)], [abs(c), *map(abs, hi)]
-        if lo != hi:  # an exact image (J omitted) has lo == hi
-            for i, (a, b) in enumerate(zip(lo, hi), 1):
-                x, y = lo_abs[i], hi_abs[i]
-                lo_abs[i], hi_abs[i] = 0.0 if a <= 0.0 <= b else min(x, y), max(x, y)
-        rows.append(tuple(_norm_sum_enclosure(masses, lo_abs, hi_abs, p) for p in ps))
-    return tuple(rows)
+        alphas = itertools.islice(weights._alpha_floats(), L)
+        masses = np.array([float(weights._run_mass(L, None, lim)), *alphas])
+        lo, hi = _image(f, image_ns, 0, L, J, "auto", lim, True)
+        a, b = np.abs(lo), np.abs(hi)
+        if lo is not hi:  # a truncated image: |v| for v in [lo, hi] lies in [a, b]
+            a, b = np.where((lo <= 0) & (hi >= 0), 0.0, np.minimum(a, b)), np.maximum(a, b)
+        # |c| on the mass T(L) heads each row; c fits a float unless lo holds objects
+        rest = np.full((len(image_ns), 1), abs(c), dtype=lo.dtype if L else object)
+        a = np.concatenate((rest, a), axis=1)
+        b = a if lo is hi else np.concatenate((rest, b), axis=1)
+        lines.update(zip(image_ns, zip(*_norm_sum_ends(masses, a, b, ps))))
+    return tuple(np.array([lines[n][i] for n in ns]).reshape(len(ns), len(ps)) for i in (0, 1))
 
 
 def _float_or_exact(x: int, d: int) -> Real:
-    """x / d as a float, or as a Fraction past the float range (_norm_sum_enclosure scales it)."""
+    """x / d as a float, or as a Fraction past the float range (_norm_sum_ends scales it)."""
     try:
         return x / d
     except OverflowError:
@@ -773,24 +802,27 @@ class BoundCheck(NamedTuple):
     ok: bool
 
 
-def norm_bound_check(img: Enclosure, nf: Enclosure, factor: float) -> BoundCheck:
+def norm_bound_check(img, nf, factor) -> BoundCheck:
     """Check ||A^n f||_p <= factor ||f||_p from enclosures of the two norms.
 
     lhs is the upper end of the image norm; rhs is factor times the lower
     end of ||f||_p; the tolerance absorbs both enclosure widths plus a 1e-9
-    relative allowance.  When an end is a Fraction past the float range, the
-    same inequality is decided exactly, and lhs and rhs are Fractions.
+    relative allowance.  In floats, lhs and rhs are numpy floats and ok a
+    numpy bool; when an end is a Fraction past the float range, the same
+    inequality is decided exactly, and lhs and rhs are Fractions.  img and
+    nf may also be (lower, upper) pairs of arrays, and factor an array, that
+    broadcast: each element is then checked by the same rule, and lhs, rhs
+    and ok are arrays.
     """
+    (img_lo, img_hi), (nf_lo, nf_hi) = img, nf
+    values = (img_hi, img_lo, nf_lo, nf_hi, factor, 1e-9)
     try:
-        lhs = float(img.upper)
-        rhs = factor * float(nf.lower)
-        tol = 1e-9 * (1 + abs(rhs)) + factor * float(nf.width) + float(img.width)
-    except OverflowError:
-        c = Fraction(factor)
-        lhs, rhs = Fraction(img.upper), c * Fraction(nf.lower)
-        nf_w = Fraction(nf.upper) - Fraction(nf.lower)
-        img_w = lhs - Fraction(img.lower)
-        tol = Fraction(1e-9) * (1 + abs(rhs)) + c * nf_w + img_w
+        lhs, img_lo, nf_lo, nf_hi, c, eps = map(np.float64, values)
+    except OverflowError:  # an end past the float range: decide exactly
+        lhs, img_lo, nf_lo, nf_hi, c, eps = map(np.frompyfunc(Fraction, 1, 1), values)
+    with np.errstate(over="ignore"):  # an inf rhs or tolerance holds, as in Python floats
+        rhs = c * nf_lo
+        tol = eps * (1 + abs(rhs)) + c * (nf_hi - nf_lo) + (lhs - img_lo)
     return BoundCheck(lhs, rhs, lhs <= rhs + tol)
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from . import experiments, mc, weights
+from . import experiments, lpspace, mc, weights
 from .errors import ResourceLimitError
 from .limits import current_limits
 from .lpspace import (
@@ -32,7 +32,6 @@ from .lpspace import (
     cesaro_A,
     cesaro_T,
     contraction_bound_check,
-    image_p_norm_table,
     norm_bound_check,
 )
 
@@ -211,19 +210,20 @@ def check_norm_upper_bound() -> bool:
     if not _float_ends_rounded(thirds, range(1, 5), 27):
         return False
     rng = np.random.default_rng(0xA1FA)
+    ps = np.array((1.1, 1.5, 2.0, 3.0))
+    # (n + 1)^(1/p), one line per n = 1..12 and one column per p
+    factors = np.float_power(np.arange(2.0, 14.0)[:, None], 1.0 / ps)
     for i in range(100):
         length = int(rng.integers(1, 13))
         vals = tuple(Fraction(int(v), 4) for v in rng.integers(-8, 9, size=length))
         f = FiniteTable(vals)
         if i < 3 and not _float_ends_rounded(f, range(1, 13)):
             return False
-        ps = (1.1, 1.5, 2.0, 3.0)
-        # one image pass of f serves every n and all four p; row 0 is ||f||_p
-        nfs, *imgs = image_p_norm_table(f, range(13), ps)
-        for n, row in enumerate(imgs, 1):
-            for p, img, nf in zip(ps, row, nfs):
-                if not norm_bound_check(img, nf, (n + 1) ** (1.0 / p)).ok:
-                    return False
+        # one image pass of f serves every n and all four p; line 0 is ||f||_p
+        # (read through the module, so that a mutant of it is the one run)
+        lo, hi = lpspace._norm_table_ends(f, range(13), ps)
+        if not norm_bound_check((lo[1:], hi[1:]), (lo[0], hi[0]), factors).ok.all():
+            return False
     return True
 
 

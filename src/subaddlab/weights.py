@@ -593,9 +593,9 @@ def _run_mass(a: int, b: Optional[int], lim: Limits) -> Weight:
     if a < 0 or (b is not None and b < a):
         raise ValueError("need 0 <= a <= b")
     last = a if b is None else b
-    if _exact_ok(1, last, lim):
-        t = tail_exact(a)
-        return t if b is None else t - tail_exact(b)
+    if _exact_ok(1, last, lim):  # T(a) - T(b) = (binom(2a, a) 4^(b-a) - binom(2b, b)) / 4^b
+        top = math.comb(2 * a, a) << 2 * (last - a)
+        return Fraction(top - (0 if b is None else math.comb(2 * b, b)), 1 << 2 * last)
     with mpmath.workdps(40 + 2 * len(str(last))):
 
         def tail(J):

@@ -161,7 +161,7 @@ def test_growth_norm_sums_read_one_base_row(monkeypatch):
             for row, (n, t_m, surv) in zip(rows, survival, strict=True):
                 row_n = weights.float_row(1, n * n)
                 q_sum, q_err = weights.row_dot(1, row_n, surv**p, lpspace._POW_ULPS)
-                norm_lower = lpspace._root_enclosure(q_sum - q_err, q_sum, p).lower
+                norm_lower = float(lpspace._root_ends(q_sum - q_err, q_sum, p)[0])
                 norm_fn = float(t_m) ** (1.0 / p)
                 old = (n, norm_fn, norm_lower, norm_lower / norm_fn, (n + 1) ** (1.0 / p))
                 assert repr(row) == repr(experiments.GrowthRow(*old))

@@ -283,7 +283,7 @@ def test_p_norm_power_growth_sums_slice_by_slice():
         tracemalloc.stop()
     assert peak < 8 * 2**20
     image = apply_A_pow(PowerGrowth(0.4), 1, 0)
-    assert e == lpspace._root_enclosure(image.lower, image.upper, 2)
+    assert e == Enclosure(*map(float, lpspace._root_ends(image.lower, image.upper, 2)))
 
 
 def test_power_sums_without_truncation_build_one_row_at_the_cap(monkeypatch):
@@ -647,6 +647,122 @@ def test_norm_bound_check_past_the_float_range():
     img, nf = image_p_norm(f, 1, 2), p_norm(f, 2)
     assert norm_bound_check(img, nf, 0.6).ok
     assert not norm_bound_check(img, nf, 0.4).ok
+
+
+def _norm_tables() -> list:
+    """verify.check_norm_upper_bound's 100 seeded tables."""
+    rng = np.random.default_rng(0xA1FA)
+    fs = []
+    for _ in range(100):
+        length = int(rng.integers(1, 13))
+        fs.append(FiniteTable(tuple(Fraction(int(v), 4) for v in rng.integers(-8, 9, size=length))))
+    return fs
+
+
+def _scalar_root(lo, hi, p: float) -> Enclosure:
+    """max(x, 0)^(1/p) at both ends by math.pow, then four outward math.nextafter steps."""
+    r_lo, r_hi = (math.pow(max(0.0, float(x)), 1.0 / p) for x in (lo, hi))
+    for _ in range(4):
+        r_lo, r_hi = math.nextafter(r_lo, -math.inf), math.nextafter(r_hi, math.inf)
+    return Enclosure(max(0.0, r_lo), r_hi)
+
+
+def _scalar_norm(masses, lo_abs, hi_abs, p: float) -> Enclosure:
+    """One norm line by the rule of lpspace._norm_sum_ends, one term at a time."""
+
+    def root(lo_b, hi_b):
+        pad, tiny = (p + lpspace._NORM_SUM_ULPS) * 2.0**-53, math.ulp(0.0) * (len(masses) + 1)
+        terms = ([m * math.pow(float(a), p) for m, a in zip(masses, b)] for b in (lo_b, hi_b))
+        lo, hi = map(math.fsum, terms)
+        if hi * (1 + pad) + tiny == math.inf:
+            raise OverflowError
+        return _scalar_root(lo * (1 - pad) - tiny, hi * (1 + pad) + tiny, p)
+
+    def times_pow2(x, e):
+        try:
+            return math.ldexp(x, e)
+        except OverflowError:
+            return Fraction(x) * 2**e
+
+    try:  # a base, a power or a sum past the float range raises OverflowError
+        return root(lo_abs, hi_abs)
+    except OverflowError:
+        e = max(lpspace._bit_exponent(a) for a in hi_abs)
+        enc = root(*([Fraction(a) / 2**e for a in v] for v in (lo_abs, hi_abs)))
+        return Enclosure(times_pow2(enc.lower, e), times_pow2(enc.upper, e))
+
+
+def _scalar_table(f, ns, ps, J=None) -> list:
+    """image_p_norm_table(f, ns, ps, J), one line, one p and one base at a time."""
+    lim, L, c = current_limits(), f.starts[-1], f.levels[-1]
+    masses = [weights._run_mass(a, b, lim) for a, b in zip(f.starts, f.starts[1:] + (None,))]
+    levels = [abs(v) for v in f.levels]
+    exact = all(isinstance(m, Fraction) for m in masses)
+    if exact and all(type(a) in (int, Fraction) and a in (0, 1) for a in levels):
+        mass = sum(m for m, a in zip(masses, levels) if a)
+        lines = {0: [_scalar_root(mass, mass, p) for p in ps]}
+    else:
+        lines = {0: [_scalar_norm([float(m) for m in masses], levels, levels, p) for p in ps]}
+    image_ns = [n for n in ns if n]
+    # the image is c on the mass T(L) and A^n f(k) on alpha_k, each rounded once;
+    # alpha_(k+1) = alpha_k (2k + 1) / (2k + 4)
+    masses, alpha = [float(weights.tail_exact(L))], Fraction(1, 2)
+    for k in range(L):
+        masses.append(float(alpha))
+        alpha *= Fraction(2 * k + 1, 2 * k + 4)
+    if image_ns:
+        ends = (e.tolist() for e in lpspace._image(f, image_ns, 0, L, J, "auto", lim, True))
+        for n, lo, hi in zip(image_ns, *ends):
+            lo_abs, hi_abs = [abs(c)], [abs(c)]
+            for a, b in zip(lo, hi):
+                lo_abs.append(0.0 if a <= 0.0 <= b else min(abs(a), abs(b)))
+                hi_abs.append(max(abs(a), abs(b)))
+            lines[n] = [_scalar_norm(masses, lo_abs, hi_abs, p) for p in ps]
+    return [lines[n] for n in ns]
+
+
+def test_norm_ends_equal_a_scalar_reference_to_the_bit():
+    # the array pass (np.float_power, one fsum per line, np.nextafter) gives
+    # the ends of a reference that takes one line, one p and one power at a
+    # time with math.pow, math.fsum and math.nextafter; every end is a Python
+    # float or Fraction
+    ps = (1.1, 1.5, 2.0, 3.0)
+    cases = [(f, None) for f in _norm_tables()]
+    small = [IndicatorGE(3), IndicatorWindow(1, 5), FiniteTable((0.3, -1.25, 2.5))]
+    small.append(FiniteTable((10**400,)))  # the scaled path, with Fraction ends
+    cases += [(f, J) for f in small + _norm_tables()[:10] for J in (None, 3)]  # J = 3: lo != hi
+    seen = set()
+    for f, J in cases:
+        table = image_p_norm_table(f, range(13), ps, J=J)
+        assert list(map(repr, map(tuple, table))) == list(
+            map(repr, map(tuple, _scalar_table(f, range(13), ps, J)))
+        ), (f, J)
+        ends = [x for line in table for e in line for x in (e.lower, e.upper)]
+        assert all(type(x) in (float, Fraction) for x in ends), (f, J)
+        seen.update(map(type, ends))
+    assert seen == {float, Fraction}
+    # the 3,000-level table of test_long_table_image_is_formed_in_blocks_of_runs
+    values = np.random.default_rng(7).integers(-8, 9, size=3000)
+    f = FiniteTable(tuple(Fraction(int(v), 4) for v in values))
+    table = image_p_norm_table(f, (0, 1), ps)
+    assert repr(table) == repr(tuple(map(tuple, _scalar_table(f, (0, 1), ps))))
+
+
+def test_norm_upper_bound_holds_without_its_tolerance():
+    # each of norm_upper_bound's 4,800 cases holds as a certified inequality,
+    # with no width tolerance and no 1e-9 allowance:
+    # ||A^n f||_p <= img.upper <= down(down((n+1)^(1/p)) nf.lower) <= (n+1)^(1/p) ||f||_p,
+    # as libm's pow is within one ulp; the least margin is about 39%
+    ps = (1.1, 1.5, 2.0, 3.0)
+    margins = []
+    for f in _norm_tables():
+        nfs, *imgs = image_p_norm_table(f, range(13), ps)
+        for n, line in enumerate(imgs, 1):
+            for p, img, nf in zip(ps, line, nfs):
+                factor = math.nextafter((n + 1) ** (1.0 / p), -math.inf)
+                rhs = math.nextafter(factor * nf.lower, -math.inf)
+                margins.append(1.0 - img.upper / rhs)
+    assert len(margins) == 4800 and min(margins) > 0.3
 
 
 small_tables = st.lists(

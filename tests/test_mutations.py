@@ -41,8 +41,8 @@ MUTATIONS = (
         "barycenter_residual_zero",
         lpspace,
         "_exact_image",
-        "sum(terms, ",
-        "sum(terms[1:], ",
+        "terms.sum(axis=0)",
+        "terms[1:].sum(axis=0)",
     ),
     (
         # off by one for every n below the largest; a plain + 1 also hits the
@@ -133,6 +133,16 @@ MUTATIONS = (
         "_exact_image",
         "< _INT64_EXACT",
         "< 1 << 64",
+    ),
+    (
+        # each image line paired with ||f||_p at the exponents in reverse
+        # order: the p = 3 image norms against (n + 1)^(1/3) ||f||_1.1
+        "norm_line_paired_with_the_wrong_p",
+        "norm_upper_bound",
+        lpspace,
+        "_norm_table_ends",
+        "lines[0] = [e[0] for e in",
+        "lines[0] = [e[0][::-1] for e in",
     ),
     (
         "probe_recurrence_off_by_one",
