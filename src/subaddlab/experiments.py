@@ -160,8 +160,7 @@ def _survival_rows(n_max: int, lim: Limits):
         if backend == "log":
             sweep = sweep or weights._stepped(n_max * n_max, n_max, n, n_max * n_max)
         row = next(sweep)[2] if sweep else None
-        # row n's exact prefix is read for this n alone, so it is not kept
-        lo = _image(witness_fn(n), (n,), 0, m, None, backend, lim, True, row, keep=False)[0][0]
+        lo = _image(witness_fn(n), (n,), 0, m, None, backend, lim, True, row)[0][0]
         yield n, t_m, lo.astype(float)
 
 

@@ -22,8 +22,8 @@ one pass of integers over one denominator.  Neither the image nor the
 masses depend on the exponent, so image_p_norm_table reads every p off one
 image line and one mass list, and forms the ends of every (n, p) as arrays
 in one pass (_norm_table_ends, which verify's norm_upper_bound reads
-directly); p_norms is its n = 0 line, and image_p_norm and p_norm, for such
-f, are its one-n, one-exponent cases.  Infinite sums are returned as
+directly); image_p_norm and p_norm, for such f, are its one-n,
+one-exponent cases, p_norm at n = 0.  Infinite sums are returned as
 Enclosure(lower, upper) pairs of Python numbers, exact whenever
 the function and the backend allow it.  For PowerGrowth, _power_image adds
 a certified tail bound to a float row sum with the derived allowance of
@@ -317,7 +317,9 @@ def _times_pow2(x: float, e: int) -> Real:
 def p_norm(f: SeqFunction, p, K: Optional[int] = None) -> Enclosure:
     """Enclosure of (sum_k alpha_k |f(k)|^p)^(1/p).
 
-    An eventually-constant f is p_norms' one-exponent case.  For PowerGrowth
+    An eventually-constant f is image_p_norm_table's n = 0, one-exponent
+    case, which sums run by run, sum_k alpha_k |v_k|^p + |c|^p T(L), exactly
+    when every level is 0 or +-1 (indicators).  For PowerGrowth
     the sum is A(k^(beta p))(0), with 0^(beta p) = 0: apply_A_pow's
     enclosure at n = 1 and J = K, which sums k < K slice by slice and adds
     the integral-comparison tail power_tail_bound(beta p, K).  It is rejected
@@ -328,7 +330,7 @@ def p_norm(f: SeqFunction, p, K: Optional[int] = None) -> Enclosure:
     brings the width within 1e-10 of the value.
     """
     if isinstance(f, EventuallyConstant):
-        return p_norms(f, (p,))[0]
+        return image_p_norm_table(f, (0,), (p,))[0][0]
     p = check_exponent(p)
     q = f.beta * p
     if q >= 0.5:
@@ -340,16 +342,6 @@ def p_norm(f: SeqFunction, p, K: Optional[int] = None) -> Enclosure:
         raise ValueError("K must be >= 1")
     e = apply_A_pow(PowerGrowth(q), 1, 0, J=K)
     return Enclosure(*map(float, _root_ends(e.lower, e.upper, p)))
-
-
-def p_norms(f: EventuallyConstant, ps) -> tuple:
-    """p_norm(f, p) for each p in ps, for an eventually-constant f: image_p_norm_table at n = 0.
-
-    f sums run by run, sum_k alpha_k |v_k|^p + |c|^p T(L), exactly when
-    every level is 0 or +-1 (indicators).  The run masses and levels do not
-    depend on p, so one pass over them forms every p.
-    """
-    return image_p_norm_table(f, (0,), ps)[0]
 
 
 def _exact_value(v) -> Union[int, Fraction]:
@@ -442,7 +434,7 @@ def _power_image(f: PowerGrowth, n: int, k, J: int, s, err) -> tuple:
     return lo, np.nextafter(np.nextafter(s + err, np.inf) + tail, np.inf)
 
 
-def _image(f, ns, k0: int, k1: int, J, backend: str, lim, floats=False, row=None, keep=True):
+def _image(f, ns, k0: int, k1: int, J, backend: str, lim, floats=False, row=None):
     """Ends (lo, hi) of the enclosures of A^n f(k) for n in ns (each >= 1) and k0 <= k < k1.
 
     Each k sums f over the window [k, k + W), W = J, or W = max(L - k, 0)
@@ -456,7 +448,7 @@ def _image(f, ns, k0: int, k1: int, J, backend: str, lim, floats=False, row=None
     identity A^n f(k) = c + sum_s (v_s - c)(P(b_s - k) - P(a_s - k)); with
     J given they are min(0, inf) and max(0, sup) of the levels not yet
     summed.  A k takes the exact prefix, integers over one power of two
-    (weights._exact_prefix), when exact_ok(n, W) holds on the "auto"
+    (weights._prefix_exact), when exact_ok(n, W) holds on the "auto"
     backend, and every k does on "exact"; its ends are the exact ratios
     x / d, as Fractions, or with floats as the floats they round to (a
     Fraction past the float range).  The other ks take the compensated
@@ -464,9 +456,8 @@ def _image(f, ns, k0: int, k1: int, J, backend: str, lim, floats=False, row=None
     their ends are floats.  When every k of every n is exact, one
     _exact_image pass forms them all; else each n is formed on its own.  A
     caller that steps rows in n may pass, with one n, row n of a float row
-    longer than every window, which the float prefix reads.  A caller that
-    reads no exact prefix again passes keep false, and each is built for
-    the call alone (weights._exact_prefix).  lo and hi hold one line per n;
+    longer than every window, which the float prefix reads.  Each exact
+    prefix is built for the call alone.  lo and hi hold one line per n;
     they are float64 when every end was formed in float64 (by the float
     prefix, or as floats by the int64 pass), else objects.
     """
@@ -474,23 +465,20 @@ def _image(f, ns, k0: int, k1: int, J, backend: str, lim, floats=False, row=None
     if not len(ks):
         return (np.empty((len(ns), 0)),) * 2
     W = np.full(len(ks), J) if J is not None else np.maximum(f.starts[-1] - ks, 0)
-    w = int(W.max())
 
     def cut(n):  # W does not grow with k, so the exact ks are the last ones
         if backend != "auto":
             return 0 if backend == "exact" else len(ks)
-        if w - 1 + n <= lim.exact_limit:
-            return 0
-        return int(np.count_nonzero((W > 0) & (W - 1 + n > lim.exact_limit)))
+        return int(np.count_nonzero(~weights._exact_ok(n, W, lim)))
 
     cuts = [cut(n) for n in ns]
     if not any(cuts):
-        return _exact_image(f, ns, ks, W, J, lim, floats, keep)
+        return _exact_image(f, ns, ks, W, J, lim, floats)
     lines = []
     for n, c in zip(ns, cuts):
         parts = [_float_image(f, n, ks[:c], W[:c], J, row)] if c else []
         if c < len(ks):
-            parts.append([e[0] for e in _exact_image(f, [n], ks[c:], W[c:], J, lim, floats, keep)])
+            parts.append([e[0] for e in _exact_image(f, [n], ks[c:], W[c:], J, lim, floats)])
         lines.append(tuple(np.concatenate(e) for e in zip(*parts)))
     return tuple(np.stack(e) for e in zip(*lines))
 
@@ -539,7 +527,7 @@ def _rest(f: EventuallyConstant, levels, ks, J: Optional[int], dtype) -> tuple:
 _INT64_EXACT = 1 << 53
 
 
-def _exact_image(f, ns, ks, W, J, lim: Limits, floats: bool, keep: bool) -> tuple:
+def _exact_image(f, ns, ks, W, J, lim: Limits, floats: bool) -> tuple:
     """_image's exact ends for every n in ns, one line per n, from one pass.
 
     The levels are integers over q, the lcm of their denominators.  Row n's
@@ -561,10 +549,12 @@ def _exact_image(f, ns, ks, W, J, lim: Limits, floats: bool, keep: bool) -> tupl
     q = math.lcm(*(x.denominator for x in fracs))
     levels = [x.numerator * (q // x.denominator) for x in fracs]
     w, n_max = int(W.max()), max(ns)
+    for n in ns:
+        weights._check_exact(n, w, lim)
     D = 1 << (2 * w + n_max)
     dtype = np.int64 if max(*map(abs, levels), q) * D < _INT64_EXACT else object
     # one column per n, each row's prefix scaled onto the denominator D
-    C = np.array([weights._exact_prefix(n, w, lim, keep)[0] for n in ns], dtype=dtype).T
+    C = np.array([weights._prefix_exact(n, w)[0] for n in ns], dtype=dtype).T
     C *= np.array([1 << (n_max - n) for n in ns], dtype=dtype)
     total = np.zeros((len(ks), len(ns)), dtype=dtype)
     for vs, lo, hi in _runs(f, levels, ks, W, len(ns)):
@@ -748,7 +738,8 @@ def image_p_norm_table(f: EventuallyConstant, ns, ps, J: Optional[int] = None) -
     (_norm_table_ends).  That image pass runs in int64 while
     max(M, q) 2^(2w + n_max) < 2^53, with w = L (J omitted) or J, q the lcm
     of the levels' denominators and M the largest |level| as an integer
-    over q (derived in _exact_image).  At n = 0 this is p_norms(f, ps).
+    over q (derived in _exact_image).  At n = 0 the line is p_norm(f, p)
+    for p in ps.
     """
     lo, hi = _norm_table_ends(f, ns, ps, J)
     return tuple(tuple(map(Enclosure, *line)) for line in zip(lo.tolist(), hi.tolist()))

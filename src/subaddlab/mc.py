@@ -216,11 +216,6 @@ def _sampler(gen: np.random.Generator, size: int):
     return draw
 
 
-def _sample_array(gen: np.random.Generator, size: int) -> np.ndarray:
-    """size iid draws from alpha, as int64; one uniform consumed per draw."""
-    return _sampler(gen, size)(size)[0]
-
-
 def _eval_on_indices(f: SeqFunction, idx: np.ndarray, out=None) -> np.ndarray:
     """f at each index, as float64, into out when given."""
     out = np.empty(len(idx)) if out is None else out

@@ -16,12 +16,12 @@ tuple of Python ints with an implicit denominator 2^(2j+n), built by the
 exact integer recurrence N_{j+1} = N_j (2j+n)(2j+n+1) / ((j+1)(j+n+1)).
 The exact checks run on these integers: convolution is a plain integer
 convolution, subadditivity and monotonicity are integer comparisons, and
-prefix masses (_prefix_sums) are integer prefix sums over the one
+prefix masses (_prefix_exact) are integer prefix sums over the one
 denominator 2^(2J+n).  Fractions are built only at the API boundary
-(exact_row, alpha_pow_exact, tail_exact).  exact_ok is the one rule for
-which rows the exact backend takes; it reads the resource limits, and its
-private twin _exact_ok, like _exact_prefix and _run_mass, takes them, for
-callers that read the limits once per public call.
+(exact_row, alpha_pow_exact, tail_exact).  exact_ok is the single rule for
+which rows are exact; it reads the resource limits, and its private twin
+_exact_ok, like _run_mass, takes them, for callers that read the limits
+once per public call, and takes an array of row lengths too.
 
 "log" carries value-domain float64 rows for index ranges where exact
 integers get too wide: a base row of correctly rounded weights
@@ -39,15 +39,16 @@ formed by one slice loop (_slice_dots) that serves both row_dot, over a
 given row, and row_dots, over rows n = 1, 2, ... from the slices with no
 full-length row, writing the block sums of every n into one block table;
 the masses of many segments of one row come from its compensated
-prefix sums (_float_prefix), the float twin of _exact_prefix.  The 40-digit log-gamma
+prefix sums (_float_prefix), the float twin of _prefix_exact.  The 40-digit log-gamma
 values (alpha_pow_log, _run_mass) stand in for exact binomials past the exact
 limit.  Binomials are never formed from factorial tables.  The
 generating-function check (pgf_check) and the base floats (_alpha_floats)
 step one fixed-point integer recurrence (_fixed_terms), at _FIXED_BITS
-bits.  All public functions are pure.  The rows kept for the process
-(_row_exact, _prefix_exact, _head_row) are limits.memo caches, which fill idempotently,
-so concurrent callers see behavior as if nothing were cached, and
-limits.clear_memos() empties them.
+bits.  All public functions are pure.  Exact rows and prefixes are built
+for each call; the only weight table kept for the process is the float head
+row (_head_row), a limits.memo cache, which fills idempotently, so
+concurrent callers see behavior as if nothing were cached, and
+limits.clear_memos() empties it.
 """
 
 from __future__ import annotations
@@ -140,22 +141,17 @@ def _numerators(n: int):
         N = N * (2 * j + n) * (2 * j + n + 1) // ((j + 1) * (j + n + 1))
 
 
-@memo(128)
 def _row_exact(n: int, J: int) -> tuple:
     """Numerators N^n_0 .. N^n_{J-1}: alpha^n_j = N^n_j / 2^(2j+n)."""
     return tuple(itertools.islice(_numerators(n), max(J, 0)))
 
 
-def _prefix_sums(n: int, J: int) -> tuple:
+def _prefix_exact(n: int, J: int) -> tuple:
     """(C, D): sum_{j<i} alpha^n_j = C[i] / D for i = 0..J, with D = 2^(2J+n)."""
     out = [0]
     for j, N in enumerate(itertools.islice(_numerators(n), max(J, 0))):
         out.append(out[-1] + (N << 2 * (J - j)))
     return tuple(out), 1 << (2 * J + n)
-
-
-# _prefix_sums kept for the process, for the windows read again
-_prefix_exact = memo(128)(_prefix_sums)
 
 
 def _dyadic(num: int, e: int) -> Fraction:
@@ -182,8 +178,8 @@ def exact_ok(n: int, J: int) -> bool:
     return _exact_ok(n, J, current_limits())
 
 
-def _exact_ok(n: int, J: int, lim: Limits) -> bool:
-    return J == 0 or (J - 1) + n <= lim.exact_limit
+def _exact_ok(n: int, J, lim: Limits):
+    return (J == 0) | ((J - 1) + n <= lim.exact_limit)  # J may be an array
 
 
 def _check_exact(n: int, J: int, lim: Limits) -> None:
@@ -201,16 +197,6 @@ def exact_row(n: int, J: int) -> tuple:
     """Weights alpha^n_0 .. alpha^n_{J-1} as reduced Fractions."""
     _check_exact(n, J, current_limits())
     return tuple(_dyadic(N, 2 * j + n) for j, N in enumerate(_row_exact(n, J)))
-
-
-def _exact_prefix(n: int, J: int, lim: Limits, keep: bool = True) -> tuple:
-    """_prefix_exact(n, J), refused past the row and exact limits of lim.
-
-    With keep false the prefix is built for the caller alone (_prefix_sums)
-    and neither read from nor left in the memo.
-    """
-    _check_exact(n, J, lim)
-    return (_prefix_exact if keep else _prefix_sums)(n, J)
 
 
 def _log_tail_series(x: np.ndarray, log_x: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from subaddlab import experiments, limits, lpspace, weights
+from subaddlab import experiments, limits, lpspace, verify, weights
 from subaddlab.limits import current_limits
 from subaddlab.errors import EmptyGridError, NotInLpError, ResourceLimitError
 from subaddlab.lpspace import IndicatorGE, PowerGrowth, _image, apply_A_pow
@@ -185,7 +185,7 @@ def test_growth_of_several_exponents_equals_the_one_exponent_calls():
 def test_growth_keeps_no_survival_rows():
     # the survival values of n = 1..200 are 2.7e6 floats (20.5 MiB); each
     # n's are dropped once its norm sums close, so none outlive the call,
-    # and neither do the exact prefixes of n <= 44, built for their n alone
+    # and neither do the exact prefixes of n <= 44, built for each call
     limits.clear_memos()
     tracemalloc.start()
     try:
@@ -196,12 +196,14 @@ def test_growth_keeps_no_survival_rows():
     assert kept < 2**20
 
 
-def test_growth_leaves_no_exact_rows_in_the_memos():
-    # each survival row's exact prefix is read for its own n alone
+def test_no_exact_row_is_kept_for_the_process():
+    # exact rows and prefixes are built for each call: after every check has
+    # run, the float head row is the one memo that weights holds
     limits.clear_memos()
-    experiments.growth_curve((1.25, 2.0, 3.0), 32)
-    assert weights._prefix_exact.cache_info().currsize == 0
-    assert weights._row_exact.cache_info().currsize == 0
+    assert all(verify.run_suite("all").values())
+    held = [m.__wrapped__ for m in limits._MEMOS if hasattr(m, "__wrapped__")]
+    kept = [f.__name__ for f in held if f.__module__ == "subaddlab.weights"]
+    assert kept == ["_head_row"]
 
 
 def test_growth_past_the_exact_limit_steps_one_row_once(monkeypatch):

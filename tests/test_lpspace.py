@@ -38,7 +38,6 @@ from subaddlab.lpspace import (
     image_p_norm_table,
     norm_bound_check,
     p_norm,
-    p_norms,
 )
 
 
@@ -251,6 +250,17 @@ def test_limits_take_effect_at_the_next_call(monkeypatch):
         image_p_norm(f, 1, 2.0)
     monkeypatch.delenv("SUBADDLAB_MAX_J")
     assert image_p_norm(f, 1, 2.0).upper > 0
+
+
+def test_exact_backend_refuses_windows_past_the_exact_limit(monkeypatch):
+    # the exact route checks each prefix before it builds it: j + n = 60 is
+    # refused and j + n = 50, the limit itself, is formed exactly
+    monkeypatch.setenv("SUBADDLAB_EXACT_LIMIT", "50")
+    f = IndicatorGE(5)
+    with pytest.raises(ResourceLimitError, match=r"exact backend limited to j \+ n <= 50"):
+        apply_A_pow(f, 1, 0, J=60, backend="exact")
+    e = apply_A_pow(f, 1, 0, J=50, backend="exact")
+    assert isinstance(e.lower, Fraction) and e.lower <= weights.tail_exact(5) <= e.upper
 
 
 def test_p_norm_finite_table():
@@ -512,9 +522,10 @@ def test_several_exponent_norms_equal_the_one_exponent_calls():
         fs.append(FiniteTable(tuple(Fraction(int(v), 4) for v in rng.integers(-8, 9, size=length))))
     fs += [IndicatorGE(3), IndicatorWindow(1, 5), FiniteTable((0.3, -1.25, 2.5))]
     fs.append(FiniteTable((10**400,)))  # ends past the float range are Fractions
-    assert any(isinstance(e.upper, Fraction) for e in p_norms(fs[-1], ps))
+    assert any(isinstance(e.upper, Fraction) for e in image_p_norm_table(fs[-1], (0,), ps)[0])
     for f in fs:
-        assert list(map(repr, p_norms(f, ps))) == [repr(p_norm(f, p)) for p in ps]
+        norms = image_p_norm_table(f, (0,), ps)[0]  # the n = 0 line
+        assert list(map(repr, norms)) == [repr(p_norm(f, p)) for p in ps]
         for n in range(13):
             for J in (None, 3):  # J = 3 truncates every window
                 many = image_p_norm_table(f, (n,), ps, J=J)[0]

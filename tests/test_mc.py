@@ -34,6 +34,11 @@ from subaddlab.lpspace import (
 )
 
 
+def sample_array(gen, size):
+    """size iid draws from alpha, as int64: one sampler call of that size."""
+    return mc._sampler(gen, size)(size)[0]
+
+
 def fraction_cdf():
     """P(X <= j) for j < _TABLE_SIZE as Fraction prefix sums."""
     acc, out = Fraction(0), []
@@ -113,7 +118,7 @@ def test_near_edge_draws_match_fraction_bisect():
     # nearest-rounded CDF edge
     edges = mc._cdf_up()[:-1].tolist() + [float(v) for v in fraction_cdf()]
     u = sorted({x for e in edges for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0))})
-    out = mc._sample_array(FixedUniforms(u), len(u))
+    out = sample_array(FixedUniforms(u), len(u))
     cdf = fraction_cdf()
     for ui, drawn in zip(u, out):
         want = bisect.bisect_right(cdf, Fraction(ui))
@@ -141,8 +146,8 @@ def test_guide_lookup_matches_searchsorted():
 
 
 def test_bitwise_determinism():
-    a = mc._sample_array(mc.make_generator(7), 4096)
-    b = mc._sample_array(mc.make_generator(7), 4096)
+    a = sample_array(mc.make_generator(7), 4096)
+    b = sample_array(mc.make_generator(7), 4096)
     assert np.array_equal(a, b)
     e1 = mc.mc_apply_A(IndicatorGE(1), 1, 0, 5000, mc.make_generator(42))
     e2 = mc.mc_apply_A(IndicatorGE(1), 1, 0, 5000, mc.make_generator(42))
@@ -150,13 +155,13 @@ def test_bitwise_determinism():
 
 
 def test_stream_independence():
-    a = mc._sample_array(mc.make_generator(7, stream=0), 1000)
-    b = mc._sample_array(mc.make_generator(7, stream=1), 1000)
+    a = sample_array(mc.make_generator(7, stream=0), 1000)
+    b = sample_array(mc.make_generator(7, stream=1), 1000)
     assert not np.array_equal(a, b)
 
 
 def test_frequency_of_zero():
-    draws = mc._sample_array(mc.make_generator(3, stream=5), 200_000)
+    draws = sample_array(mc.make_generator(3, stream=5), 200_000)
     freq = float(np.mean(draws == 0))
     sigma = math.sqrt(0.25 / 200_000)
     assert abs(freq - 0.5) <= 3 * sigma
@@ -164,7 +169,7 @@ def test_frequency_of_zero():
 
 def test_chi_squared_against_exact_table():
     n_draws = 50_000
-    draws = mc._sample_array(mc.make_generator(11, stream=2), n_draws)
+    draws = sample_array(mc.make_generator(11, stream=2), n_draws)
     buckets = 64
     observed = np.bincount(np.minimum(draws, buckets), minlength=buckets + 1)
     expected = [float(weights.alpha_exact(j)) * n_draws for j in range(buckets)]
@@ -308,13 +313,13 @@ def test_vectorized_tail_inversion_adversarial():
     assert got[u == 1.0].tolist() == [mc._INDEX_CAP]
     assert mc._INDEX_CAP in got.tolist() and got.max() <= mc._INDEX_CAP
     # through the sampler, the uniforms past the table take the same indices
-    out = mc._sample_array(FixedUniforms(u), len(u))
+    out = sample_array(FixedUniforms(u), len(u))
     tail = out >= mc._TABLE_SIZE
     assert tail.sum() > 20
     assert np.array_equal(out[tail], got[tail])
 
 
-# SHA-256 of the int64 bytes of _sample_array(make_generator(seed), 2**20),
+# SHA-256 of the int64 bytes of sample_array(make_generator(seed), 2**20),
 # recorded once every tail draw of the three was checked against the oracle
 SAMPLE_DIGESTS = {
     2: "c75e97aa579adef358091e4e36d81f4430ceb09708f0e4c06c54f36dcdaa3579",
@@ -325,7 +330,7 @@ SAMPLE_DIGESTS = {
 
 @pytest.mark.parametrize("seed", sorted(SAMPLE_DIGESTS))
 def test_seeded_draws_pinned(seed):
-    draws = mc._sample_array(mc.make_generator(seed), 2**20)
+    draws = sample_array(mc.make_generator(seed), 2**20)
     assert hashlib.sha256(draws.tobytes()).hexdigest() == SAMPLE_DIGESTS[seed]
 
 

@@ -188,7 +188,7 @@ def test_property_numerators_match_binomial_route(n, j):
 
 def test_prefix_row_gives_prefix_masses():
     for n in (1, 3, 10):
-        C, D = weights._exact_prefix(n, 60, current_limits())
+        C, D = weights._prefix_exact(n, 60)
         row = weights.exact_row(n, 60)
         assert D == 1 << (120 + n) and len(C) == 61
         for i in range(61):
