@@ -193,27 +193,6 @@ class Enclosure:
             return (Fraction(self.lower) + Fraction(self.upper)) / 2
         return (float(self.lower) + float(self.upper)) / 2
 
-    def __add__(self, other: "Enclosure") -> "Enclosure":
-        if not isinstance(other, Enclosure):
-            return NotImplemented
-        if all(_is_exact(v) for v in (self.lower, self.upper, other.lower, other.upper)):
-            return Enclosure(self.lower + other.lower, self.upper + other.upper)
-        return Enclosure(
-            _pad_down(float(self.lower) + float(other.lower)),
-            _pad_up(float(self.upper) + float(other.upper)),
-        )
-
-    def scale(self, c: Real) -> "Enclosure":
-        """Multiply both ends by a scalar c >= 0."""
-        if c < 0:
-            raise ValueError("scale factor must be >= 0")
-        if _is_exact(c) and _is_exact(self.lower) and _is_exact(self.upper):
-            return Enclosure(self.lower * c, self.upper * c)
-        return Enclosure(
-            _pad_down(float(self.lower) * float(c)),
-            _pad_up(float(self.upper) * float(c)),
-        )
-
 
 def _root_ends(lo, hi, p) -> tuple:
     """Ends of [lo, hi] mapped through x -> max(x, 0)^(1/p), each padded outward by 4 ulps.
@@ -464,6 +443,8 @@ def _image(f, ns, k0: int, k1: int, J, backend: str, lim, floats=False, row=None
     ks = np.arange(k0, k1)
     if not len(ks):
         return (np.empty((len(ns), 0)),) * 2
+    if J is None:  # refuse a window past the ceiling before W holds it in int64
+        lim.check_row_length(f.starts[-1] - k0)
     W = np.full(len(ks), J) if J is not None else np.maximum(f.starts[-1] - ks, 0)
 
     def cut(n):  # W does not grow with k, so the exact ks are the last ones
@@ -646,13 +627,33 @@ def cesaro_T(f: SeqFunction, n: int, k: int):
 
 
 def cesaro_A(f: SeqFunction, n: int, k: int, J: Optional[int] = None) -> Enclosure:
-    """Enclosure of (1/n) sum_{i<n} A^i(f)(k), with A^0 the identity."""
+    """Enclosure of (1/n) sum_{i<n} A^i(f)(k), with A^0 the identity.
+
+    The ends of apply_A_pow(f, i, k, J=J) for i < n are summed once per
+    side.  When every end is exact, each side is its exact sum over n, one
+    Fraction.  Else the upper end is _mean_up of the upper ends, and the
+    lower end is -_mean_up of the negated lower ends: the same rounding,
+    mirrored, so each end moves outward.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    acc = apply_A_pow(f, 0, k, J=J)
-    for i in range(1, n):
-        acc = acc + apply_A_pow(f, i, k, J=J)
-    return acc.scale(Fraction(1, n))
+    los, his = zip(*(apply_A_pow(f, i, k, J=J) for i in range(n)))
+    if all(map(_is_exact, los + his)):
+        return Enclosure(Fraction(sum(los), n), Fraction(sum(his), n))
+    return Enclosure(-_mean_up([-x for x in los], n), _mean_up(his, n))
+
+
+def _mean_up(xs, n: int) -> float:
+    """A float at or above (1/n) sum xs, for xs floats and exact reals.
+
+    float(x) rounds an exact x to the nearest float, within half an ulp, so
+    one ulp up (_pad_up, also a step of the subnormal spacing) is at or
+    above x.  math.fsum correctly rounds the sum of those floats, and one
+    IEEE division correctly rounds its quotient by n, so one ulp up after
+    each keeps the bound.  A sum past the float range reads inf (_fsum).
+    """
+    s = _fsum([_pad_up(float(x)) if _is_exact(x) else x for x in xs])
+    return _pad_up(_pad_up(s) / n)
 
 
 def barycenter_residual(f: SeqFunction, k: int, J: int):
@@ -765,6 +766,7 @@ def _norm_table_ends(f: EventuallyConstant, ns, ps, J: Optional[int] = None) -> 
             lines[0] = [e[0] for e in _norm_sum_ends(np.array(masses, float), levels, levels, ps)]
     image_ns = [n for n in ns if n]
     if image_ns:
+        lim.check_row_length(L)  # before islice, which takes no stop past sys.maxsize
         alphas = itertools.islice(weights._alpha_floats(), L)
         masses = np.array([float(weights._run_mass(L, None, lim)), *alphas])
         lo, hi = _image(f, image_ns, 0, L, J, "auto", lim, True)

@@ -506,7 +506,7 @@ FLAG_POOLS = {
     "--c0": ("1", "0", "-1", "3/2", "x", "1/0", "1e400"),
     "--a": ("0", "-1", "1", "3/2", "nan", "1/0", "1e400", "1e-400"),
     "--fn": ("table", "indicator", "power", "other"),
-    "--m": ("-1", "0", "3", "3000000000"),
+    "--m": ("-1", "0", "3", "3000000000", str(2**63), str(10**20)),
     "--k": ("-1", "0", "5", str(2**62), str(2**63 - 100), str(10**20)),
     "--trials": ("-1", "0", "1", "10", "100"),
     "--seed": ("-1", "0", "7", str(2**70)),

